@@ -5,7 +5,7 @@
 // layout costs the query path, and facade-vs-SpcService rows pricing the
 // typed serving API (validation + consistency routing, DESIGN.md §9)
 // against direct facade calls. Two performance-layer sweeps ride along
-// (DESIGN.md §15): a merge-kernel tier sweep (scalar / SWAR / AVX2, each
+// (DESIGN.md §15): a merge-kernel tier sweep (scalar / AVX2, each
 // forced explicitly, on full queries and on a synthetic tail-only
 // intersection) and a hot-pair-cache row measured under Zipf-skewed
 // pairs regardless of --query-dist, so the checked-in JSON always
@@ -231,8 +231,7 @@ int main(int argc, char** argv) {
     const TailWorkload tail(192, 0.25, tail_rng);
     const size_t tail_reps = 200000 * f;
     for (const MergeKernelTier tier :
-         {MergeKernelTier::kScalar, MergeKernelTier::kSwar,
-          MergeKernelTier::kAvx2}) {
+         {MergeKernelTier::kScalar, MergeKernelTier::kAvx2}) {
       KernelRow row{tier, false, 0.0, 0.0};
       if (MergeKernelTierSupported(tier) && SetMergeKernelTier(tier)) {
         row.supported = true;

@@ -50,7 +50,8 @@ bool FitsPacked(Rank hub, Distance dist, PathCount count);
 // stored out-of-line in a wide side table; the arena word then carries the
 // overflow marker (dist field all-ones) and the side-table slot in the
 // count field. The marker reserves dist == kPackedDistMax, so the inline
-// predicate is strictly tighter than FitsPacked().
+// predicate is strictly tighter than FitsPacked(). Every reader of an
+// entry's dist/count goes through DecodeFlatWord().
 
 /// Bit position of the hub field in an arena word.
 inline constexpr int kFlatHubShift = kPackedDistBits + kPackedCountBits;
@@ -80,6 +81,20 @@ inline uint64_t FlatOverflowSlot(uint64_t word) {
 /// Hub rank of an arena word (inline or overflow reference).
 inline Rank FlatHub(uint64_t word) {
   return static_cast<Rank>(word >> kFlatHubShift);
+}
+
+/// Decodes the dist/count of an arena word: its inline fields, or, for an
+/// overflow reference, the entry at its slot in the side table `overflow`.
+inline void DecodeFlatWord(uint64_t word, const LabelEntry* overflow,
+                           Distance* dist, PathCount* count) {
+  if (!IsFlatOverflowRef(word)) [[likely]] {
+    *dist = static_cast<Distance>((word >> kPackedCountBits) & kPackedDistMax);
+    *count = word & kPackedCountMax;
+  } else {
+    const LabelEntry& e = overflow[FlatOverflowSlot(word)];
+    *dist = e.dist;
+    *count = e.count;
+  }
 }
 
 }  // namespace dspc

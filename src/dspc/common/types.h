@@ -1,4 +1,4 @@
-// Core scalar types shared by every DSPC module.
+// Core scalar types, and the label triple, shared by every DSPC module.
 
 #ifndef DSPC_COMMON_TYPES_H_
 #define DSPC_COMMON_TYPES_H_
@@ -28,6 +28,17 @@ using Weight = uint32_t;
 inline constexpr Vertex kInvalidVertex = std::numeric_limits<Vertex>::max();
 inline constexpr Rank kInvalidRank = std::numeric_limits<Rank>::max();
 inline constexpr Distance kInfDistance = std::numeric_limits<Distance>::max();
+
+/// One label triple. `hub` is the hub's rank; `count` is sigma_{hub,v}.
+/// The index's label sets hold these; the flat arena stores them packed
+/// (label_codec.h) and keeps the ones too large to pack in this form.
+struct LabelEntry {
+  Rank hub;
+  Distance dist;
+  PathCount count;
+
+  friend bool operator==(const LabelEntry&, const LabelEntry&) = default;
+};
 
 }  // namespace dspc
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "dspc/core/merge_kernel.h"
+
 namespace dspc {
 
 namespace {
@@ -96,25 +98,8 @@ void DynamicDirectedSpcIndex::PushFromHub(Rank h, Direction dir) {
 SpcResult DynamicDirectedSpcIndex::ScanQuery(const LabelSet& out_s,
                                              const LabelSet& in_t) {
   SpcResult result;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < out_s.size() && j < in_t.size()) {
-    if (out_s[i].hub < in_t[j].hub) {
-      ++i;
-    } else if (out_s[i].hub > in_t[j].hub) {
-      ++j;
-    } else {
-      const Distance d = out_s[i].dist + in_t[j].dist;
-      if (d < result.dist) {
-        result.dist = d;
-        result.count = out_s[i].count * in_t[j].count;
-      } else if (d == result.dist) {
-        result.count += out_s[i].count * in_t[j].count;
-      }
-      ++i;
-      ++j;
-    }
-  }
+  MergeWideScalar(out_s.data(), out_s.data() + out_s.size(), in_t.data(),
+                  in_t.data() + in_t.size(), &result);
   return result;
 }
 

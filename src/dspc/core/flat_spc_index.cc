@@ -280,24 +280,12 @@ void FlatSpcIndex::BuildDenseDirectory(Shard* shard) {
   }
 }
 
-inline void FlatSpcIndex::DecodeWord(uint64_t word, const LabelEntry* overflow,
-                                     Distance* dist, PathCount* count) {
-  if (!IsFlatOverflowRef(word)) [[likely]] {
-    *dist = static_cast<Distance>((word >> kPackedCountBits) & kPackedDistMax);
-    *count = word & kPackedCountMax;
-  } else {
-    const LabelEntry& e = overflow[FlatOverflowSlot(word)];
-    *dist = e.dist;
-    *count = e.count;
-  }
-}
-
 LabelEntry FlatSpcIndex::EntryAt(const Shard& shard, bool wide, uint64_t i) {
   if (wide) return shard.wide_entries[i];
   const uint64_t word = shard.entries[i];
   LabelEntry e;
   e.hub = FlatHub(word);
-  DecodeWord(word, shard.overflow.data(), &e.dist, &e.count);
+  DecodeFlatWord(word, shard.overflow.data(), &e.dist, &e.count);
   return e;
 }
 
@@ -321,22 +309,6 @@ template <bool kLimited>
 SpcResult FlatSpcIndex::QueryPacked(const PackedSide& A, const PackedSide& B,
                                     Rank limit) {
   SpcResult result;
-
-  auto accumulate = [&](uint64_t wa, uint64_t wb) {
-    Distance da;
-    Distance db;
-    PathCount ca;
-    PathCount cb;
-    DecodeWord(wa, A.overflow, &da, &ca);
-    DecodeWord(wb, B.overflow, &db, &cb);
-    const Distance d = da + db;
-    if (d < result.dist) {
-      result.dist = d;
-      result.count = ca * cb;
-    } else if (d == result.dist) {
-      result.count += ca * cb;
-    }
-  };
 
   // Dense part: the common top-ranked hubs fall out of word-parallel
   // bitmap ANDs; each surviving bit maps to its arena slot by prefix
@@ -363,7 +335,8 @@ SpcResult FlatSpcIndex::QueryPacked(const PackedSide& A, const PackedSide& B,
       const uint64_t below = (1ULL << bit) - 1;
       const uint64_t ia = base_a + std::popcount(bits_a & below);
       const uint64_t ib = base_b + std::popcount(bits_b & below);
-      accumulate(A.arena[ia], B.arena[ib]);
+      AccumulatePackedMatch(A.arena[ia], A.overflow, B.arena[ib], B.overflow,
+                            &result);
     }
   };
   for (size_t w = 0; w < full_words; ++w) {
@@ -378,7 +351,7 @@ SpcResult FlatSpcIndex::QueryPacked(const PackedSide& A, const PackedSide& B,
   }
 
   // Tail part: intersection over the short low-rank remainder, routed
-  // through the tiered merge kernel (scalar / SWAR / AVX2 — see
+  // through the tiered merge kernel (scalar / AVX2 — see
   // core/merge_kernel.h). A rank limit is applied by truncating both
   // ranges at the first >=limit word: hubs ascend, so every match below
   // the limit precedes the truncation point on both sides and the
@@ -413,7 +386,7 @@ SpcResult FlatSpcIndex::QueryWide(Vertex s, Vertex t, Rank limit) const {
     ae = WideLowerBound(a, ae, limit);
     be = WideLowerBound(b, be, limit);
   }
-  MergeWide(a, ae, b, be, &result);
+  MergeWideScalar(a, ae, b, be, &result);
   return result;
 }
 

@@ -437,11 +437,6 @@ class FlatSpcIndex {
   /// Rebuilds hub_bits/word_base of a packed shard from offsets/entries.
   static void BuildDenseDirectory(Shard* shard);
 
-  /// Decodes the dist/count of a packed arena word, chasing the rare
-  /// overflow reference into the shard's side table.
-  static void DecodeWord(uint64_t word, const LabelEntry* overflow,
-                         Distance* dist, PathCount* count);
-
   /// Decodes arena slot `i` of a shard back into a LabelEntry — the one
   /// place that knows both entry representations (Unpack, Save's wide
   /// fallback, validation, and the wide-rebuild materialization all

@@ -1,18 +1,18 @@
 // Merge-kernel tiers + dispatch (see merge_kernel.h and DESIGN.md §15).
 //
-// Correctness of the vector tiers rests on two facts about the input:
-// hubs are strictly ascending within each range (arena validator), and
-// the accumulate is order-independent. Both tiers use the same
-// broadcast-window shape: b is consumed in fixed windows whose packed
-// hubs are compared, all at once, against one broadcast a hub at a time.
-// The inner loop consumes every a word with hub <= the window's last
-// hub, so when a window retires the current a hub (and every later one,
-// by ascent) exceeds every hub in it — no future a can match a retired
-// window. Conversely an a word is consumed only after being compared
-// against the whole window that covers its hub range, and hubs in later
-// windows are all larger — so no match is ever skipped. Strict ascent
-// means at most one window lane matches, so a single find-first-set
-// recovers the partner word.
+// Correctness of the AVX2 tier rests on two facts about the input: hubs
+// are strictly ascending within each range (arena validator), and the
+// accumulate is order-independent. The tier uses a broadcast-window
+// shape: b is consumed in fixed windows whose packed hubs are compared,
+// all at once, against one broadcast a hub at a time. The inner loop
+// consumes every a word with hub <= the window's last hub, so when a
+// window retires the current a hub (and every later one, by ascent)
+// exceeds every hub in it — no future a can match a retired window.
+// Conversely an a word is consumed only after being compared against the
+// whole window that covers its hub range, and hubs in later windows are
+// all larger — so no match is ever skipped. Strict ascent means at most
+// one window lane matches, so a single find-first-set recovers the
+// partner word.
 
 #include "dspc/core/merge_kernel.h"
 
@@ -22,59 +22,17 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "dspc/common/label_codec.h"
-
 #if defined(__x86_64__) || defined(_M_X64)
-#define DSPC_MERGE_KERNEL_X86 1
+#define DSPC_X86_KERNELS 1
 #include <immintrin.h>
 #else
-#define DSPC_MERGE_KERNEL_X86 0
+#define DSPC_X86_KERNELS 0
 #endif
 
 namespace dspc {
 namespace {
 
-// Mirrors FlatSpcIndex::DecodeWord: inline fields or overflow-table chase.
-inline void DecodePacked(uint64_t word, const LabelEntry* overflow,
-                         Distance* dist, PathCount* count) {
-  if (!IsFlatOverflowRef(word)) [[likely]] {
-    *dist = static_cast<Distance>((word >> kPackedCountBits) & kPackedDistMax);
-    *count = word & kPackedCountMax;
-  } else {
-    const LabelEntry& e = overflow[FlatOverflowSlot(word)];
-    *dist = e.dist;
-    *count = e.count;
-  }
-}
-
-inline void AccumulatePacked(uint64_t wa, const LabelEntry* a_overflow,
-                             uint64_t wb, const LabelEntry* b_overflow,
-                             SpcResult* result) {
-  Distance da, db;
-  PathCount ca, cb;
-  DecodePacked(wa, a_overflow, &da, &ca);
-  DecodePacked(wb, b_overflow, &db, &cb);
-  const Distance d = da + db;
-  if (d < result->dist) {
-    result->dist = d;
-    result->count = ca * cb;
-  } else if (d == result->dist) {
-    result->count += ca * cb;
-  }
-}
-
-inline void AccumulateWide(const LabelEntry& a, const LabelEntry& b,
-                           SpcResult* result) {
-  const Distance d = a.dist + b.dist;
-  if (d < result->dist) {
-    result->dist = d;
-    result->count = a.count * b.count;
-  } else if (d == result->dist) {
-    result->count += a.count * b.count;
-  }
-}
-
-// Ratio beyond which the vector tiers switch from block intersection to
+// Ratio beyond which the AVX2 tier switches from block intersection to
 // per-element galloping of the short side into the long side.
 constexpr size_t kLopsidedRatioShift = 5;  // 32x
 
@@ -104,47 +62,14 @@ void MergePackedLopsided(const uint64_t* s, const uint64_t* se,
         [h](uint64_t w) { return (w >> kFlatHubShift) < h; });
     if (pos != le && (*pos >> kFlatHubShift) == h) {
       if (short_is_a) {
-        AccumulatePacked(*s, s_overflow, *pos, l_overflow, result);
+        AccumulatePackedMatch(*s, s_overflow, *pos, l_overflow, result);
       } else {
-        AccumulatePacked(*pos, l_overflow, *s, s_overflow, result);
+        AccumulatePackedMatch(*pos, l_overflow, *s, s_overflow, result);
       }
       ++pos;
     }
     l = pos;
   }
-}
-
-void MergeWideLopsided(const LabelEntry* s, const LabelEntry* se,
-                       const LabelEntry* l, const LabelEntry* le,
-                       SpcResult* result) {
-  for (; s != se && l != le; ++s) {
-    const Rank h = s->hub;
-    size_t lo = 0;
-    size_t step = 1;
-    const size_t n = static_cast<size_t>(le - l);
-    while (lo + step < n && l[lo + step].hub < h) {
-      lo += step;
-      step <<= 1;
-    }
-    const size_t hi = std::min(n, lo + step + 1);
-    const LabelEntry* pos =
-        std::partition_point(l + lo, l + hi,
-                             [h](const LabelEntry& e) { return e.hub < h; });
-    if (pos != le && pos->hub == h) {
-      AccumulateWide(*s, *pos, result);
-      ++pos;
-    }
-    l = pos;
-  }
-}
-
-// SWAR has-zero-lane over two 32-bit lanes. Exact for lane values below
-// 2^31 (hub xors are below 2^25): bit 31 set iff the low lane is zero,
-// bit 63 iff the high lane is.
-constexpr uint64_t kLaneLsb = 0x0000000100000001ULL;
-constexpr uint64_t kLaneMsb = 0x8000000080000000ULL;
-inline uint64_t ZeroLanes32(uint64_t z) {
-  return (z - kLaneLsb) & ~z & kLaneMsb;
 }
 
 }  // namespace
@@ -159,7 +84,7 @@ void MergePackedTailScalar(const uint64_t* a, const uint64_t* ae,
     const uint64_t ha = wa >> kFlatHubShift;
     const uint64_t hb = wb >> kFlatHubShift;
     if (ha == hb) {
-      AccumulatePacked(wa, a_overflow, wb, b_overflow, result);
+      AccumulatePackedMatch(wa, a_overflow, wb, b_overflow, result);
       ++a;
       ++b;
     } else {
@@ -169,61 +94,7 @@ void MergePackedTailScalar(const uint64_t* a, const uint64_t* ae,
   }
 }
 
-void MergePackedTailSwar(const uint64_t* a, const uint64_t* ae,
-                         const LabelEntry* a_overflow, const uint64_t* b,
-                         const uint64_t* be, const LabelEntry* b_overflow,
-                         SpcResult* result) {
-  const size_t na = static_cast<size_t>(ae - a);
-  const size_t nb = static_cast<size_t>(be - b);
-  if (std::min(na, nb) < kMinVectorTail) {
-    MergePackedTailScalar(a, ae, a_overflow, b, be, b_overflow, result);
-    return;
-  }
-  if ((na >> kLopsidedRatioShift) > nb) {
-    MergePackedLopsided(b, be, b_overflow, a, ae, a_overflow,
-                        /*short_is_a=*/false, result);
-    return;
-  }
-  if ((nb >> kLopsidedRatioShift) > na) {
-    MergePackedLopsided(a, ae, a_overflow, b, be, b_overflow,
-                        /*short_is_a=*/true, result);
-    return;
-  }
-  if (na > nb) {
-    // The accumulate is commutative, so put the longer side in the
-    // window position (consumed four hubs at a time).
-    MergePackedTailSwar(b, be, b_overflow, a, ae, a_overflow, result);
-    return;
-  }
-  while (a != ae && be - b >= 4) {
-    __builtin_prefetch(b + 16, 0, 3);
-    // Window of four b hubs packed two per 64-bit word, 32-bit lanes.
-    const uint64_t b01 =
-        ((b[1] >> kFlatHubShift) << 32) | (b[0] >> kFlatHubShift);
-    const uint64_t b23 =
-        ((b[3] >> kFlatHubShift) << 32) | (b[2] >> kFlatHubShift);
-    const uint64_t b_last = b[3] >> kFlatHubShift;
-    while (a != ae) {
-      const uint64_t wa = *a;
-      const uint64_t ha = wa >> kFlatHubShift;
-      if (ha > b_last) break;
-      const uint64_t key = ha * kLaneLsb;
-      const uint64_t z01 = ZeroLanes32(key ^ b01);
-      const uint64_t z23 = ZeroLanes32(key ^ b23);
-      if ((z01 | z23) != 0) [[unlikely]] {
-        // Strict hub ascent: at most one lane matches.
-        const int j = z01 ? static_cast<int>(z01 >> 63)
-                          : 2 + static_cast<int>(z23 >> 63);
-        AccumulatePacked(wa, a_overflow, b[j], b_overflow, result);
-      }
-      ++a;
-    }
-    b += 4;
-  }
-  MergePackedTailScalar(a, ae, a_overflow, b, be, b_overflow, result);
-}
-
-#if DSPC_MERGE_KERNEL_X86
+#if DSPC_X86_KERNELS
 
 // Eight consecutive packed words' hubs as eight 32-bit lanes, in order.
 // srli leaves each hub in the low half of its 64-bit lane; shuffle_ps
@@ -281,8 +152,8 @@ __attribute__((target("avx2"))) void MergePackedTailAvx2(
           _mm256_castsi256_ps(_mm256_cmpeq_epi32(window, key))));
       if (m != 0) [[unlikely]] {
         // Strict hub ascent: at most one lane matches.
-        AccumulatePacked(wa, a_overflow, b[std::countr_zero(m)], b_overflow,
-                         result);
+        AccumulatePackedMatch(wa, a_overflow, b[std::countr_zero(m)],
+                              b_overflow, result);
       }
       ++a;
     }
@@ -291,7 +162,7 @@ __attribute__((target("avx2"))) void MergePackedTailAvx2(
   MergePackedTailScalar(a, ae, a_overflow, b, be, b_overflow, result);
 }
 
-#else  // !DSPC_MERGE_KERNEL_X86
+#else  // !DSPC_X86_KERNELS
 
 // Non-x86 hosts never dispatch kAvx2 (MergeKernelTierSupported returns
 // false); the symbol exists so the harness links and can fall through.
@@ -299,17 +170,17 @@ void MergePackedTailAvx2(const uint64_t* a, const uint64_t* ae,
                          const LabelEntry* a_overflow, const uint64_t* b,
                          const uint64_t* be, const LabelEntry* b_overflow,
                          SpcResult* result) {
-  MergePackedTailSwar(a, ae, a_overflow, b, be, b_overflow, result);
+  MergePackedTailScalar(a, ae, a_overflow, b, be, b_overflow, result);
 }
 
-#endif  // DSPC_MERGE_KERNEL_X86
+#endif  // DSPC_X86_KERNELS
 
 void MergeWideScalar(const LabelEntry* a, const LabelEntry* ae,
                      const LabelEntry* b, const LabelEntry* be,
                      SpcResult* result) {
   while (a != ae && b != be) {
     if (a->hub == b->hub) {
-      AccumulateWide(*a, *b, result);
+      AccumulateMatch(a->dist, a->count, b->dist, b->count, result);
       ++a;
       ++b;
     } else if (a->hub < b->hub) {
@@ -318,39 +189,6 @@ void MergeWideScalar(const LabelEntry* a, const LabelEntry* ae,
       ++b;
     }
   }
-}
-
-void MergeWideBlocked(const LabelEntry* a, const LabelEntry* ae,
-                      const LabelEntry* b, const LabelEntry* be,
-                      SpcResult* result) {
-  const size_t na = static_cast<size_t>(ae - a);
-  const size_t nb = static_cast<size_t>(be - b);
-  if ((na >> kLopsidedRatioShift) > nb) {
-    MergeWideLopsided(b, be, a, ae, result);
-    return;
-  }
-  if ((nb >> kLopsidedRatioShift) > na) {
-    MergeWideLopsided(a, ae, b, be, result);
-    return;
-  }
-  while (ae - a >= 4 && be - b >= 4) {
-    __builtin_prefetch(a + 16, 0, 3);
-    __builtin_prefetch(b + 16, 0, 3);
-    for (int i = 0; i < 4; ++i) {
-      const Rank h = a[i].hub;
-      for (int j = 0; j < 4; ++j) {
-        if (h == b[j].hub) {
-          AccumulateWide(a[i], b[j], result);
-          break;
-        }
-      }
-    }
-    const Rank a_last = a[3].hub;
-    const Rank b_last = b[3].hub;
-    if (a_last <= b_last) a += 4;
-    if (b_last <= a_last) b += 4;
-  }
-  MergeWideScalar(a, ae, b, be, result);
 }
 
 // --- tier selection + dispatch ---------------------------------------------
@@ -369,7 +207,7 @@ bool EnvForcesScalar() {
 }
 
 bool HostHasAvx2() {
-#if DSPC_MERGE_KERNEL_X86
+#if DSPC_X86_KERNELS
   static const bool has = __builtin_cpu_supports("avx2");
   return has;
 #else
@@ -377,26 +215,10 @@ bool HostHasAvx2() {
 #endif
 }
 
-MergeKernelTier ClampToHost(MergeKernelTier tier) {
-  if (tier == MergeKernelTier::kAvx2 && !HostHasAvx2()) {
-    return MergeKernelTier::kSwar;
-  }
-  return tier;
-}
-
 // Env-resolved tier, computed once (getenv is not free on the hot path).
 MergeKernelTier EnvTier() {
-  static const MergeKernelTier tier = [] {
-    if (EnvForcesScalar()) return MergeKernelTier::kScalar;
-    if (const char* v = std::getenv("DSPC_MERGE_KERNEL")) {
-      if (std::strcmp(v, "scalar") == 0) return MergeKernelTier::kScalar;
-      if (std::strcmp(v, "swar") == 0) return MergeKernelTier::kSwar;
-      if (std::strcmp(v, "avx2") == 0) {
-        return ClampToHost(MergeKernelTier::kAvx2);
-      }
-    }
-    return ClampToHost(MergeKernelTier::kAvx2);
-  }();
+  static const MergeKernelTier tier =
+      EnvForcesScalar() ? MergeKernelTier::kScalar : MaxMergeKernelTier();
   return tier;
 }
 
@@ -406,8 +228,6 @@ const char* MergeKernelTierName(MergeKernelTier tier) {
   switch (tier) {
     case MergeKernelTier::kScalar:
       return "scalar";
-    case MergeKernelTier::kSwar:
-      return "swar";
     case MergeKernelTier::kAvx2:
       return "avx2";
   }
@@ -417,7 +237,6 @@ const char* MergeKernelTierName(MergeKernelTier tier) {
 bool MergeKernelTierSupported(MergeKernelTier tier) {
   switch (tier) {
     case MergeKernelTier::kScalar:
-    case MergeKernelTier::kSwar:
       return true;
     case MergeKernelTier::kAvx2:
       return HostHasAvx2();
@@ -426,7 +245,7 @@ bool MergeKernelTierSupported(MergeKernelTier tier) {
 }
 
 MergeKernelTier MaxMergeKernelTier() {
-  return ClampToHost(MergeKernelTier::kAvx2);
+  return HostHasAvx2() ? MergeKernelTier::kAvx2 : MergeKernelTier::kScalar;
 }
 
 MergeKernelTier ActiveMergeKernelTier() {
@@ -446,25 +265,14 @@ void ResetMergeKernelTier() {
   g_tier_override.store(-1, std::memory_order_relaxed);
 }
 
-void ConfigureQueryKernel(const QueryOptions& options) {
-  SetMergeKernelTier(ClampToHost(options.max_tier));
-}
-
 PackedMergeFn PackedMergeForTier(MergeKernelTier tier) {
   switch (tier) {
     case MergeKernelTier::kScalar:
       return &MergePackedTailScalar;
-    case MergeKernelTier::kSwar:
-      return &MergePackedTailSwar;
     case MergeKernelTier::kAvx2:
       return &MergePackedTailAvx2;
   }
   return &MergePackedTailScalar;
-}
-
-WideMergeFn WideMergeForTier(MergeKernelTier tier) {
-  return tier == MergeKernelTier::kScalar ? &MergeWideScalar
-                                          : &MergeWideBlocked;
 }
 
 const uint64_t* PackedLowerBound(const uint64_t* first, const uint64_t* last,
@@ -486,12 +294,6 @@ void MergePackedTailDispatch(const uint64_t* a, const uint64_t* ae,
                              SpcResult* result) {
   PackedMergeForTier(ActiveMergeKernelTier())(a, ae, a_overflow, b, be,
                                               b_overflow, result);
-}
-
-void MergeWideDispatch(const LabelEntry* a, const LabelEntry* ae,
-                       const LabelEntry* b, const LabelEntry* be,
-                       SpcResult* result) {
-  WideMergeForTier(ActiveMergeKernelTier())(a, ae, b, be, result);
 }
 
 }  // namespace dspc

@@ -1,36 +1,37 @@
-// Runtime-dispatched merge kernels for the label-intersection hot loop
-// (DESIGN.md §15).
+// The label-merge path: every hub-label intersection (DESIGN.md §15).
 //
-// The tail of every flat query is an intersection of two hub-sorted
-// ranges — packed 64-bit arena words (hub in the top 25 bits, see
-// label_codec.h) in flat mode, 16-byte LabelEntry structs in wide mode —
-// accumulating min-distance + path-count products into an SpcResult.
+// A DSPC query, and every pruning test inside HP-SPC, IncSPC and DecSPC,
+// is the same intersection of two hub-sorted label sets: the minimum of
+// d(s,h) + d(h,t) over common hubs h, with the count products summed at
+// that minimum. AccumulateMatch below is that step, defined once; every
+// intersection in core/ — the packed and wide kernels, the flat query's
+// dense bitmap part, HubCache — feeds its matches through it.
+//
 // Because the accumulation is order-independent (the minimum of sums and
 // a modular uint64 sum of products over the min-achievers), ANY traversal
 // order over the same match set produces bit-identical {dist, count}.
-// That freedom is what the vector tiers exploit, and what the
+// That freedom is what the vector tier exploits, and what the
 // differential harness (tests/merge_kernel_test.cc) verifies.
 //
-// Three tiers, selected once per process:
-//   kScalar  the classic two-pointer merge (the PR 1 loop, reference tier)
-//   kSwar    portable 64-bit SWAR broadcast-window: four b hubs packed
-//            two per word in 32-bit lanes, each a hub broadcast against
-//            the window with the has-zero-lane trick
+// Packed flat-arena words (hub in the top 25 bits, see label_codec.h) are
+// merged by one of two tiers, selected once per process:
+//   kScalar  the classic two-pointer merge, the reference tier
 //   kAvx2    broadcast-window with eight b hubs as 32-bit vector lanes
 //            (vpcmpeqd + movemask per a hub), compiled with a
 //            target("avx2") attribute so the baseline -march=x86-64-v2
 //            build still runs everywhere, and only dispatched when
 //            __builtin_cpu_supports("avx2")
-//
-// Both vector tiers fall back to per-element galloping (exponential +
+// The AVX2 tier falls back to per-element galloping (exponential +
 // binary search) when one side is lopsidedly longer, to the scalar loop
 // below a minimum tail length, and to the scalar loop for the sub-window
-// remainder.
+// remainder. 16-byte LabelEntry ranges (the mutable indexes and the
+// >2^25-vertex wide flat mode) have one kernel, MergeWideScalar.
 //
-// Pinning a tier (every CI configuration pins one):
-//   env  DSPC_FORCE_SCALAR_KERNEL=1   scalar everywhere, beats all others
-//   env  DSPC_MERGE_KERNEL=scalar|swar|avx2   clamped to what the host has
-//   code ConfigureQueryKernel({.max_tier = ...}) / SetMergeKernelTier(...)
+// Pinning the tier:
+//   env  DSPC_FORCE_SCALAR_KERNEL=1   scalar everywhere; the operator's
+//        kill switch, and the CI build-and-test job re-runs the kernel,
+//        flat/sharded index and fuzz suites under it
+//   code SetMergeKernelTier(...) / ResetMergeKernelTier()
 
 #ifndef DSPC_CORE_MERGE_KERNEL_H_
 #define DSPC_CORE_MERGE_KERNEL_H_
@@ -38,54 +39,69 @@
 #include <cstdint>
 
 #include "dspc/baseline/bfs_counting.h"
+#include "dspc/common/label_codec.h"
 #include "dspc/common/types.h"
-#include "dspc/core/spc_index.h"
 
 namespace dspc {
+
+/// The one accumulate step of a hub-label intersection: folds a common
+/// hub with d(s,h) = `da`, sigma = `ca` and d(h,t) = `db`, sigma = `cb`
+/// into `result`.
+inline void AccumulateMatch(Distance da, PathCount ca, Distance db,
+                            PathCount cb, SpcResult* result) {
+  const Distance d = da + db;
+  if (d < result->dist) {
+    result->dist = d;
+    result->count = ca * cb;
+  } else if (d == result->dist) {
+    result->count += ca * cb;
+  }
+}
+
+/// AccumulateMatch over two packed arena words with equal hubs, each
+/// decoded against its own side's overflow table.
+inline void AccumulatePackedMatch(uint64_t wa, const LabelEntry* a_overflow,
+                                  uint64_t wb, const LabelEntry* b_overflow,
+                                  SpcResult* result) {
+  Distance da;
+  Distance db;
+  PathCount ca;
+  PathCount cb;
+  DecodeFlatWord(wa, a_overflow, &da, &ca);
+  DecodeFlatWord(wb, b_overflow, &db, &cb);
+  AccumulateMatch(da, ca, db, cb, result);
+}
 
 /// Kernel tiers, ordered: a numerically larger tier is never selected
 /// unless the host supports it.
 enum class MergeKernelTier : unsigned char {
   kScalar = 0,
-  kSwar = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-/// Human-readable tier name ("scalar" / "swar" / "avx2").
+/// Human-readable tier name ("scalar" / "avx2").
 const char* MergeKernelTierName(MergeKernelTier tier);
 
-/// True iff this host can execute `tier`. kScalar and kSwar are always
-/// supported; kAvx2 requires a runtime CPUID check on x86-64.
+/// True iff this host can execute `tier`. kScalar is always supported;
+/// kAvx2 requires a runtime CPUID check on x86-64.
 bool MergeKernelTierSupported(MergeKernelTier tier);
 
 /// The highest tier this host supports.
 MergeKernelTier MaxMergeKernelTier();
 
-/// The tier queries currently dispatch to, after env knobs and any
-/// programmatic override.
+/// The tier queries currently dispatch to, after the env kill switch and
+/// any programmatic pin.
 MergeKernelTier ActiveMergeKernelTier();
 
 /// Pins the dispatch tier. Returns false (and changes nothing) if the
 /// tier is unsupported on this host or DSPC_FORCE_SCALAR_KERNEL is set
-/// and `tier` is not kScalar — the env pin is the CI override of last
-/// resort and always wins.
+/// and `tier` is not kScalar — the env pin always wins.
 bool SetMergeKernelTier(MergeKernelTier tier);
 
 /// Drops any programmatic pin; dispatch reverts to env/auto selection.
 void ResetMergeKernelTier();
 
-/// Process-wide query-kernel configuration — the programmatic twin of the
-/// env knobs. `max_tier` caps dispatch at the given tier (clamped to what
-/// the host supports).
-struct QueryOptions {
-  MergeKernelTier max_tier = MergeKernelTier::kAvx2;
-};
-
-/// Applies `options`: equivalent to SetMergeKernelTier(min(max_tier,
-/// MaxMergeKernelTier())), except a force-scalar env still wins.
-void ConfigureQueryKernel(const QueryOptions& options);
-
-// --- per-tier kernels (exposed for the differential harness) ---------------
+// --- kernels ----------------------------------------------------------------
 //
 // Packed kernels intersect two hub-ascending half-open ranges of flat
 // arena words [a, ae) and [b, be); overflow-reference words are chased
@@ -100,36 +116,22 @@ void MergePackedTailScalar(const uint64_t* a, const uint64_t* ae,
                            const LabelEntry* a_overflow, const uint64_t* b,
                            const uint64_t* be, const LabelEntry* b_overflow,
                            SpcResult* result);
-void MergePackedTailSwar(const uint64_t* a, const uint64_t* ae,
-                         const LabelEntry* a_overflow, const uint64_t* b,
-                         const uint64_t* be, const LabelEntry* b_overflow,
-                         SpcResult* result);
 void MergePackedTailAvx2(const uint64_t* a, const uint64_t* ae,
                          const LabelEntry* a_overflow, const uint64_t* b,
                          const uint64_t* be, const LabelEntry* b_overflow,
                          SpcResult* result);
 
-// Wide kernels intersect two hub-ascending LabelEntry ranges (the
-// >2^25-vertex fallback mode). kScalar dispatches to MergeWideScalar,
-// both vector tiers to MergeWideBlocked (no lane tricks pay off on
-// 16-byte entries; blocking + prefetch still do).
-
+/// Intersects two hub-ascending LabelEntry ranges into *result.
 void MergeWideScalar(const LabelEntry* a, const LabelEntry* ae,
                      const LabelEntry* b, const LabelEntry* be,
                      SpcResult* result);
-void MergeWideBlocked(const LabelEntry* a, const LabelEntry* ae,
-                      const LabelEntry* b, const LabelEntry* be,
-                      SpcResult* result);
 
-/// Function-pointer accessors so the harness can force a tier per call
-/// without touching the process-wide dispatch state.
+/// The packed kernel of `tier`, so the harness and the bench can force a
+/// tier per call without touching the process-wide dispatch state.
 using PackedMergeFn = void (*)(const uint64_t*, const uint64_t*,
                                const LabelEntry*, const uint64_t*,
                                const uint64_t*, const LabelEntry*, SpcResult*);
-using WideMergeFn = void (*)(const LabelEntry*, const LabelEntry*,
-                             const LabelEntry*, const LabelEntry*, SpcResult*);
 PackedMergeFn PackedMergeForTier(MergeKernelTier tier);
-WideMergeFn WideMergeForTier(MergeKernelTier tier);
 
 /// First word in [first, last) whose hub rank is >= limit. Rank-limited
 /// queries (PreQuery) truncate both ranges here and then run the
@@ -141,29 +143,19 @@ const uint64_t* PackedLowerBound(const uint64_t* first, const uint64_t* last,
 const LabelEntry* WideLowerBound(const LabelEntry* first,
                                  const LabelEntry* last, Rank limit);
 
-// Out-of-line dispatchers (tier switch + kernel call).
+/// Out-of-line dispatcher (tier switch + kernel call).
 void MergePackedTailDispatch(const uint64_t* a, const uint64_t* ae,
                              const LabelEntry* a_overflow, const uint64_t* b,
                              const uint64_t* be, const LabelEntry* b_overflow,
                              SpcResult* result);
-void MergeWideDispatch(const LabelEntry* a, const LabelEntry* ae,
-                       const LabelEntry* b, const LabelEntry* be,
-                       SpcResult* result);
 
-/// Hot entry points: empty-range fast path inline, then the dispatcher.
+/// Hot entry point: empty-range fast path inline, then the dispatcher.
 inline void MergePackedTail(const uint64_t* a, const uint64_t* ae,
                             const LabelEntry* a_overflow, const uint64_t* b,
                             const uint64_t* be, const LabelEntry* b_overflow,
                             SpcResult* result) {
   if (a == ae || b == be) return;
   MergePackedTailDispatch(a, ae, a_overflow, b, be, b_overflow, result);
-}
-
-inline void MergeWide(const LabelEntry* a, const LabelEntry* ae,
-                      const LabelEntry* b, const LabelEntry* be,
-                      SpcResult* result) {
-  if (a == ae || b == be) return;
-  MergeWideDispatch(a, ae, b, be, result);
 }
 
 }  // namespace dspc

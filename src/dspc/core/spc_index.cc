@@ -5,6 +5,7 @@
 #include "dspc/common/binary_io.h"
 #include "dspc/common/label_codec.h"
 #include "dspc/core/flat_spc_index.h"
+#include "dspc/core/merge_kernel.h"
 
 namespace dspc {
 
@@ -54,25 +55,8 @@ SpcResult SpcIndex::Query(Vertex s, Vertex t) const {
   SpcResult result;
   const LabelSet& ls = labels_[s];
   const LabelSet& lt = labels_[t];
-  size_t i = 0;
-  size_t j = 0;
-  while (i < ls.size() && j < lt.size()) {
-    if (ls[i].hub < lt[j].hub) {
-      ++i;
-    } else if (ls[i].hub > lt[j].hub) {
-      ++j;
-    } else {
-      const Distance d = ls[i].dist + lt[j].dist;
-      if (d < result.dist) {
-        result.dist = d;
-        result.count = ls[i].count * lt[j].count;
-      } else if (d == result.dist) {
-        result.count += ls[i].count * lt[j].count;
-      }
-      ++i;
-      ++j;
-    }
-  }
+  MergeWideScalar(ls.data(), ls.data() + ls.size(), lt.data(),
+                  lt.data() + lt.size(), &result);
   return result;
 }
 
@@ -81,26 +65,13 @@ SpcResult SpcIndex::PreQuery(Vertex s, Vertex t) const {
   const Rank limit = ordering_.rank_of[s];
   const LabelSet& ls = labels_[s];
   const LabelSet& lt = labels_[t];
-  size_t i = 0;
-  size_t j = 0;
-  while (i < ls.size() && j < lt.size() && ls[i].hub < limit &&
-         lt[j].hub < limit) {
-    if (ls[i].hub < lt[j].hub) {
-      ++i;
-    } else if (ls[i].hub > lt[j].hub) {
-      ++j;
-    } else {
-      const Distance d = ls[i].dist + lt[j].dist;
-      if (d < result.dist) {
-        result.dist = d;
-        result.count = ls[i].count * lt[j].count;
-      } else if (d == result.dist) {
-        result.count += ls[i].count * lt[j].count;
-      }
-      ++i;
-      ++j;
-    }
-  }
+  // Hubs ascend, so cutting both sets at the limit keeps exactly the
+  // matches below it (see WideLowerBound).
+  const LabelEntry* s_end =
+      WideLowerBound(ls.data(), ls.data() + ls.size(), limit);
+  const LabelEntry* t_end =
+      WideLowerBound(lt.data(), lt.data() + lt.size(), limit);
+  MergeWideScalar(ls.data(), s_end, lt.data(), t_end, &result);
   return result;
 }
 
@@ -333,13 +304,7 @@ SpcResult HubCache::Query(const LabelSet& labels) const {
   for (const LabelEntry& e : labels) {
     const Distance dh = dist_[e.hub];
     if (dh == kInfDistance) continue;
-    const Distance d = dh + e.dist;
-    if (d < result.dist) {
-      result.dist = d;
-      result.count = count_[e.hub] * e.count;
-    } else if (d == result.dist) {
-      result.count += count_[e.hub] * e.count;
-    }
+    AccumulateMatch(dh, count_[e.hub], e.dist, e.count, &result);
   }
   return result;
 }
@@ -350,13 +315,7 @@ SpcResult HubCache::PreQuery(const LabelSet& labels, Rank below_rank) const {
     if (e.hub >= below_rank) break;  // labels sorted ascending by rank
     const Distance dh = dist_[e.hub];
     if (dh == kInfDistance) continue;
-    const Distance d = dh + e.dist;
-    if (d < result.dist) {
-      result.dist = d;
-      result.count = count_[e.hub] * e.count;
-    } else if (d == result.dist) {
-      result.count += count_[e.hub] * e.count;
-    }
+    AccumulateMatch(dh, count_[e.hub], e.dist, e.count, &result);
   }
   return result;
 }

@@ -32,15 +32,6 @@ namespace dspc {
 
 class BinaryReader;
 
-/// One label triple. `hub` is the hub's rank; `count` is sigma_{hub,v}.
-struct LabelEntry {
-  Rank hub;
-  Distance dist;
-  PathCount count;
-
-  friend bool operator==(const LabelEntry&, const LabelEntry&) = default;
-};
-
 /// A vertex's label set, sorted ascending by hub rank.
 using LabelSet = std::vector<LabelEntry>;
 

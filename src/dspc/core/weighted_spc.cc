@@ -4,6 +4,8 @@
 #include <queue>
 #include <utility>
 
+#include "dspc/core/merge_kernel.h"
+
 namespace dspc {
 
 namespace {
@@ -102,25 +104,8 @@ SpcResult DynamicWeightedSpcIndex::Query(Vertex s, Vertex t) const {
   SpcResult result;
   const LabelSet& ls = labels_[s];
   const LabelSet& lt = labels_[t];
-  size_t i = 0;
-  size_t j = 0;
-  while (i < ls.size() && j < lt.size()) {
-    if (ls[i].hub < lt[j].hub) {
-      ++i;
-    } else if (ls[i].hub > lt[j].hub) {
-      ++j;
-    } else {
-      const Distance d = ls[i].dist + lt[j].dist;
-      if (d < result.dist) {
-        result.dist = d;
-        result.count = ls[i].count * lt[j].count;
-      } else if (d == result.dist) {
-        result.count += ls[i].count * lt[j].count;
-      }
-      ++i;
-      ++j;
-    }
-  }
+  MergeWideScalar(ls.data(), ls.data() + ls.size(), lt.data(),
+                  lt.data() + lt.size(), &result);
   return result;
 }
 

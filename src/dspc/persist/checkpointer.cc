@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "dspc/common/binary_io.h"
+#include "dspc/persist/framed_file.h"
 #include "dspc/persist/wal.h"
 
 namespace dspc {
@@ -13,56 +14,6 @@ namespace {
 
 std::string Join(const std::string& dir, const std::string& name) {
   return dir + "/" + name;
-}
-
-/// Writes `payload` + CRC32C trailer to `path` via tmp + fsync + rename.
-/// The directory fsync is the caller's (so one publish batches it).
-Status WriteFramedFileAtomic(FileSystem* fs, const std::string& dir,
-                             const std::string& name,
-                             const std::vector<uint8_t>& payload) {
-  const std::string tmp = Join(dir, name + ".tmp");
-  auto file = fs->NewWritableFile(tmp);
-  if (!file.ok()) return file.status();
-  if (Status st = (*file)->Append(payload.data(), payload.size()); !st.ok()) {
-    return st;
-  }
-  const uint32_t crc = Crc32c(payload.data(), payload.size());
-  const uint8_t tail[4] = {
-      static_cast<uint8_t>(crc), static_cast<uint8_t>(crc >> 8),
-      static_cast<uint8_t>(crc >> 16), static_cast<uint8_t>(crc >> 24)};
-  if (Status st = (*file)->Append(tail, sizeof(tail)); !st.ok()) return st;
-  if (Status st = (*file)->Sync(); !st.ok()) return st;
-  if (Status st = (*file)->Close(); !st.ok()) return st;
-  return fs->RenameFile(tmp, Join(dir, name));
-}
-
-/// Verifies a CRC32C trailer over raw framed bytes and hands back a
-/// BinaryReader over the payload. `context` names the source (a path, or
-/// a transport artifact) in error messages.
-Status FrameIntoReader(std::vector<uint8_t> data, const std::string& context,
-                       BinaryReader* out) {
-  if (data.size() < 4) {
-    return Status::DataLoss("framed file too small: " + context);
-  }
-  const size_t payload = data.size() - 4;
-  const uint32_t stored = static_cast<uint32_t>(data[payload]) |
-                          (static_cast<uint32_t>(data[payload + 1]) << 8) |
-                          (static_cast<uint32_t>(data[payload + 2]) << 16) |
-                          (static_cast<uint32_t>(data[payload + 3]) << 24);
-  if (Crc32c(data.data(), payload) != stored) {
-    return Status::DataLoss("checksum mismatch: " + context);
-  }
-  data.resize(payload);
-  *out = BinaryReader(std::move(data));
-  return Status::OK();
-}
-
-/// Reads a CRC32C-framed file into a BinaryReader over its payload.
-Status ReadFramedFile(FileSystem* fs, const std::string& path,
-                      BinaryReader* out) {
-  std::vector<uint8_t> data;
-  if (Status st = fs->ReadFile(path, &data); !st.ok()) return st;
-  return FrameIntoReader(std::move(data), path, out);
 }
 
 }  // namespace
@@ -137,10 +88,8 @@ Status ParseCheckpointBytes(std::vector<uint8_t> bytes,
                             LoadedCheckpoint* out) {
   const uint64_t generation = expected_generation;
   const std::string& path = context;
-  BinaryReader r(std::vector<uint8_t>{});
-  if (Status st = FrameIntoReader(std::move(bytes), path, &r); !st.ok()) {
-    return st;
-  }
+  if (Status st = UnframePayload(&bytes, path); !st.ok()) return st;
+  BinaryReader r(std::move(bytes));
   if (r.GetU32() != kCheckpointMagic) {
     return Status::DataLoss("checkpoint bad magic: " + path);
   }

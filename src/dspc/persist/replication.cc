@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "dspc/common/binary_io.h"
+#include "dspc/persist/framed_file.h"
 
 namespace dspc {
 
@@ -253,41 +254,6 @@ Status InProcessTransport::FetchSegment(uint64_t seq, uint64_t offset,
 
 namespace {
 
-/// Writes payload + CRC32C trailer atomically (tmp → sync → rename →
-/// dir-sync). The directory-transport twin of the checkpointer's helper.
-Status WriteFramedAtomic(FileSystem* fs, const std::string& dir,
-                         const std::string& name,
-                         const std::vector<uint8_t>& payload) {
-  const std::string tmp = Join(dir, name + ".tmp");
-  auto file = fs->NewWritableFile(tmp);
-  if (!file.ok()) return file.status();
-  if (Status st = (*file)->Append(payload.data(), payload.size()); !st.ok()) {
-    return st;
-  }
-  const uint32_t crc = Crc32c(payload.data(), payload.size());
-  const uint8_t tail[4] = {
-      static_cast<uint8_t>(crc), static_cast<uint8_t>(crc >> 8),
-      static_cast<uint8_t>(crc >> 16), static_cast<uint8_t>(crc >> 24)};
-  if (Status st = (*file)->Append(tail, sizeof(tail)); !st.ok()) return st;
-  if (Status st = (*file)->Sync(); !st.ok()) return st;
-  if (Status st = (*file)->Close(); !st.ok()) return st;
-  if (Status st = fs->RenameFile(tmp, Join(dir, name)); !st.ok()) return st;
-  return fs->SyncDir(dir);
-}
-
-Status CheckFrame(std::vector<uint8_t>* data, const std::string& context) {
-  if (data->size() < 4) {
-    return Status::DataLoss("framed file too small: " + context);
-  }
-  const size_t payload = data->size() - 4;
-  const uint32_t stored = LoadLE32(data->data() + payload);
-  if (Crc32c(data->data(), payload) != stored) {
-    return Status::DataLoss("checksum mismatch: " + context);
-  }
-  data->resize(payload);
-  return Status::OK();
-}
-
 const char* ShipStateFileName() { return "SHIPSTATE"; }
 
 bool ParsePrefixed(const std::string& name, const std::string& prefix,
@@ -405,8 +371,12 @@ StatusOr<uint64_t> DirectoryTransport::SegmentSize(uint64_t seq) {
 }
 
 Status DirectoryTransport::PublishState(const ShipState& state) {
-  return WriteFramedAtomic(fs_, dir_, ShipStateFileName(),
-                           EncodeShipState(state));
+  if (Status st = WriteFramedFileAtomic(fs_, dir_, ShipStateFileName(),
+                                       EncodeShipState(state));
+      !st.ok()) {
+    return st;
+  }
+  return fs_->SyncDir(dir_);
 }
 
 Status DirectoryTransport::Retire(uint64_t min_checkpoint_generation,
@@ -439,7 +409,7 @@ StatusOr<ShipState> DirectoryTransport::FetchState() {
   }
   std::vector<uint8_t> data;
   if (Status st = fs_->ReadFile(path, &data); !st.ok()) return st;
-  if (Status st = CheckFrame(&data, path); !st.ok()) return st;
+  if (Status st = UnframePayload(&data, path); !st.ok()) return st;
   ShipState s;
   if (Status st = DecodeShipState(data, &s); !st.ok()) return st;
   return s;

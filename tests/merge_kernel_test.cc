@@ -4,9 +4,9 @@
 // single-overlap ranges, overflow-reference words on one or both sides,
 // rank limits landing exactly on a hub) and on a randomized fuzz sweep
 // covering the scalar cutoff, the window remainder, and the lopsided
-// gallop. Tiers are forced per call through PackedMergeForTier /
-// WideMergeForTier, so the sweep proves all of them even when the
-// process-wide dispatch is pinned by env (CI pins a tier per config).
+// gallop. Tiers are forced per call through PackedMergeForTier, so the
+// sweep proves both of them even when the process-wide dispatch is pinned
+// by env (CI re-runs this suite under DSPC_FORCE_SCALAR_KERNEL=1).
 
 #include <gtest/gtest.h>
 
@@ -31,8 +31,8 @@ namespace {
 
 using dspc::testing::RandomGraph;
 
-constexpr MergeKernelTier kAllTiers[] = {
-    MergeKernelTier::kScalar, MergeKernelTier::kSwar, MergeKernelTier::kAvx2};
+constexpr MergeKernelTier kAllTiers[] = {MergeKernelTier::kScalar,
+                                         MergeKernelTier::kAvx2};
 
 /// One side of a packed intersection: arena words + overflow side table.
 struct PackedSide {
@@ -252,7 +252,7 @@ std::vector<Rank> FuzzHubs(size_t n, double overlap, Rng& rng,
 TEST(MergeKernel, FuzzSweepPacked) {
   Rng rng(0xC0FFEE);
   // Side lengths straddle every regime: the scalar cutoff (<16), the
-  // window remainder (non-multiples of 4 and 8), and the 32x lopsided
+  // window remainder (non-multiples of 8), and the 32x lopsided
   // gallop threshold.
   const size_t sizes[] = {0, 1, 2, 3, 5, 8, 15, 16, 17, 31, 33, 64, 192};
   for (int iter = 0; iter < 60; ++iter) {
@@ -306,17 +306,10 @@ TEST(MergeKernel, FuzzSweepWide) {
     const std::vector<LabelEntry> b =
         make(sizes[rng.NextBounded(std::size(sizes))], overlap);
     const SpcResult want = NaiveMergeWide(a, b, SpcResult{});
-    for (const MergeKernelTier tier : kAllTiers) {
-      SpcResult got;
-      WideMergeForTier(tier)(a.data(), a.data() + a.size(), b.data(),
-                             b.data() + b.size(), &got);
-      ASSERT_EQ(got.dist, want.dist)
-          << "wide fuzz iter " << iter << " tier "
-          << MergeKernelTierName(tier);
-      ASSERT_EQ(got.count, want.count)
-          << "wide fuzz iter " << iter << " tier "
-          << MergeKernelTierName(tier);
-    }
+    SpcResult got;
+    MergeWideScalar(a.data(), a.data() + a.size(), b.data(),
+                    b.data() + b.size(), &got);
+    ASSERT_EQ(got, want) << "wide fuzz iter " << iter;
     // WideLowerBound truncation mirrors the packed limit contract.
     if (!a.empty() && !b.empty()) {
       const Rank limit = a[rng.NextBounded(a.size())].hub;
@@ -328,7 +321,7 @@ TEST(MergeKernel, FuzzSweepWide) {
           std::vector<LabelEntry>(a.data(), ae),
           std::vector<LabelEntry>(b.data(), be), SpcResult{});
       SpcResult got;
-      MergeWideBlocked(a.data(), ae, b.data(), be, &got);
+      MergeWideScalar(a.data(), ae, b.data(), be, &got);
       ASSERT_EQ(got, limited) << "wide limit fuzz iter " << iter;
     }
   }
@@ -354,7 +347,6 @@ bool EnvPinsScalar() {
 
 TEST(MergeKernelDispatch, BaselineTiersAlwaysSupported) {
   EXPECT_TRUE(MergeKernelTierSupported(MergeKernelTier::kScalar));
-  EXPECT_TRUE(MergeKernelTierSupported(MergeKernelTier::kSwar));
   const MergeKernelTier max = MaxMergeKernelTier();
   EXPECT_TRUE(MergeKernelTierSupported(max));
   EXPECT_EQ(MergeKernelTierSupported(MergeKernelTier::kAvx2),
@@ -369,32 +361,25 @@ TEST(MergeKernelDispatch, PinAndReset) {
   }
   if (EnvPinsScalar()) {
     // The env pin is the override of last resort: programmatic requests
-    // for a vector tier must be refused.
-    EXPECT_FALSE(SetMergeKernelTier(MergeKernelTier::kSwar));
+    // for the vector tier must be refused.
+    EXPECT_FALSE(SetMergeKernelTier(MergeKernelTier::kAvx2));
     EXPECT_EQ(ActiveMergeKernelTier(), MergeKernelTier::kScalar);
-  } else {
-    TierGuard pin(MergeKernelTier::kSwar);
+  } else if (MergeKernelTierSupported(MergeKernelTier::kAvx2)) {
+    TierGuard pin(MergeKernelTier::kAvx2);
     ASSERT_TRUE(pin.ok());
-    EXPECT_EQ(ActiveMergeKernelTier(), MergeKernelTier::kSwar);
+    EXPECT_EQ(ActiveMergeKernelTier(), MergeKernelTier::kAvx2);
+  } else {
+    EXPECT_FALSE(SetMergeKernelTier(MergeKernelTier::kAvx2));
   }
+  // Unpinned, dispatch runs the best tier the env allows.
+  EXPECT_EQ(ActiveMergeKernelTier(), EnvPinsScalar() ? MergeKernelTier::kScalar
+                                                     : MaxMergeKernelTier());
   EXPECT_FALSE(
       SetMergeKernelTier(static_cast<MergeKernelTier>(250)));  // nonsense
 }
 
-TEST(MergeKernelDispatch, ConfigureQueryKernelClampsToHost) {
-  ConfigureQueryKernel(QueryOptions{MergeKernelTier::kAvx2});
-  const MergeKernelTier active = ActiveMergeKernelTier();
-  if (EnvPinsScalar()) {
-    EXPECT_EQ(active, MergeKernelTier::kScalar);
-  } else {
-    EXPECT_EQ(active, MaxMergeKernelTier());
-  }
-  ResetMergeKernelTier();
-}
-
 TEST(MergeKernelDispatch, TierNames) {
   EXPECT_STREQ(MergeKernelTierName(MergeKernelTier::kScalar), "scalar");
-  EXPECT_STREQ(MergeKernelTierName(MergeKernelTier::kSwar), "swar");
   EXPECT_STREQ(MergeKernelTierName(MergeKernelTier::kAvx2), "avx2");
 }
 
@@ -402,9 +387,9 @@ TEST(MergeKernelDispatch, TierNames) {
 
 TEST(MergeKernelIndex, AllTiersMatchOnFlatQueries) {
   // End-to-end: pin each tier and run every (s, t) query plus rank-limited
-  // PreQuery through a real FlatSpcIndex; all tiers must agree with the
-  // scalar tier bit for bit. Skipped for tiers the env pin forbids — the
-  // per-function fuzz above still covers their kernels.
+  // PreQuery through a real FlatSpcIndex; AVX2 must agree with the scalar
+  // tier bit for bit. Skipped when the env pin forbids AVX2 — the
+  // per-function fuzz above still covers its kernel.
   const Graph graph = RandomGraph(42, 110, 1234);
   DynamicSpcIndex dyn(graph);
   const FlatSpcIndex flat(dyn.index());
@@ -423,21 +408,16 @@ TEST(MergeKernelIndex, AllTiersMatchOnFlatQueries) {
     }
   }
 
-  for (const MergeKernelTier tier :
-       {MergeKernelTier::kSwar, MergeKernelTier::kAvx2}) {
-    if (!MergeKernelTierSupported(tier)) continue;
-    TierGuard pin(tier);
-    if (!pin.ok()) continue;  // env pins scalar
-    size_t i = 0;
-    for (Vertex s = 0; s < n; ++s) {
-      for (Vertex t = 0; t < n; ++t, ++i) {
-        ASSERT_EQ(flat.Query(s, t), scalar_full[i])
-            << "tier=" << MergeKernelTierName(tier) << " s=" << s
-            << " t=" << t;
-        ASSERT_EQ(flat.PreQuery(s, t), scalar_limited[i])
-            << "PreQuery tier=" << MergeKernelTierName(tier) << " s=" << s
-            << " t=" << t;
-      }
+  const MergeKernelTier tier = MergeKernelTier::kAvx2;
+  if (!MergeKernelTierSupported(tier)) return;
+  TierGuard pin(tier);
+  if (!pin.ok()) return;  // env pins scalar
+  size_t i = 0;
+  for (Vertex s = 0; s < n; ++s) {
+    for (Vertex t = 0; t < n; ++t, ++i) {
+      ASSERT_EQ(flat.Query(s, t), scalar_full[i]) << "s=" << s << " t=" << t;
+      ASSERT_EQ(flat.PreQuery(s, t), scalar_limited[i])
+          << "PreQuery s=" << s << " t=" << t;
     }
   }
 }

@@ -23,20 +23,12 @@
 #include "dspc/persist/env.h"
 #include "dspc/persist/snapshot_arena.h"
 #include "dspc/persist/snapshot_publisher.h"
+#include "test_util.h"
 
 namespace dspc {
 namespace {
 
-std::string FreshDir(const std::string& name) {
-  FileSystem* fs = FileSystem::Default();
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  (void)fs->CreateDir(dir);
-  auto names = fs->ListDir(dir);
-  if (names.ok()) {
-    for (const std::string& f : *names) (void)fs->RemoveFile(dir + "/" + f);
-  }
-  return dir;
-}
+using dspc::testing::FreshDir;
 
 std::vector<uint8_t> ReadAll(const std::string& path) {
   std::vector<uint8_t> data;

@@ -18,22 +18,12 @@
 #include "dspc/persist/checkpointer.h"
 #include "dspc/persist/env.h"
 #include "dspc/persist/wal.h"
+#include "test_util.h"
 
 namespace dspc {
 namespace {
 
-// Fresh empty directory under the test tmpdir (removes leftovers from a
-// previous run of the same test).
-std::string FreshDir(const std::string& name) {
-  FileSystem* fs = FileSystem::Default();
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  (void)fs->CreateDir(dir);
-  auto names = fs->ListDir(dir);
-  if (names.ok()) {
-    for (const std::string& f : *names) (void)fs->RemoveFile(dir + "/" + f);
-  }
-  return dir;
-}
+using dspc::testing::FreshDir;
 
 std::vector<uint8_t> ReadAll(FileSystem* fs, const std::string& path) {
   std::vector<uint8_t> data;

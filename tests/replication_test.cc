@@ -36,20 +36,12 @@
 #include "dspc/persist/env.h"
 #include "dspc/persist/replication.h"
 #include "dspc/persist/wal.h"
+#include "test_util.h"
 
 namespace dspc {
 namespace {
 
-std::string FreshDir(const std::string& name) {
-  FileSystem* fs = FileSystem::Default();
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  (void)fs->CreateDir(dir);
-  auto names = fs->ListDir(dir);
-  if (names.ok()) {
-    for (const std::string& f : *names) (void)fs->RemoveFile(dir + "/" + f);
-  }
-  return dir;
-}
+using dspc::testing::FreshDir;
 
 // Ground truth the shipped stream must reproduce (recovery_test.cc's
 // mirror, duplicated locally: test helpers stay file-private).

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -30,6 +32,25 @@ inline void ExpectIndexMatchesBfs(const Graph& graph, const SpcIndex& index,
           << context << " count mismatch s=" << s << " t=" << t;
     }
   }
+}
+
+/// An empty directory private to the running test. ctest runs each test
+/// as its own process, in parallel, so the path carries the test's suite
+/// and name: no two tests share (or wipe) a directory. `name` tells apart
+/// the directories of one test.
+inline std::string FreshDir(const std::string& name) {
+  std::string owner = "no_test";
+  if (const ::testing::TestInfo* info =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    owner = std::string(info->test_suite_name()) + "." + info->name();
+    std::replace(owner.begin(), owner.end(), '/', '_');  // parameterized
+  }
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / owner / name;
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir, ec);
+  return dir.string();
 }
 
 /// Random simple graph on n vertices with ~m edges (exact if possible).
