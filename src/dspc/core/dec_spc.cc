@@ -241,8 +241,7 @@ void DecSpc::DecUpdate(Vertex hv, uint8_t opposite_side,
       // PreQUERY: only hubs strictly outranking h participate; if they
       // already certify a shorter distance, no label (h,.,.) can be
       // needed at or beyond v.
-      const SpcResult pre = cache_.PreQuery(index_->Labels(v), h);
-      if (pre.dist < dist_[v]) continue;
+      if (cache_.Covers(index_->Labels(v), dist_[v], h)) continue;
 
       if (side_of_[v] == opposite_side) {
         if (LabelEntry* existing = index_->FindLabel(v, h)) {

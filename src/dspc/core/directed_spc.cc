@@ -73,8 +73,7 @@ void DynamicDirectedSpcIndex::PushFromHub(Rank h, Direction dir) {
   for (size_t head = 0; head < queue_.size(); ++head) {
     const Vertex v = queue_[head];
     if (v != hv) {
-      const SpcResult covered = cache_.Query(target[v]);
-      if (covered.dist < dist_[v]) continue;
+      if (cache_.Covers(target[v], dist_[v])) continue;
       InsertLabelInto(target[v], LabelEntry{h, dist_[v], count_[v]});
     }
     for (const Vertex w : Successors(v, dir)) {
@@ -181,8 +180,7 @@ void DynamicDirectedSpcIndex::IncUpdate(Rank h, Vertex seed,
   for (size_t head = 0; head < queue_.size(); ++head) {
     const Vertex v = queue_[head];
     ++stats->visited_vertices;
-    const SpcResult covered = cache_.Query(target[v]);
-    if (covered.dist < dist_[v]) continue;
+    if (cache_.Covers(target[v], dist_[v])) continue;
 
     if (LabelEntry* existing = FindLabelIn(target[v], h)) {
       if (existing->dist == dist_[v]) {
@@ -371,8 +369,7 @@ void DynamicDirectedSpcIndex::DecUpdate(
     const Vertex v = queue_[head];
     ++stats->visited_vertices;
     if (v != hv) {
-      const SpcResult pre = cache_.PreQuery(target[v], h);
-      if (pre.dist < dist_[v]) continue;
+      if (cache_.Covers(target[v], dist_[v], h)) continue;
       if ((side_of_[v] & opposite_side_bit) != 0) {
         if (LabelEntry* existing = FindLabelIn(target[v], h)) {
           if (existing->dist != dist_[v]) {

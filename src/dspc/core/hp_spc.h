@@ -5,6 +5,10 @@
 #ifndef DSPC_CORE_HP_SPC_H_
 #define DSPC_CORE_HP_SPC_H_
 
+#include <cstddef>
+#include <vector>
+
+#include "dspc/common/types.h"
 #include "dspc/core/spc_index.h"
 #include "dspc/graph/graph.h"
 #include "dspc/graph/ordering.h"
@@ -26,6 +30,41 @@ SpcIndex BuildSpcIndex(const Graph& graph, VertexOrdering ordering);
 SpcIndex BuildSpcIndex(const Graph& graph,
                        const OrderingOptions& ordering_options = {});
 
+namespace internal {
+
+// The one per-hub pruned BFS, shared with the parallel builder
+// (parallel_build.cc); not part of the public API.
+
+/// One label a hub's pruned BFS would insert, buffered until the caller
+/// inserts it.
+struct PendingLabel {
+  Vertex v;
+  Distance dist;
+  PathCount count;
+};
+
+/// Scratch for one pruned BFS at a time. The n-sized arrays are reset via
+/// the touched list, so a run costs O(visited), not O(n).
+struct BfsScratch {
+  std::vector<Distance> dist;
+  std::vector<PathCount> count;
+  std::vector<Vertex> queue;
+  std::vector<Vertex> touched;
+  HubCache cache;
+
+  explicit BfsScratch(size_t n)
+      : dist(n, kInfDistance), count(n, 0), cache(n) {}
+};
+
+/// Runs hub h's rank-restricted pruned BFS against `index`, writing the
+/// labels it would insert to *out instead of inserting them. Buffering is
+/// exact: a hub's own labels land in L(v) of vertices whose prune test
+/// has already run, so its BFS never reads them (DESIGN.md §12).
+void RunPrunedHubBfs(const Graph& graph, const VertexOrdering& order, Rank h,
+                     const SpcIndex& index, BfsScratch& ws,
+                     std::vector<PendingLabel>* out);
+
+}  // namespace internal
 }  // namespace dspc
 
 #endif  // DSPC_CORE_HP_SPC_H_

@@ -83,8 +83,7 @@ void IncSpc::IncUpdate(Rank h, Vertex va, Vertex vb, UpdateStats* stats) {
     // Relaxed pruning (Lemma 3.4): continue only while the index does not
     // certify a strictly shorter distance; equality means new same-length
     // shortest paths whose counts must be folded in.
-    const SpcResult covered = cache_.Query(index_->Labels(v));
-    if (covered.dist < dist_[v]) continue;
+    if (cache_.Covers(index_->Labels(v), dist_[v])) continue;
 
     if (LabelEntry* existing = index_->FindLabel(v, h)) {
       if (existing->dist == dist_[v]) {

@@ -1,11 +1,13 @@
 // The label-merge path: every hub-label intersection (DESIGN.md §15).
 //
-// A DSPC query, and every pruning test inside HP-SPC, IncSPC and DecSPC,
-// is the same intersection of two hub-sorted label sets: the minimum of
-// d(s,h) + d(h,t) over common hubs h, with the count products summed at
-// that minimum. AccumulateMatch below is that step, defined once; every
-// intersection in core/ — the packed and wide kernels, the flat query's
-// dense bitmap part, HubCache — feeds its matches through it.
+// A DSPC query is an intersection of two hub-sorted label sets: the
+// minimum of d(s,h) + d(h,t) over common hubs h, with the count products
+// summed at that minimum. AccumulateMatch below is that step, defined
+// once; every intersection in core/ — the packed and wide kernels, the
+// flat query's dense bitmap part, HubCache::Query — feeds its matches
+// through it. The pruning tests inside HP-SPC, IncSPC and DecSPC need only
+// whether that minimum is below a bound; HubCache::Covers answers that
+// without counts and stops at the first covering hub.
 //
 // Because the accumulation is order-independent (the minimum of sums and
 // a modular uint64 sum of products over the min-achievers), ANY traversal

@@ -1,5 +1,6 @@
 // Parallel HP-SPC construction. Correctness argument in DESIGN.md §12;
-// the sequential loop this must match label-for-label is hp_spc.cc.
+// the per-hub BFS and the sequential builder it must match label-for-label
+// are in hp_spc.cc.
 
 #include "dspc/core/parallel_build.h"
 
@@ -17,68 +18,9 @@
 namespace dspc {
 namespace {
 
-/// One label a hub's pruned BFS would insert, buffered until the merge.
-struct PendingLabel {
-  Vertex v;
-  Distance dist;
-  PathCount count;
-};
-
-/// Per-worker scratch for the batched pruned BFS. n-sized arrays reset via
-/// the touched list, exactly like the sequential builder's.
-struct BfsScratch {
-  std::vector<Distance> dist;
-  std::vector<PathCount> count;
-  std::vector<Vertex> queue;
-  std::vector<Vertex> touched;
-  HubCache cache;
-
-  explicit BfsScratch(size_t n)
-      : dist(n, kInfDistance), count(n, 0), cache(n) {}
-};
-
-/// Runs hub h's rank-restricted pruned BFS against `index`, buffering the
-/// labels it would insert into *out instead of inserting them. Mirrors the
-/// sequential loop in hp_spc.cc statement for statement; buffering is
-/// behaviourally identical because a hub's own labels land in L(v) of
-/// vertices whose prune check has already happened, so its BFS never reads
-/// them.
-void RunPrunedHubBfs(const Graph& graph, const VertexOrdering& order,
-                     const Rank h, const SpcIndex& index, BfsScratch& ws,
-                     std::vector<PendingLabel>* out) {
-  out->clear();
-  const Vertex hv = order.vertex_of[h];
-  ws.cache.Load(index.Labels(hv));
-  ws.dist[hv] = 0;
-  ws.count[hv] = 1;
-  ws.queue.clear();
-  ws.queue.push_back(hv);
-  ws.touched.clear();
-  ws.touched.push_back(hv);
-  for (size_t head = 0; head < ws.queue.size(); ++head) {
-    const Vertex v = ws.queue[head];
-    if (v != hv) {
-      const SpcResult covered = ws.cache.Query(index.Labels(v));
-      if (covered.dist < ws.dist[v]) continue;  // strictly covered: prune
-      out->push_back({v, ws.dist[v], ws.count[v]});
-    }
-    for (const Vertex w : graph.Neighbors(v)) {
-      if (order.rank_of[w] <= h) continue;  // restricted to lower ranks
-      if (ws.dist[w] == kInfDistance) {
-        ws.dist[w] = ws.dist[v] + 1;
-        ws.count[w] = ws.count[v];
-        ws.queue.push_back(w);
-        ws.touched.push_back(w);
-      } else if (ws.dist[w] == ws.dist[v] + 1) {
-        ws.count[w] += ws.count[v];
-      }
-    }
-  }
-  for (const Vertex v : ws.touched) {
-    ws.dist[v] = kInfDistance;
-    ws.count[v] = 0;
-  }
-}
+using internal::BfsScratch;
+using internal::PendingLabel;
+using internal::RunPrunedHubBfs;
 
 /// Frontier split granularity for the level-synchronous mode. Small enough
 /// to balance skewed neighbor lists, large enough that per-grain buffer
@@ -144,8 +86,7 @@ void RunFrontierHubBfs(const Graph& graph, const VertexOrdering& order,
         const Vertex v = ws.frontier[i];
         const PathCount cv = ws.count[v].load(relaxed);
         if (v != hv) {
-          const SpcResult covered = ws.cache.Query(index.Labels(v));
-          if (covered.dist < level) continue;
+          if (ws.cache.Covers(index.Labels(v), level)) continue;
           ob.push_back({v, level, cv});
         }
         for (const Vertex w : graph.Neighbors(v)) {

@@ -309,15 +309,16 @@ SpcResult HubCache::Query(const LabelSet& labels) const {
   return result;
 }
 
-SpcResult HubCache::PreQuery(const LabelSet& labels, Rank below_rank) const {
-  SpcResult result;
+bool HubCache::Covers(const LabelSet& labels, Distance bound,
+                      Rank below_rank) const {
   for (const LabelEntry& e : labels) {
     if (e.hub >= below_rank) break;  // labels sorted ascending by rank
     const Distance dh = dist_[e.hub];
-    if (dh == kInfDistance) continue;
-    AccumulateMatch(dh, count_[e.hub], e.dist, e.count, &result);
+    // The same uint32 sum AccumulateMatch forms: the minimum is below
+    // `bound` exactly when some term is.
+    if (dh != kInfDistance && dh + e.dist < bound) return true;
   }
-  return result;
+  return false;
 }
 
 void HubCache::Clear() {

@@ -193,9 +193,11 @@ class SpcIndex {
 
 /// Rank-indexed scratch view of one label set, shared by every
 /// construction/maintenance BFS in the undirected, directed, and weighted
-/// variants: load L(h) once, then each per-vertex SpcQUERY/PreQUERY costs
+/// variants: load L(h) once, then each per-vertex test costs at most
 /// O(|L(v)|) — the O(l) the paper's complexity theorems assume. The arrays
 /// are n-sized but reset via a touched list, so Load+Clear cost O(|L(h)|).
+/// Every pruning test is Covers; Query is for the searches that need the
+/// count as well (DecSPC's SrrSEARCH).
 class HubCache {
  public:
   explicit HubCache(size_t n);
@@ -206,9 +208,13 @@ class HubCache {
   /// SpcQUERY between the loaded label set and `labels` (Eq. 1 and 2).
   SpcResult Query(const LabelSet& labels) const;
 
-  /// PreQUERY: only common hubs ranked strictly higher than `below_rank`
-  /// (pass rank(h)) participate.
-  SpcResult PreQuery(const LabelSet& labels, Rank below_rank) const;
+  /// The prune test: true iff some common hub ranked strictly higher than
+  /// `below_rank` (rank(h) for PreQUERY, the default for SpcQUERY)
+  /// certifies a distance below `bound` — the SpcQUERY/PreQUERY distance
+  /// compared with `bound`, but it stops at the first such hub and never
+  /// reads a count.
+  bool Covers(const LabelSet& labels, Distance bound,
+              Rank below_rank = kInvalidRank) const;
 
   /// Distance recorded for hub rank r (kInfDistance if absent).
   Distance DistOf(Rank r) const { return dist_[r]; }

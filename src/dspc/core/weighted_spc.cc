@@ -77,8 +77,7 @@ void DynamicWeightedSpcIndex::PushFromHub(Rank h) {
     if (v != hv) {
       // Counts are final at settle time: every predecessor on a shortest
       // path has strictly smaller distance (positive weights).
-      const SpcResult covered = cache_.Query(labels_[v]);
-      if (covered.dist < dist_[v]) continue;  // strict pruning
+      if (cache_.Covers(labels_[v], dist_[v])) continue;  // strict pruning
       InsertLabelInto(labels_[v], LabelEntry{h, dist_[v], count_[v]});
     }
     for (const WeightedNeighbor& nb : graph_.Neighbors(v)) {
@@ -189,8 +188,7 @@ void DynamicWeightedSpcIndex::IncUpdate(Rank h, Vertex seed,
     ++stats->visited_vertices;
     // Relaxed pruning: equality still renews counts (weighted analog of
     // Lemma 3.4).
-    const SpcResult covered = cache_.Query(labels_[v]);
-    if (covered.dist < dist_[v]) continue;
+    if (cache_.Covers(labels_[v], dist_[v])) continue;
 
     if (LabelEntry* existing = FindLabelIn(labels_[v], h)) {
       if (existing->dist == dist_[v]) {
@@ -382,8 +380,7 @@ void DynamicWeightedSpcIndex::DecUpdate(
     if (d > dist_[v]) continue;
     ++stats->visited_vertices;
     if (v != hv) {
-      const SpcResult pre = cache_.PreQuery(labels_[v], h);
-      if (pre.dist < dist_[v]) continue;
+      if (cache_.Covers(labels_[v], dist_[v], h)) continue;
       if (side_of_[v] == opposite_side) {
         if (LabelEntry* existing = FindLabelIn(labels_[v], h)) {
           if (existing->dist != dist_[v]) {

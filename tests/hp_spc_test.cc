@@ -1,14 +1,22 @@
 // Unit and property tests for HP-SPC construction: exactness against BFS,
-// canonical/non-canonical labels, behavior under different orderings, and
-// structural minimality properties.
+// canonical/non-canonical labels, behavior under different orderings,
+// structural minimality properties, and the pinned work of the pruned
+// searches.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <tuple>
+#include <vector>
 
 #include "dspc/baseline/bfs_counting.h"
+#include "dspc/core/directed_spc.h"
+#include "dspc/core/dynamic_spc.h"
 #include "dspc/core/hp_spc.h"
+#include "dspc/core/weighted_spc.h"
+#include "dspc/graph/digraph.h"
 #include "dspc/graph/generators.h"
+#include "dspc/graph/update_stream.h"
 #include "test_util.h"
 
 namespace dspc {
@@ -172,6 +180,95 @@ TEST(HpSpcTest, RebuildIdempotent) {
   const SpcIndex a = BuildSpcIndex(g);
   const SpcIndex b = BuildSpcIndex(g);
   EXPECT_TRUE(a == b);
+}
+
+// --- Pinned work counters --------------------------------------------------
+//
+// The prune test decides which vertices every pruned BFS labels and
+// expands, so one changed prune decision moves at least one of the counts
+// below. They were recorded from the builder and maintenance code as it
+// stood before HubCache::Covers replaced Query(...).dist < D as the prune
+// test; a change that keeps them keeps every decision.
+
+/// A stream's work: label entries after the build and after the stream,
+/// and the summed UpdateStats of its inserts and of its deletes, each as
+/// {affected_hubs, visited_vertices, renew_count, renew_dist, inserted,
+/// removed}.
+struct StreamWork {
+  size_t build_entries = 0;
+  size_t final_entries = 0;
+  std::array<size_t, 6> inc{};
+  std::array<size_t, 6> dec{};
+
+  void Add(const Update& u, const UpdateStats& s) {
+    std::array<size_t, 6>& w = u.kind == Update::Kind::kInsert ? inc : dec;
+    const std::array<size_t, 6> add = {s.affected_hubs, s.visited_vertices,
+                                       s.renew_count,   s.renew_dist,
+                                       s.inserted,      s.removed};
+    for (size_t i = 0; i < w.size(); ++i) w[i] += add[i];
+  }
+};
+
+void ExpectWork(const StreamWork& got, const StreamWork& pinned) {
+  EXPECT_EQ(got.build_entries, pinned.build_entries);
+  EXPECT_EQ(got.final_entries, pinned.final_entries);
+  EXPECT_EQ(got.inc, pinned.inc);
+  EXPECT_EQ(got.dec, pinned.dec);
+}
+
+TEST(PruneWorkTest, UndirectedCountersArePinned) {
+  const Graph g = GenerateRmat(10, 8192, 3);
+  const std::vector<Update> stream = MakeHybridStream(g, 200, 20, 5);
+  DynamicSpcIndex dyn(g);
+  StreamWork work;
+  work.build_entries = dyn.index().SizeStats().total_entries;
+  for (const Update& u : stream) work.Add(u, dyn.Apply(u));
+  work.final_entries = dyn.index().SizeStats().total_entries;
+  ExpectWork(work, {.build_entries = 50796,
+                    .final_entries = 55822,
+                    .inc = {16031, 49215, 2795, 337, 5013, 0},
+                    .dec = {565, 161569, 453, 25, 42, 29}});
+}
+
+// The directed and weighted variants each carry their own copies of the
+// three pruned searches; they replay the same stream on the same edges.
+TEST(PruneWorkTest, DirectedAndWeightedCountersArePinned) {
+  const Graph g = GenerateRmat(9, 2048, 3);
+  const std::vector<Update> stream = MakeHybridStream(g, 100, 10, 5);
+
+  DynamicDirectedSpcIndex directed(Digraph(g.NumVertices(), g.Edges()));
+  StreamWork dwork;
+  dwork.build_entries = directed.SizeStats().total_entries;
+  for (const Update& u : stream) {
+    const auto [a, b] = u.edge;
+    if (u.kind == Update::Kind::kInsert) {
+      dwork.Add(u, directed.InsertArc(a, b));
+    } else if (directed.graph().HasArc(a, b)) {
+      dwork.Add(u, directed.RemoveArc(a, b));
+    } else {
+      dwork.Add(u, directed.RemoveArc(b, a));
+    }
+  }
+  dwork.final_entries = directed.SizeStats().total_entries;
+  ExpectWork(dwork, {.build_entries = 7533,
+                     .final_entries = 11690,
+                     .inc = {1716, 10871, 570, 498, 4177, 0},
+                     .dec = {936, 23663, 54, 12, 7, 27}});
+
+  DynamicWeightedSpcIndex weighted(AttachRandomWeights(g, 1, 8, 3));
+  StreamWork wwork;
+  wwork.build_entries = weighted.SizeStats().total_entries;
+  for (const Update& u : stream) {
+    const auto [a, b] = u.edge;
+    wwork.Add(u, u.kind == Update::Kind::kInsert
+                     ? weighted.InsertEdge(a, b, 1 + (a + b) % 8)
+                     : weighted.RemoveEdge(a, b));
+  }
+  wwork.final_entries = weighted.SizeStats().total_entries;
+  ExpectWork(wwork, {.build_entries = 6129,
+                     .final_entries = 7110,
+                     .inc = {2005, 4585, 60, 144, 918, 0},
+                     .dec = {581, 26364, 150, 79, 103, 40}});
 }
 
 }  // namespace

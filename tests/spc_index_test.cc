@@ -1,16 +1,20 @@
 // Unit tests for the SPC-Index container itself: query semantics,
 // PreQuery, label mutation, hub occurrences, validation, serialization,
-// and the HubCache.
+// and the HubCache (Query and the Covers prune test).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "dspc/common/binary_io.h"
 #include "dspc/common/label_codec.h"
 #include "dspc/core/hp_spc.h"
+#include "dspc/core/merge_kernel.h"
 #include "dspc/core/spc_index.h"
+#include "dspc/core/weighted_spc.h"
 #include "dspc/graph/generators.h"
 #include "test_util.h"
 
@@ -223,19 +227,92 @@ TEST(HubCacheTest, QueryEquivalentToIndexQuery) {
   }
 }
 
-TEST(HubCacheTest, PreQueryEquivalentToIndexPreQuery) {
-  const Graph g = RandomGraph(30, 70, 9);
-  const SpcIndex index = BuildSpcIndex(g);
-  HubCache cache(g.NumVertices());
-  for (Vertex h = 0; h < g.NumVertices(); ++h) {
-    cache.Load(index.Labels(h));
-    const Rank rank_h = index.RankOf(h);
-    for (Vertex v = 0; v < g.NumVertices(); ++v) {
-      const SpcResult expect = index.PreQuery(h, v);
-      const SpcResult got = cache.PreQuery(index.Labels(v), rank_h);
-      ASSERT_EQ(got.dist, expect.dist) << "h=" << h << " v=" << v;
-      ASSERT_EQ(got.count, expect.count) << "h=" << h << " v=" << v;
+// Checks HubCache::Covers against a reference distance for every loaded
+// hub h, every vertex v, both cuts (rank(h), the PreQUERY cut, and none,
+// the SpcQUERY one) and every bound in `bounds`:
+//   Covers(L(v), bound, cut) == (reference(h, v, cut) < bound).
+template <typename LabelsOf, typename ReferenceDist>
+void ExpectCoversMatchesReference(size_t n, const VertexOrdering& order,
+                                  const LabelsOf& labels_of,
+                                  const ReferenceDist& reference,
+                                  const std::vector<Distance>& bounds) {
+  HubCache cache(n);
+  for (Vertex h = 0; h < n; ++h) {
+    cache.Load(labels_of(h));
+    for (const Rank cut : {order.rank_of[h], kInvalidRank}) {
+      for (Vertex v = 0; v < n; ++v) {
+        const Distance expect = reference(h, v, cut);
+        for (const Distance bound : bounds) {
+          ASSERT_EQ(cache.Covers(labels_of(v), bound, cut), expect < bound)
+              << "h=" << h << " v=" << v << " cut=" << cut
+              << " bound=" << bound << " reference=" << expect;
+        }
+      }
     }
+  }
+}
+
+TEST(HubCacheTest, CoversMatchesQueryAtEveryBound) {
+  // Unweighted: every bound in [0, maxdist + 1].
+  for (const uint64_t seed : {9u, 10u, 11u}) {
+    const Graph g = RandomGraph(30, 45 + 10 * seed, seed);
+    const SpcIndex index = BuildSpcIndex(g);
+    const auto reference = [&](Vertex h, Vertex v, Rank cut) {
+      return cut == kInvalidRank ? index.Query(h, v).dist
+                                 : index.PreQuery(h, v).dist;
+    };
+    Distance maxdist = 0;
+    for (Vertex s = 0; s < g.NumVertices(); ++s) {
+      for (Vertex t = 0; t < g.NumVertices(); ++t) {
+        const Distance d = index.Query(s, t).dist;
+        if (d != kInfDistance) maxdist = std::max(maxdist, d);
+      }
+    }
+    std::vector<Distance> bounds;
+    for (Distance b = 0; b <= maxdist + 1; ++b) bounds.push_back(b);
+    ExpectCoversMatchesReference(
+        g.NumVertices(), index.ordering(),
+        [&](Vertex v) -> const LabelSet& { return index.Labels(v); },
+        reference, bounds);
+  }
+
+  // Weighted with weights up to 2^24: distances reach tens of millions,
+  // so the bounds are 0, kInfDistance and every reference distance d with
+  // d - 1 and d + 1 — each point where the answer can change. The cut
+  // reference truncates both sets at the cut, as SpcIndex::PreQuery does.
+  for (const uint64_t seed : {12u, 13u}) {
+    const DynamicWeightedSpcIndex index(AttachRandomWeights(
+        RandomGraph(30, 70, seed), 1, Weight{1} << 24, seed));
+    const size_t n = index.graph().NumVertices();
+    const auto reference = [&](Vertex h, Vertex v, Rank cut) {
+      if (cut == kInvalidRank) return index.Query(h, v).dist;
+      const LabelSet& a = index.Labels(h);
+      const LabelSet& b = index.Labels(v);
+      const LabelEntry* a_end =
+          WideLowerBound(a.data(), a.data() + a.size(), cut);
+      const LabelEntry* b_end =
+          WideLowerBound(b.data(), b.data() + b.size(), cut);
+      SpcResult pre;
+      MergeWideScalar(a.data(), a_end, b.data(), b_end, &pre);
+      return pre.dist;
+    };
+    std::vector<Distance> bounds = {0, kInfDistance};
+    for (Vertex h = 0; h < n; ++h) {
+      for (Vertex v = 0; v < n; ++v) {
+        for (const Rank cut : {index.ordering().rank_of[h], kInvalidRank}) {
+          const Distance d = reference(h, v, cut);
+          if (d == kInfDistance) continue;
+          bounds.insert(bounds.end(), {d, d + 1});
+          if (d > 0) bounds.push_back(d - 1);
+        }
+      }
+    }
+    std::sort(bounds.begin(), bounds.end());
+    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+    ExpectCoversMatchesReference(
+        n, index.ordering(),
+        [&](Vertex v) -> const LabelSet& { return index.Labels(v); },
+        reference, bounds);
   }
 }
 
