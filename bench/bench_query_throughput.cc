@@ -519,6 +519,7 @@ int main(int argc, char** argv) {
                "  \"mismatches\": %zu,\n"
                "  \"build_mismatches\": %zu,\n"
                "  \"hardware_threads\": %u,\n"
+               "  \"cpu_flags\": \"%s\",\n"
                "  \"build_thread_sweep\": [\n",
                scale, graph.NumVertices(), graph.NumEdges(),
                stats.total_entries, stats.wide_bytes, flat.ArenaBytes(),
@@ -529,7 +530,7 @@ int main(int argc, char** argv) {
                service_single_qps, flat_qps / legacy_qps,
                batch_qps / legacy_qps, parallel_qps / legacy_qps,
                facade_qps / legacy_qps, mismatches, build_mismatches,
-               hardware_threads);
+               hardware_threads, bench::CpuFlags().c_str());
   for (size_t i = 0; i < build_sweep.size(); ++i) {
     const BuildRow& row = build_sweep[i];
     std::fprintf(json,

@@ -681,9 +681,12 @@ int main(int argc, char** argv) {
                "  \"readers\": %u,\n"
                "  \"burst_size\": %zu,\n"
                "  \"burst_gap_ms\": %d,\n"
+               "  \"hardware_threads\": %u,\n"
+               "  \"cpu_flags\": \"%s\",\n"
                "  \"policies\": [\n",
                scale, graph.NumVertices(), graph.NumEdges(), kReaders,
-               kBurstSize, kBurstGapMs);
+               kBurstSize, kBurstGapMs, std::thread::hardware_concurrency(),
+               bench::CpuFlags().c_str());
   bool first = true;
   for (const PolicyResult& r : results) {
     std::fprintf(

@@ -2,10 +2,14 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "dspc/common/stopwatch.h"
+#include "dspc/core/flat_spc_index.h"
 #include "dspc/core/hp_spc.h"
 #include "dspc/graph/generators.h"
+#include "dspc/persist/env.h"
+#include "dspc/persist/snapshot_arena.h"
 
 namespace dspc {
 namespace bench {
@@ -98,9 +102,13 @@ SpcIndex BuildOrLoadIndex(const Dataset& dataset, double* build_seconds) {
   const std::string index_path = base + ".index";
   const std::string meta_path = base + ".meta";
 
+  // The cache is a snapshot arena image; one that fails validation (an
+  // older format, a torn write) is simply rebuilt.
   SpcIndex index;
-  if (SpcIndex::Load(index_path, &index).ok() &&
-      index.NumVertices() == dataset.graph.NumVertices()) {
+  auto cached = MappedArena::Map(FileSystem::Default(), index_path);
+  if (cached.ok() &&
+      cached->snapshot()->NumVertices() == dataset.graph.NumVertices()) {
+    index = cached->snapshot()->Unpack();
     if (build_seconds != nullptr) {
       *build_seconds = 0.0;
       if (std::FILE* f = std::fopen(meta_path.c_str(), "r")) {
@@ -115,12 +123,35 @@ SpcIndex BuildOrLoadIndex(const Dataset& dataset, double* build_seconds) {
   index = BuildSpcIndex(dataset.graph);
   const double seconds = sw.ElapsedSeconds();
   if (build_seconds != nullptr) *build_seconds = seconds;
-  (void)index.Save(index_path);
+  (void)WriteSnapshotArena(FileSystem::Default(), index_path,
+                           FlatSpcIndex(index), /*generation=*/0,
+                           /*wal_seq=*/0);
   if (std::FILE* f = std::fopen(meta_path.c_str(), "w")) {
     std::fprintf(f, "%.6f\n", seconds);
     std::fclose(f);
   }
   return index;
+}
+
+std::string CpuFlags() {
+  std::string flags;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  const std::pair<const char*, bool> known[] = {
+      {"popcnt", __builtin_cpu_supports("popcnt")},
+      {"sse4.2", __builtin_cpu_supports("sse4.2")},
+      {"avx", __builtin_cpu_supports("avx")},
+      {"avx2", __builtin_cpu_supports("avx2")},
+      {"bmi2", __builtin_cpu_supports("bmi2")},
+      {"avx512f", __builtin_cpu_supports("avx512f")},
+  };
+  for (const auto& [name, on] : known) {
+    if (!on) continue;
+    if (!flags.empty()) flags += ' ';
+    flags += name;
+  }
+#endif
+  return flags.empty() ? "none" : flags;
 }
 
 void PrintRule(size_t width) {

@@ -48,6 +48,10 @@ size_t QueriesPerGraph();
 /// *build_seconds — the paper's "L Time" / reconstruction baseline.
 SpcIndex BuildOrLoadIndex(const Dataset& dataset, double* build_seconds);
 
+/// The host's SIMD-relevant CPU flags, space-separated ("none" off
+/// x86-64), for the host metadata every BENCH file records.
+std::string CpuFlags();
+
 /// Prints a horizontal rule sized for `width` columns of 12 chars.
 void PrintRule(size_t width);
 

@@ -4,16 +4,19 @@
 // from coincidental ones. New papers keep arriving — vertex and edge
 // insertions — and the index absorbs them incrementally.
 //
-// Also demonstrates index persistence: the built index is saved and
-// reloaded, the workflow for shipping a prebuilt index alongside a
-// dataset.
+// Also demonstrates index persistence: the maintained index is saved as
+// a snapshot arena image and reloaded, the workflow for shipping a
+// prebuilt index alongside a dataset.
 
 #include <cstdio>
 #include <string>
 
 #include "dspc/core/dynamic_spc.h"
+#include "dspc/core/flat_spc_index.h"
 #include "dspc/core/hp_spc.h"
 #include "dspc/graph/generators.h"
+#include "dspc/persist/env.h"
+#include "dspc/persist/snapshot_arena.h"
 
 using namespace dspc;
 
@@ -67,11 +70,15 @@ int main() {
   // Persist the maintained index and reload it, as a service would on
   // restart.
   const std::string path = "/tmp/dspc_collaboration.index";
-  Status s = index.index().Save(path);
+  FileSystem* fs = FileSystem::Default();
+  const Status s = WriteSnapshotArena(fs, path, FlatSpcIndex(index.index()),
+                                      index.Generation(), /*wal_seq=*/0);
   std::printf("\nsaved index to %s: %s\n", path.c_str(), s.ToString().c_str());
-  SpcIndex reloaded;
-  s = SpcIndex::Load(path, &reloaded);
-  std::printf("reloaded: %s (%zu entries)\n", s.ToString().c_str(),
+  auto mapped = MappedArena::Map(fs, path);
+  std::printf("reloaded: %s\n", mapped.status().ToString().c_str());
+  if (!mapped.ok()) return 1;
+  const SpcIndex reloaded = mapped->snapshot()->Unpack();
+  std::printf("reloaded index: %zu entries\n",
               reloaded.SizeStats().total_entries);
   const SpcResult check = reloaded.Query(erdos, newbie);
   std::printf("reloaded index answers: Erdos number of the new author = %u\n",

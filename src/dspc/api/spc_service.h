@@ -264,7 +264,7 @@ class SpcService {
   /// Takes ownership of `graph` and builds its index (HP-SPC).
   explicit SpcService(Graph graph, const DynamicSpcOptions& options = {});
 
-  /// Adopts a pre-built index of `graph` (e.g. loaded via SpcIndex::Load).
+  /// Adopts a pre-built index of `graph` (e.g. an unpacked snapshot arena).
   SpcService(Graph graph, SpcIndex index,
              const DynamicSpcOptions& options = {});
 

@@ -36,12 +36,13 @@ class BinaryWriter {
   /// Raw bytes, no length prefix.
   void Append(const void* data, size_t n);
   /// Bulk little-endian arrays, no length prefix: a single memcpy on
-  /// little-endian hosts. Used by the FlatSpcIndex v2 format so index
-  /// arenas serialize at memory speed.
+  /// little-endian hosts.
   void PutU32Array(const uint32_t* data, size_t n);
   void PutU64Array(const uint64_t* data, size_t n);
 
   const std::vector<uint8_t>& buffer() const { return buffer_; }
+  /// For encoders that fill a region in place (the snapshot arena).
+  std::vector<uint8_t>* mutable_buffer() { return &buffer_; }
 
   /// Writes the buffer followed by its CRC32 to `path`.
   Status WriteToFile(const std::string& path) const;
@@ -75,6 +76,9 @@ class BinaryReader {
   /// True when all payload bytes have been consumed and no read failed.
   bool AtEnd() const { return ok_ && pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }
+  /// Hands back the whole buffer (read position ignored), for callers
+  /// that keep viewing bytes after the parse (checkpoint payloads).
+  std::vector<uint8_t> Release() && { return std::move(data_); }
   Status status() const {
     return ok_ ? Status::OK() : Status::Corruption("binary reader overrun");
   }

@@ -159,11 +159,10 @@ UpdateStats DecSpc::RemoveEdge(Vertex a, Vertex b) {
   all_b.insert(all_b.end(), r_b.begin(), r_b.end());
 
   for (const Vertex hv : sr_all) {
-    const bool h_ab = lab_mark_[index_->RankOf(hv)] != 0;
     if (side_of_[hv] == kSideA) {
-      DecUpdate(hv, kSideB, all_b, h_ab, &stats);
+      DecUpdate(hv, kSideB, all_b, &stats);
     } else {
-      DecUpdate(hv, kSideA, all_a, h_ab, &stats);
+      DecUpdate(hv, kSideA, all_a, &stats);
     }
   }
 
@@ -220,7 +219,7 @@ void DecSpc::SrrSearch(Vertex from, Vertex towards, std::vector<Vertex>* sr,
 }
 
 void DecSpc::DecUpdate(Vertex hv, uint8_t opposite_side,
-                       const std::vector<Vertex>& opposite_vertices, bool h_ab,
+                       const std::vector<Vertex>& opposite_vertices,
                        UpdateStats* stats) {
   const Rank h = index_->RankOf(hv);
   cache_.Load(index_->Labels(hv));
@@ -287,7 +286,6 @@ void DecSpc::DecUpdate(Vertex hv, uint8_t opposite_side,
   // h is in SR (all its shortest paths to the far side crossed the edge,
   // i.e. Condition B) and the owner is in the opposite SR u R, so scanning
   // unconditionally for every SR hub removes exactly the dead labels.
-  (void)h_ab;
   for (const Vertex u : opposite_vertices) {
     if (updated_[u] == 0 && index_->RemoveLabel(u, h)) {
       ++stats->removed;

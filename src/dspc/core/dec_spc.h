@@ -11,9 +11,12 @@
 //   R  ("receiver only"): L(v) may change but no label uses v as hub.
 // Only SR hubs re-run a rank-pruned BFS over the post-deletion graph
 // (DecUPDATE, Algorithm 6), touching labels only of vertices in the
-// *opposite* SR u R (Lemma 3.14). Labels whose hub was a common hub of a
-// and b and that the BFS never re-visited are removed afterwards
-// (dominated or disconnected).
+// *opposite* SR u R (Lemma 3.14). Afterwards, every label of an opposite
+// vertex whose hub is this SR hub and that the BFS never re-visited is
+// removed (dominated or disconnected). The paper runs that removal scan
+// only for common hubs of a and b; DecUpdate deliberately runs it for
+// every SR hub, because IncSPC's retained stale labels can otherwise
+// outlive the deletion (see DecUpdate).
 //
 // The §3.2.3 isolated-vertex optimization short-circuits deletions that
 // detach a degree-1, lower-ranked endpoint: its label set collapses to
@@ -63,10 +66,12 @@ class DecSpc {
                  std::vector<Vertex>* r, UpdateStats* stats);
 
   /// Algorithm 6: rank-pruned BFS from hub vertex `hv` over the
-  /// post-deletion graph; updates labels of opposite-side vertices and,
-  /// if `h_ab`, removes never-revisited labels afterwards.
+  /// post-deletion graph; updates labels of opposite-side vertices, then
+  /// removes every (hv,.,.) label of `opposite_vertices` the BFS did not
+  /// re-visit. Unlike the paper, the removal scan runs for every SR hub,
+  /// not only for common hubs of a and b.
   void DecUpdate(Vertex hv, uint8_t opposite_side,
-                 const std::vector<Vertex>& opposite_vertices, bool h_ab,
+                 const std::vector<Vertex>& opposite_vertices,
                  UpdateStats* stats);
 
   /// §3.2.3 fast path. Returns true if it handled the deletion.

@@ -174,7 +174,7 @@ class DynamicSpcIndex {
   explicit DynamicSpcIndex(Graph graph, const DynamicSpcOptions& options = {});
 
   /// Adopts a pre-built index (must be a valid index of `graph`, e.g.
-  /// loaded via SpcIndex::Load).
+  /// MappedArena::Map(...)->snapshot()->Unpack() of a saved image).
   DynamicSpcIndex(Graph graph, SpcIndex index,
                   const DynamicSpcOptions& options = {});
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "dspc/common/binary_io.h"
 #include "dspc/common/label_codec.h"
 #include "dspc/common/thread_pool.h"
 #include "dspc/core/merge_kernel.h"
@@ -557,168 +556,6 @@ Status FlatSpcIndex::ValidateArena() const {
   return Status::OK();
 }
 
-Status FlatSpcIndex::Save(const std::string& path) const {
-  BinaryWriter w;
-  SaveImage(&w);
-  return w.WriteToFile(path);
-}
-
-void FlatSpcIndex::SaveImage(BinaryWriter* writer) const {
-  BinaryWriter& w = *writer;
-  w.PutU32(kSpcIndexMagic);
-  w.PutU32(kSpcIndexFormatV2);
-  w.PutU64(num_vertices_);
-  w.PutU32Array(ordering_->rank_of.data(), ordering_->rank_of.size());
-  // Overflow slots are shard-local in memory but global in the file; if
-  // the summed side tables outgrow the 29-bit slot field (possible only
-  // past ~2^29 overflow entries, where the monolithic builder would have
-  // gone wide), write the wide image instead of wrapping slots.
-  const bool write_wide = wide_mode_ || OverflowEntries() > kPackedCountMax;
-  w.PutU8(write_wide ? 1 : 0);
-  // The on-disk image is the monolithic concatenation of all shards:
-  // global CSR offsets, then the entry arrays with overflow slots rebased
-  // onto one global side table.
-  std::vector<uint64_t> offsets(num_vertices_ + 1, 0);
-  uint64_t off = 0;
-  // Shards are read via const refs throughout: mmap-view shards expose
-  // their bytes only through the const ArenaVec accessors.
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    const size_t width = shard.end - shard.begin;
-    for (size_t lv = 0; lv < width; ++lv) {
-      off += shard.offsets[lv + 1] - shard.offsets[lv];
-      offsets[shard.begin + lv + 1] = off;
-    }
-  }
-  w.PutU64Array(offsets.data(), offsets.size());
-  if (write_wide) {
-    for (const auto& shard : shards_) {
-      const size_t total = shard->NumEntries();
-      for (uint64_t i = 0; i < total; ++i) {
-        const LabelEntry e = EntryAt(*shard, wide_mode_, i);
-        w.PutU32(e.hub);
-        w.PutU32(e.dist);
-        w.PutU64(e.count);
-      }
-    }
-  } else {
-    uint64_t overflow_base = 0;
-    for (const auto& shard_ptr : shards_) {
-      const Shard& shard = *shard_ptr;
-      if (shard.overflow.empty()) {
-        // No slots to rebase: the arena serializes at memory speed.
-        w.PutU64Array(shard.entries.data(), shard.entries.size());
-        continue;
-      }
-      for (const uint64_t word : shard.entries) {
-        if (IsFlatOverflowRef(word)) [[unlikely]] {
-          w.PutU64(PackFlatOverflowRef(FlatHub(word),
-                                       overflow_base + FlatOverflowSlot(word)));
-        } else {
-          w.PutU64(word);
-        }
-      }
-      overflow_base += shard.overflow.size();
-    }
-    w.PutU64(overflow_base);
-    for (const auto& shard : shards_) {
-      for (const LabelEntry& e : shard->overflow) {
-        w.PutU32(e.hub);
-        w.PutU32(e.dist);
-        w.PutU64(e.count);
-      }
-    }
-  }
-}
-
-Status FlatSpcIndex::Load(const std::string& path, FlatSpcIndex* out) {
-  BinaryReader r({});
-  Status s = BinaryReader::ReadFromFile(path, &r);
-  if (!s.ok()) return s;
-  if (r.GetU32() != kSpcIndexMagic) {
-    return Status::Corruption("bad index magic");
-  }
-  const uint32_t version = r.GetU32();
-  if (version == kSpcIndexFormatV1) {
-    // v1 is the mutable index's format; parse it and build the snapshot.
-    SpcIndex index;
-    s = SpcIndex::LoadFromReader(&r, &index);
-    if (!s.ok()) return s;
-    *out = FlatSpcIndex(index);
-    return Status::OK();
-  }
-  if (version == kSpcIndexFormatV2) return LoadFromReader(&r, out);
-  return Status::Corruption("bad index version");
-}
-
-Status FlatSpcIndex::LoadFromReader(BinaryReader* reader, FlatSpcIndex* out) {
-  BinaryReader& r = *reader;
-  FlatSpcIndex flat;
-  const uint64_t n = r.GetU64();
-  if (n > r.remaining() / sizeof(Rank)) {
-    return Status::Corruption("bad vertex count");
-  }
-  flat.num_vertices_ = n;
-  auto ordering = std::make_shared<VertexOrdering>();
-  ordering->rank_of.resize(n);
-  if (!r.GetU32Array(ordering->rank_of.data(), n)) return r.status();
-  ordering->vertex_of.assign(n, 0);
-  for (uint64_t v = 0; v < n; ++v) {
-    const Rank rank = ordering->rank_of[v];
-    if (rank >= n) return Status::Corruption("rank out of range");
-    ordering->vertex_of[rank] = static_cast<Vertex>(v);
-  }
-  flat.ordering_ = std::move(ordering);
-  flat.wide_mode_ = r.GetU8() != 0;
-  // A loaded snapshot is a single shard; the serving layer re-shards by
-  // rebuilding from the mutable index when it wants more.
-  flat.InitLayout(1);
-  auto shard = std::make_shared<Shard>();
-  shard->begin = 0;
-  shard->end = static_cast<Vertex>(n);
-  shard->offsets.resize(n + 1);
-  if (!r.GetU64Array(shard->offsets.data(), n + 1)) return r.status();
-  const uint64_t total = shard->offsets[n];
-  if (flat.wide_mode_) {
-    if (total > r.remaining() / 16) return Status::Corruption("bad entry count");
-    shard->wide_entries.resize(total);
-    for (uint64_t i = 0; i < total; ++i) {
-      LabelEntry& e = shard->wide_entries[i];
-      e.hub = r.GetU32();
-      e.dist = r.GetU32();
-      e.count = r.GetU64();
-    }
-  } else {
-    if (total > r.remaining() / sizeof(uint64_t)) {
-      return Status::Corruption("bad entry count");
-    }
-    shard->entries.resize(total);
-    if (!r.GetU64Array(shard->entries.data(), total)) return r.status();
-    const uint64_t overflow = r.GetU64();
-    if (overflow > r.remaining() / 16) {
-      return Status::Corruption("bad overflow count");
-    }
-    shard->overflow.resize(overflow);
-    for (uint64_t i = 0; i < overflow; ++i) {
-      LabelEntry& e = shard->overflow[i];
-      e.hub = r.GetU32();
-      e.dist = r.GetU32();
-      e.count = r.GetU64();
-    }
-  }
-  if (!r.status().ok()) return r.status();
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in index file");
-  // Validate before building the dense directory: the directory loop
-  // trusts the offsets, so it must only ever see validated ones.
-  if (n > 0) flat.shards_[0] = shard;
-  const Status s = flat.ValidateArena();
-  if (!s.ok()) return s;
-  // The dense directory is derived state, rebuilt rather than stored.
-  if (n > 0 && !flat.wide_mode_) BuildDenseDirectory(shard.get());
-  *out = std::move(flat);
-  return Status::OK();
-}
-
 StatusOr<FlatSpcIndex> FlatSpcIndex::FromArenaView(ArenaView view) {
   FlatSpcIndex flat;
   const size_t n = view.num_vertices;
@@ -735,15 +572,15 @@ StatusOr<FlatSpcIndex> FlatSpcIndex::FromArenaView(ArenaView view) {
   ordering->vertex_of.assign(n, 0);
   for (size_t v = 0; v < n; ++v) {
     const Rank rank = ordering->rank_of[v];
-    if (rank >= n) return Status::Corruption("mapped arena rank out of range");
+    if (rank >= n) return Status::Corruption("arena rank out of range");
     ordering->vertex_of[rank] = static_cast<Vertex>(v);
   }
   flat.ordering_ = std::move(ordering);
 
-  // Label words and offsets are views straight into the mapped bytes —
+  // Label words and offsets are views straight into the image bytes —
   // the zero-copy contract of the mmap serving tier. The shard holds the
   // backing region, so any pin of this snapshot (and thus any in-flight
-  // query) keeps the mapping alive after a newer generation is adopted.
+  // query) keeps the bytes alive after a newer generation is adopted.
   auto shard = std::make_shared<Shard>();
   shard->begin = 0;
   shard->end = static_cast<Vertex>(n);
@@ -759,12 +596,27 @@ StatusOr<FlatSpcIndex> FlatSpcIndex::FromArenaView(ArenaView view) {
   }
   shard->backing = std::move(view.backing);
   flat.shards_[0] = shard;
-  // Same discipline as the file loader: the bytes are untrusted until
-  // ValidateArena accepts them, and the dense directory (derived, owned
-  // state) is only built over validated offsets/entries.
+  // The bytes are untrusted until ValidateArena accepts them, and the
+  // dense directory (derived, owned state) is only built over validated
+  // offsets/entries.
   if (Status s = flat.ValidateArena(); !s.ok()) return s;
   if (!flat.wide_mode_) BuildDenseDirectory(shard.get());
   return flat;
+}
+
+FlatSpcIndex::ArenaView FlatSpcIndex::ShardArenaView(size_t shard) const {
+  const Shard& sh = *shards_[shard];
+  ArenaView view;
+  view.num_vertices = sh.end - sh.begin;
+  view.wide = wide_mode_;
+  view.generation = sh.generation;
+  view.rank_of = ordering_->rank_of.data() + sh.begin;
+  view.offsets = sh.offsets.data();
+  view.entries = sh.entries.data();
+  view.overflow = sh.overflow.data();
+  view.overflow_count = sh.overflow.size();
+  view.wide_entries = sh.wide_entries.data();
+  return view;
 }
 
 }  // namespace dspc

@@ -59,25 +59,17 @@
 
 namespace dspc {
 
-class BinaryWriter;
 class ThreadPool;
-
-/// On-disk format identifiers. Version 1 is SpcIndex's tagged per-entry
-/// stream; version 2 is the FlatSpcIndex arena image that loads with bulk
-/// array reads. Both loaders accept both versions and convert.
-inline constexpr uint32_t kSpcIndexMagic = 0x44535049;  // "DSPI"
-inline constexpr uint32_t kSpcIndexFormatV1 = 1;
-inline constexpr uint32_t kSpcIndexFormatV2 = 2;
 
 /// A query pair, as consumed by the batched drivers.
 using VertexPair = std::pair<Vertex, Vertex>;
 
 /// An arena array that either owns its storage (a std::vector built by
-/// the packers/loaders) or is a read-only view over externally owned
-/// memory (an mmap'ed snapshot arena, persist/snapshot_arena.h). The hot
-/// query path reads through a cached {pointer, size} pair either way, so
-/// view shards and owning shards run the exact same code at the exact
-/// same cost. Mutating methods are only legal in owning mode; whoever
+/// the packers) or is a read-only view over externally owned memory (a
+/// mapped arena file or a checkpoint payload, persist/snapshot_arena.h).
+/// The hot query path reads through a cached {pointer, size} pair either
+/// way, so view shards and owning shards run the exact same code at the
+/// exact same cost. Mutating methods are only legal in owning mode; whoever
 /// installs a view is responsible for keeping the bytes alive (Shard
 /// carries a shared_ptr backing handle for exactly that).
 template <typename T>
@@ -288,42 +280,26 @@ class FlatSpcIndex {
   /// Rebuilds a mutable SpcIndex equivalent to this snapshot.
   SpcIndex Unpack() const;
 
-  /// Serialization in the v2 arena format (CRC-framed, bulk arrays). The
-  /// on-disk image is the monolithic concatenation of all shards (shard
-  /// structure is a serving concern, not a persistence one); Load always
-  /// produces a single-shard snapshot and also accepts v1 files,
-  /// converting through SpcIndex.
-  Status Save(const std::string& path) const;
-  static Status Load(const std::string& path, FlatSpcIndex* out);
-
-  /// Serializes the full v2 image (magic + version + payload) into `w`,
-  /// without the file-level CRC framing — the embeddable form. Save() is
-  /// this plus WriteToFile; the checkpointer (persist/checkpointer.h)
-  /// embeds the image as a length-prefixed blob inside the checkpoint
-  /// file, whose own CRC then covers it.
-  void SaveImage(BinaryWriter* w) const;
-
-  /// Parses a v2 payload from `r`, which must be positioned just past the
-  /// magic/version header. Used by the cross-version loaders so a file is
-  /// read from disk exactly once; most callers want Load().
-  static Status LoadFromReader(BinaryReader* r, FlatSpcIndex* out);
-
-  /// Raw single-shard arena sections for constructing a snapshot as a
-  /// *view* over externally owned memory — the mmap serving path
-  /// (persist/snapshot_arena.h). All pointers must stay valid for as
-  /// long as `backing` is alive; the constructed snapshot holds
-  /// `backing` through its shard, so in-flight queries keep the mapping
-  /// alive even after the index itself is replaced. Label words
-  /// (entries / overflow / wide_entries) and offsets are served directly
-  /// from the viewed bytes — no per-query copy or decode buffer; only
-  /// the rank array is copied once at adoption (the ordering is shared
-  /// repo-wide as owned vectors) and the dense directory is derived.
+  /// Raw arena sections over memory the snapshot does not own.
+  /// FromArenaView builds a single-shard snapshot as a *view* over them
+  /// (the on-disk image's read path, persist/snapshot_arena.h), and
+  /// ShardArenaView exposes one shard's arrays to the image encoder. All
+  /// pointers must stay valid for as long as `backing` is alive; the
+  /// constructed snapshot holds `backing` through its shard, so in-flight
+  /// queries keep the bytes alive even after the index itself is
+  /// replaced. Label words (entries / overflow / wide_entries) and
+  /// offsets are served directly from the viewed bytes — no per-query
+  /// copy or decode buffer; only the rank array is copied once at
+  /// adoption (the ordering is shared repo-wide as owned vectors) and the
+  /// dense directory is derived.
   struct ArenaView {
     size_t num_vertices = 0;
     bool wide = false;
     uint64_t generation = 0;
     const Rank* rank_of = nullptr;      ///< [num_vertices]
-    const uint64_t* offsets = nullptr;  ///< [num_vertices + 1], global CSR
+    /// [num_vertices + 1] CSR offsets, counted from the view's first
+    /// vertex; overflow-reference slots index `overflow`.
+    const uint64_t* offsets = nullptr;
     const uint64_t* entries = nullptr;  ///< [offsets[n]] (packed mode)
     const LabelEntry* overflow = nullptr;  ///< [overflow_count] (packed)
     uint64_t overflow_count = 0;
@@ -332,11 +308,16 @@ class FlatSpcIndex {
   };
 
   /// Builds a single-shard snapshot whose arenas are views into
-  /// `view.backing`'s memory. Runs the same structural validation as the
-  /// file loader (ValidateArena) before any query can touch the bytes;
-  /// the caller must already have bounds-checked the section sizes
-  /// against the region (the arena loader's CRC/layout validation).
+  /// `view.backing`'s memory. ValidateArena checks the structure before
+  /// any query can touch the bytes; the caller must already have
+  /// bounds-checked the section sizes against the region (the image
+  /// validator's CRC/layout checks).
   static StatusOr<FlatSpcIndex> FromArenaView(ArenaView view);
+
+  /// Shard i's arrays as a view: offsets and overflow slots local to the
+  /// shard, rank_of starting at ShardBegin(i), `backing` empty. Valid
+  /// while this snapshot lives.
+  ArenaView ShardArenaView(size_t shard) const;
 
   /// Minimum pairs per worker before QueryManyParallel adds a thread.
   static constexpr size_t kMinPairsPerThread = 2048;
@@ -354,9 +335,10 @@ class FlatSpcIndex {
   /// One vertex-range arena, immutable once built and shared across
   /// snapshot generations by shared_ptr. All CSR offsets are local to
   /// the shard (offsets[v - begin]). Each array either owns its storage
-  /// (packed by the builders/loaders) or views externally owned memory
-  /// (the mmap path; `backing` then keeps the mapping alive for the
-  /// shard's lifetime, so pinned queries can outlive an index swap).
+  /// (packed by the builders) or views externally owned memory (the
+  /// image read path; `backing` then keeps the mapping or payload alive
+  /// for the shard's lifetime, so pinned queries can outlive an index
+  /// swap).
   struct Shard {
     Vertex begin = 0;
     Vertex end = 0;
@@ -404,7 +386,7 @@ class FlatSpcIndex {
   template <bool kLimited>
   SpcResult QueryWide(Vertex s, Vertex t, Rank limit) const;
 
-  /// Cheap structural checks over freshly-parsed arenas (Load path).
+  /// Cheap structural checks over untrusted arenas (FromArenaView).
   Status ValidateArena() const;
 
   /// Hub ranks covered by the dense directory (must be a multiple of 64).
@@ -438,9 +420,8 @@ class FlatSpcIndex {
   static void BuildDenseDirectory(Shard* shard);
 
   /// Decodes arena slot `i` of a shard back into a LabelEntry — the one
-  /// place that knows both entry representations (Unpack, Save's wide
-  /// fallback, validation, and the wide-rebuild materialization all
-  /// decode through here).
+  /// place that knows both entry representations (Unpack, validation,
+  /// and the wide-rebuild materialization all decode through here).
   static LabelEntry EntryAt(const Shard& shard, bool wide, uint64_t i);
 
   size_t num_vertices_ = 0;

@@ -20,7 +20,7 @@
 //
 // Either way the output satisfies SpcIndex::operator== against
 // BuildSpcIndex under the same ordering, for every thread count and
-// strategy, so v2 serializations stay byte-identical and checkpoint
+// strategy, so arena images stay byte-identical and checkpoint
 // digests remain reproducible (tests/parallel_build_test.cc pins this).
 
 #ifndef DSPC_CORE_PARALLEL_BUILD_H_

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "dspc/common/binary_io.h"
 #include "dspc/common/label_codec.h"
-#include "dspc/core/flat_spc_index.h"
 #include "dspc/core/merge_kernel.h"
 
 namespace dspc {
@@ -178,110 +176,6 @@ Status SpcIndex::ValidateStructure() const {
       return Status::Corruption("missing self label at v" + std::to_string(v));
     }
   }
-  return Status::OK();
-}
-
-Status SpcIndex::Save(const std::string& path) const {
-  BinaryWriter w;
-  w.PutU32(kSpcIndexMagic);
-  w.PutU32(kSpcIndexFormatV1);
-  w.PutU64(labels_.size());
-  for (Vertex v = 0; v < labels_.size(); ++v) {
-    w.PutU32(ordering_.rank_of[v]);
-  }
-  for (const LabelSet& set : labels_) {
-    w.PutU64(set.size());
-    for (const LabelEntry& e : set) {
-      // Entries that fit the paper's 64-bit packing are stored packed; a
-      // flag byte selects the wide form otherwise.
-      if (FitsPacked(e.hub, e.dist, e.count)) {
-        w.PutU8(0);
-        w.PutU64(PackLabel(e.hub, e.dist, e.count));
-      } else {
-        w.PutU8(1);
-        w.PutU32(e.hub);
-        w.PutU32(e.dist);
-        w.PutU64(e.count);
-      }
-    }
-  }
-  return w.WriteToFile(path);
-}
-
-Status SpcIndex::Load(const std::string& path, SpcIndex* out) {
-  BinaryReader r({});
-  Status s = BinaryReader::ReadFromFile(path, &r);
-  if (!s.ok()) return s;
-  if (r.GetU32() != kSpcIndexMagic) {
-    return Status::Corruption("bad index magic");
-  }
-  const uint32_t version = r.GetU32();
-  if (version == kSpcIndexFormatV1) return LoadFromReader(&r, out);
-  if (version == kSpcIndexFormatV2) {
-    // v2 is the flat arena image; parse it and unpack into a mutable index.
-    FlatSpcIndex flat;
-    s = FlatSpcIndex::LoadFromReader(&r, &flat);
-    if (!s.ok()) return s;
-    *out = flat.Unpack();
-    return Status::OK();
-  }
-  return Status::Corruption("bad index version");
-}
-
-Status SpcIndex::LoadFromReader(BinaryReader* reader, SpcIndex* out) {
-  BinaryReader& r = *reader;
-  const uint64_t n = r.GetU64();
-  if (n > r.remaining() / sizeof(Rank)) {
-    return Status::Corruption("bad vertex count");
-  }
-  SpcIndex index;
-  index.ordering_.rank_of.resize(n);
-  index.ordering_.vertex_of.assign(n, 0);
-  for (uint64_t v = 0; v < n; ++v) {
-    index.ordering_.rank_of[v] = r.GetU32();
-  }
-  if (!r.status().ok()) return r.status();
-  for (uint64_t v = 0; v < n; ++v) {
-    const Rank rank = index.ordering_.rank_of[v];
-    if (rank >= n) return Status::Corruption("rank out of range");
-    index.ordering_.vertex_of[rank] = static_cast<Vertex>(v);
-  }
-  index.labels_.resize(n);
-  index.touched_flag_.assign(n, 0);
-  for (uint64_t v = 0; v < n; ++v) {
-    const uint64_t count = r.GetU64();
-    if (count > r.remaining()) return Status::Corruption("bad label count");
-    LabelSet& set = index.labels_[v];
-    set.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint8_t tag = r.GetU8();
-      if (tag == 0) {
-        const PackedLabelFields f = UnpackLabel(r.GetU64());
-        set.push_back(LabelEntry{f.hub, f.dist, f.count});
-      } else if (tag == 1) {
-        LabelEntry e;
-        e.hub = r.GetU32();
-        e.dist = r.GetU32();
-        e.count = r.GetU64();
-        set.push_back(e);
-      } else {
-        return Status::Corruption("bad entry tag");
-      }
-    }
-  }
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in index file");
-  index.hub_occurrences_.assign(n, 0);
-  for (uint64_t v = 0; v < n; ++v) {
-    for (const LabelEntry& e : index.labels_[v]) {
-      if (e.hub >= n) return Status::Corruption("hub rank out of range");
-      if (e.hub != index.ordering_.rank_of[v]) {
-        ++index.hub_occurrences_[e.hub];
-      }
-    }
-  }
-  const Status s = index.ValidateStructure();
-  if (!s.ok()) return s;
-  *out = std::move(index);
   return Status::OK();
 }
 

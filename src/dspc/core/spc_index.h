@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "dspc/baseline/bfs_counting.h"
@@ -29,8 +28,6 @@
 #include "dspc/graph/ordering.h"
 
 namespace dspc {
-
-class BinaryReader;
 
 /// A vertex's label set, sorted ascending by hub rank.
 using LabelSet = std::vector<LabelEntry>;
@@ -145,7 +142,7 @@ class SpcIndex {
   /// Resets the touched set (the facade drains it after every update).
   void ClearTouched();
 
-  // --- diagnostics / persistence -----------------------------------------
+  // --- diagnostics -------------------------------------------------------
 
   /// Size statistics (Table 4).
   IndexSizeStats SizeStats() const;
@@ -155,16 +152,6 @@ class SpcIndex {
   /// ordering is a valid permutation. Returns OK or a Corruption message
   /// naming the first violation.
   Status ValidateStructure() const;
-
-  /// Serialization with CRC framing. Load validates structure and also
-  /// accepts the v2 flat-arena format (unpacking it).
-  Status Save(const std::string& path) const;
-  static Status Load(const std::string& path, SpcIndex* out);
-
-  /// Parses a v1 payload from `r`, which must be positioned just past the
-  /// magic/version header. Used by the cross-version loaders so a file is
-  /// read from disk exactly once; most callers want Load().
-  static Status LoadFromReader(BinaryReader* r, SpcIndex* out);
 
   friend bool operator==(const SpcIndex& a, const SpcIndex& b) {
     return a.ordering_.rank_of == b.ordering_.rank_of &&

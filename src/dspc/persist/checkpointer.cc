@@ -1,11 +1,14 @@
 #include "dspc/persist/checkpointer.h"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "dspc/common/binary_io.h"
 #include "dspc/persist/framed_file.h"
+#include "dspc/persist/snapshot_arena.h"
 #include "dspc/persist/wal.h"
 
 namespace dspc {
@@ -127,21 +130,24 @@ Status ParseCheckpointBytes(std::vector<uint8_t> bytes,
   if (!r.status().ok() || image_len != r.remaining()) {
     return Status::DataLoss("checkpoint image length mismatch: " + path);
   }
-  std::vector<uint8_t> image(image_len);
-  if (image_len > 0 && !r.GetBytes(image.data(), image_len)) {
-    return Status::DataLoss("checkpoint image truncated: " + path);
-  }
-  BinaryReader ir(std::move(image));
-  if (ir.GetU32() != kSpcIndexMagic ||
-      ir.GetU32() != kSpcIndexFormatV2) {
-    return Status::DataLoss("checkpoint index image bad header: " + path);
-  }
-  if (Status st = FlatSpcIndex::LoadFromReader(&ir, &ckpt.index); !st.ok()) {
-    // The image passed the file CRC but fails structural validation:
-    // that is corruption, not a torn write (the rename was atomic).
+  // The arena image is the payload's tail, 48 + 8m bytes in (FromBytes
+  // checks that this lands 8-byte aligned). The index views it in place:
+  // the payload moves into the snapshot's backing.
+  auto payload =
+      std::make_shared<const std::vector<uint8_t>>(std::move(r).Release());
+  const uint64_t image_at = payload->size() - image_len;
+  auto arena = MappedArena::FromBytes(payload->data() + image_at, image_len,
+                                      payload, path);
+  if (!arena.ok()) {
+    // The image passed the file CRC but fails arena validation: that is
+    // corruption, not a torn write (the rename was atomic).
     return Status::DataLoss("checkpoint index image invalid: " + path +
-                            ": " + st.message());
+                            ": " + arena.status().message());
   }
+  if (arena->generation() != generation) {
+    return Status::DataLoss("checkpoint image generation mismatch: " + path);
+  }
+  ckpt.index = *arena->snapshot();
   if (ckpt.index.NumVertices() != n) {
     return Status::DataLoss("checkpoint graph/index vertex mismatch: " + path);
   }
@@ -186,10 +192,17 @@ Status Checkpointer::Publish(const Graph& graph, const FlatSpcIndex& index,
     w.PutU32(e.u);
     w.PutU32(e.v);
   }
-  BinaryWriter image;
-  index.SaveImage(&image);
-  w.PutU64(image.buffer().size());
-  w.Append(image.buffer().data(), image.buffer().size());
+  // The arena image fills the payload's tail behind its length.
+  std::vector<uint8_t>* payload = w.mutable_buffer();
+  const size_t image_at = payload->size() + sizeof(uint64_t);
+  w.PutU64(0);  // image length, patched once the image is encoded
+  if (Status st = EncodeSnapshotArena(index, generation, wal_seq, payload);
+      !st.ok()) {
+    return st;
+  }
+  const uint64_t image_len = payload->size() - image_at;
+  std::memcpy(payload->data() + image_at - sizeof(uint64_t), &image_len,
+              sizeof(image_len));
 
   if (Status st = WriteFramedFileAtomic(fs_, dir_,
                                         CheckpointFileName(generation),

@@ -1,7 +1,7 @@
 // Atomic checkpoint publication for the durability subsystem (DESIGN.md
 // §11). A checkpoint is one self-contained file — the graph's edge list
-// plus the FlatSpcIndex v2 image, CRC32C-framed — published with the
-// classic crash-safe dance:
+// plus the index's snapshot arena image (persist/snapshot_arena.h),
+// CRC32C-framed — published with the classic crash-safe dance:
 //
 //   write ckpt-<gen>.spc.tmp  →  fsync  →  rename to ckpt-<gen>.spc
 //   write MANIFEST.tmp        →  fsync  →  rename to MANIFEST
@@ -35,7 +35,7 @@
 namespace dspc {
 
 inline constexpr uint32_t kCheckpointMagic = 0x504B4344;  // "DCKP"
-inline constexpr uint32_t kCheckpointVersion = 1;
+inline constexpr uint32_t kCheckpointVersion = 2;
 inline constexpr uint32_t kManifestMagic = 0x4E414D44;  // "DMAN"
 inline constexpr uint32_t kManifestVersion = 1;
 
@@ -72,7 +72,8 @@ struct CheckpointManifest {
   uint64_t prev_wal_seq = 0;
 };
 
-/// A checkpoint loaded back from disk.
+/// A checkpoint loaded back from disk. `index` views the checkpoint's
+/// bytes in place and keeps them alive itself.
 struct LoadedCheckpoint {
   Graph graph;
   FlatSpcIndex index;

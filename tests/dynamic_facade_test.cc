@@ -7,6 +7,7 @@
 #include <string>
 
 #include "dspc/core/dynamic_spc.h"
+#include "dspc/core/flat_spc_index.h"
 #include "dspc/core/hp_spc.h"
 #include "dspc/graph/generators.h"
 #include "dspc/graph/update_stream.h"
@@ -200,17 +201,16 @@ TEST(LazyRebuildTest, DisabledByDefault) {
 TEST(AdoptIndexTest, LoadedIndexServesUpdates) {
   const Graph g = RandomGraph(22, 44, 12);
   const SpcIndex built = BuildSpcIndex(g);
-  const std::string path = ::testing::TempDir() + "/dspc_adopt.index";
-  ASSERT_TRUE(built.Save(path).ok());
-  SpcIndex loaded;
-  ASSERT_TRUE(SpcIndex::Load(path, &loaded).ok());
+  const auto mapped = testing::ArenaRoundTrip(FlatSpcIndex(built));
+  ASSERT_NE(mapped, nullptr);
+  SpcIndex loaded = mapped->Unpack();
+  EXPECT_TRUE(loaded == built);
 
   DynamicSpcIndex dyn(g, std::move(loaded));
   dyn.InsertEdge(0, 21);
   dyn.RemoveEdge(dyn.graph().Edges().front().u,
                  dyn.graph().Edges().front().v);
   ExpectIndexMatchesBfs(dyn.graph(), dyn.index());
-  std::remove(path.c_str());
 }
 
 TEST(FlatSnapshotTest, GenerationInvalidationAndLazyRebuild) {

@@ -1,27 +1,29 @@
 // Tests for FlatSpcIndex, the read-optimized packed-arena snapshot:
 // query equivalence against the mutable index and BFS ground truth on
 // several graph families under Inc/Dec update streams, the batched and
-// parallel drivers, the overflow side table, and the v2 on-disk format.
+// parallel drivers, the overflow side table, and the round trip through
+// the on-disk snapshot arena image.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "dspc/common/binary_io.h"
 #include "dspc/common/label_codec.h"
 #include "dspc/core/dynamic_spc.h"
 #include "dspc/core/flat_spc_index.h"
 #include "dspc/core/hp_spc.h"
 #include "dspc/graph/generators.h"
 #include "dspc/graph/update_stream.h"
+#include "dspc/persist/snapshot_arena.h"
 #include "test_util.h"
 
 namespace dspc {
 namespace {
 
+using dspc::testing::ArenaRoundTrip;
 using dspc::testing::RandomGraph;
 
 /// Asserts flat == legacy == BFS for every pair, and flat.PreQuery ==
@@ -161,85 +163,51 @@ TEST(FlatSpcIndexTest, ArenaBytesBelowWideBytes) {
   EXPECT_EQ(flat.TotalEntries(), stats.total_entries);
 }
 
-TEST(FlatSpcIndexSerialization, V2RoundTrip) {
+TEST(FlatSpcIndexSerialization, ArenaRoundTrip) {
   const Graph g = RandomGraph(50, 120, 51);
   const SpcIndex index = BuildSpcIndex(g);
   const FlatSpcIndex flat(index);
-  const std::string path = ::testing::TempDir() + "/dspc_flat_v2.bin";
-  ASSERT_TRUE(flat.Save(path).ok());
-  FlatSpcIndex loaded;
-  ASSERT_TRUE(FlatSpcIndex::Load(path, &loaded).ok());
-  EXPECT_EQ(loaded.TotalEntries(), flat.TotalEntries());
-  EXPECT_EQ(loaded.OverflowEntries(), flat.OverflowEntries());
+  const auto loaded = ArenaRoundTrip(flat);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->TotalEntries(), flat.TotalEntries());
+  EXPECT_EQ(loaded->OverflowEntries(), flat.OverflowEntries());
   for (Vertex s = 0; s < g.NumVertices(); ++s) {
     for (Vertex t = 0; t < g.NumVertices(); ++t) {
-      ASSERT_EQ(loaded.Query(s, t), index.Query(s, t));
+      ASSERT_EQ(loaded->Query(s, t), index.Query(s, t));
     }
   }
-  std::remove(path.c_str());
+  EXPECT_TRUE(loaded->Unpack() == index);
 }
 
-TEST(FlatSpcIndexSerialization, V2RoundTripWithOverflow) {
+TEST(FlatSpcIndexSerialization, ArenaRoundTripWithOverflow) {
   SpcIndex index(BuildOrdering(GeneratePath(3)));
   index.InsertLabel(index.VertexOf(1), LabelEntry{0, 4, (1ULL << 35)});
   const FlatSpcIndex flat(index);
   ASSERT_EQ(flat.OverflowEntries(), 1u);
-  const std::string path = ::testing::TempDir() + "/dspc_flat_ovf.bin";
-  ASSERT_TRUE(flat.Save(path).ok());
-  FlatSpcIndex loaded;
-  ASSERT_TRUE(FlatSpcIndex::Load(path, &loaded).ok());
-  EXPECT_EQ(loaded.OverflowEntries(), 1u);
+  const auto loaded = ArenaRoundTrip(flat);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->OverflowEntries(), 1u);
   const Vertex v1 = index.VertexOf(1);
   const Vertex v0 = index.VertexOf(0);
-  EXPECT_EQ(loaded.Query(v0, v1), index.Query(v0, v1));
-  std::remove(path.c_str());
-}
-
-TEST(FlatSpcIndexSerialization, CrossFormatLoads) {
-  const Graph g = RandomGraph(30, 70, 61);
-  const SpcIndex index = BuildSpcIndex(g);
-  const FlatSpcIndex flat(index);
-  const std::string v1_path = ::testing::TempDir() + "/dspc_x_v1.bin";
-  const std::string v2_path = ::testing::TempDir() + "/dspc_x_v2.bin";
-  ASSERT_TRUE(index.Save(v1_path).ok());
-  ASSERT_TRUE(flat.Save(v2_path).ok());
-
-  // FlatSpcIndex::Load accepts a v1 file (converting through SpcIndex).
-  FlatSpcIndex flat_from_v1;
-  ASSERT_TRUE(FlatSpcIndex::Load(v1_path, &flat_from_v1).ok());
-  // SpcIndex::Load accepts a v2 file (unpacking the arena).
-  SpcIndex index_from_v2;
-  ASSERT_TRUE(SpcIndex::Load(v2_path, &index_from_v2).ok());
-  EXPECT_TRUE(index_from_v2 == index);
-  for (Vertex s = 0; s < g.NumVertices(); s += 3) {
-    for (Vertex t = 0; t < g.NumVertices(); t += 3) {
-      ASSERT_EQ(flat_from_v1.Query(s, t), index.Query(s, t));
-    }
-  }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  EXPECT_EQ(loaded->Query(v0, v1), index.Query(v0, v1));
+  EXPECT_TRUE(loaded->Unpack() == index);
 }
 
 TEST(FlatSpcIndexSerialization, LoadRejectsCorruption) {
-  const std::string path = ::testing::TempDir() + "/dspc_flat_bad.bin";
-  {
-    BinaryWriter w;
-    w.PutU32(0x0BADF00D);
-    ASSERT_TRUE(w.WriteToFile(path).ok());
-    FlatSpcIndex loaded;
-    EXPECT_TRUE(FlatSpcIndex::Load(path, &loaded).IsCorruption());
-  }
-  {
-    // Well-formed header, truncated body.
-    BinaryWriter w;
-    w.PutU32(kSpcIndexMagic);
-    w.PutU32(kSpcIndexFormatV2);
-    w.PutU64(1000);
-    ASSERT_TRUE(w.WriteToFile(path).ok());
-    FlatSpcIndex loaded;
-    EXPECT_TRUE(FlatSpcIndex::Load(path, &loaded).IsCorruption());
-  }
-  std::remove(path.c_str());
+  auto image = std::make_shared<std::vector<uint8_t>>();
+  ASSERT_TRUE(EncodeSnapshotArena(FlatSpcIndex(BuildSpcIndex(GeneratePath(9))),
+                                  1, 0, image.get())
+                  .ok());
+  const auto load = [&](uint64_t size) {
+    return MappedArena::FromBytes(image->data(), size, image, "test")
+        .status();
+  };
+  ASSERT_TRUE(load(image->size()).ok());
+  // Well-formed header, truncated body.
+  EXPECT_TRUE(load(kSnapshotArenaAlign + 8).IsCorruption());
+  // Bad magic.
+  (*image)[0] ^= 0xFF;
+  EXPECT_TRUE(load(image->size()).IsCorruption());
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "dspc/baseline/bibfs_counting.h"
-#include "dspc/common/binary_io.h"
 #include "dspc/core/flat_spc_index.h"
 #include "dspc/core/hp_spc.h"
 #include "dspc/graph/generators.h"
@@ -121,41 +120,33 @@ TEST(MmapArena, OverflowSideTableRoundTrips) {
 }
 
 TEST(MmapArena, WideImageRoundTrips) {
-  // Wide mode triggers naturally only past 2^25 vertices, so craft a
-  // tiny wide v2 image by hand (P3 path graph, canonical hub labels),
-  // load it (Load preserves wideness), and round-trip the arena.
+  // Wide mode triggers naturally only past 2^25 vertices, so build a tiny
+  // wide snapshot by hand (P3 path graph, canonical hub labels) as a view
+  // over these arrays, and round-trip it through an arena file.
   const std::string dir = FreshDir("mmap_arena_wide");
-  BinaryWriter w;
-  w.PutU32(kSpcIndexMagic);
-  w.PutU32(kSpcIndexFormatV2);
-  w.PutU64(3);                          // n
   const Rank ranks[3] = {0, 1, 2};
-  w.PutU32Array(ranks, 3);
-  w.PutU8(1);                           // wide
   const uint64_t offsets[4] = {0, 1, 3, 6};
-  w.PutU64Array(offsets, 4);
-  const uint32_t triples[6][2] = {{0, 0}, {0, 1}, {1, 0},
-                                  {0, 2}, {1, 1}, {2, 0}};  // (hub, dist)
-  for (const auto& hd : triples) {
-    w.PutU32(hd[0]);
-    w.PutU32(hd[1]);
-    w.PutU64(1);  // count
-  }
-  const std::string image = dir + "/wide.spc";
-  ASSERT_TRUE(w.WriteToFile(image).ok());
-
-  FlatSpcIndex owning;
-  ASSERT_TRUE(FlatSpcIndex::Load(image, &owning).ok());
-  ASSERT_TRUE(owning.wide_mode());
+  const LabelEntry entries[6] = {{0, 0, 1}, {0, 1, 1}, {1, 0, 1},
+                                 {0, 2, 1}, {1, 1, 1}, {2, 0, 1}};
+  FlatSpcIndex::ArenaView view;
+  view.num_vertices = 3;
+  view.wide = true;
+  view.rank_of = ranks;
+  view.offsets = offsets;
+  view.wide_entries = entries;
+  auto owning = FlatSpcIndex::FromArenaView(std::move(view));
+  ASSERT_TRUE(owning.ok()) << owning.status().ToString();
+  ASSERT_TRUE(owning->wide_mode());
 
   const std::string path = dir + "/snap.arena";
   FileSystem* fs = FileSystem::Default();
-  ASSERT_TRUE(WriteSnapshotArena(fs, path, owning, 5, 0).ok());
+  ASSERT_TRUE(WriteSnapshotArena(fs, path, *owning, 5, 0).ok());
   auto arena = MappedArena::Map(fs, path);
   ASSERT_TRUE(arena.ok()) << arena.status().ToString();
   ASSERT_TRUE(arena->snapshot()->wide_mode());
   Graph p3 = GeneratePath(3);
-  ExpectMappedMatches(p3, owning, *arena->snapshot());
+  ExpectMappedMatches(p3, *owning, *arena->snapshot());
+  EXPECT_TRUE(arena->snapshot()->Unpack() == owning->Unpack());
 }
 
 TEST(MmapArena, EmptyIndexRoundTrips) {

@@ -21,6 +21,7 @@
 #include "dspc/core/hp_spc.h"
 #include "dspc/core/parallel_build.h"
 #include "dspc/graph/generators.h"
+#include "dspc/persist/snapshot_arena.h"
 #include "test_util.h"
 
 namespace dspc {
@@ -231,15 +232,18 @@ TEST(ParallelBuildTest, DegenerateGraphs) {
   }
 }
 
-// Determinism, satellite 4: repeated parallel builds — across repetitions,
-// thread counts, and strategies — produce v2 images byte-identical to the
-// sequential build's, so checkpoint digests never depend on scheduling.
-TEST(ParallelBuildDeterminismTest, ByteIdenticalV2Serializations) {
+// Determinism: repeated parallel builds — across repetitions, thread
+// counts, and strategies — produce snapshot arena images byte-identical
+// to the sequential build's (at a fixed generation and wal_seq), so
+// checkpoint digests never depend on scheduling.
+TEST(ParallelBuildDeterminismTest, ByteIdenticalArenaImages) {
   const Graph g = GenerateRmat(8, 1400, 23);
   const auto image = [](const SpcIndex& index) {
-    BinaryWriter w;
-    FlatSpcIndex(index).SaveImage(&w);
-    return w.buffer();
+    std::vector<uint8_t> bytes;
+    EXPECT_TRUE(EncodeSnapshotArena(FlatSpcIndex(index), /*generation=*/3,
+                                    /*wal_seq=*/2, &bytes)
+                    .ok());
+    return bytes;
   };
   const std::vector<uint8_t> want = image(BuildSpcIndex(g));
   const uint32_t want_crc = Crc32(want.data(), want.size());
@@ -261,18 +265,16 @@ TEST(ParallelBuildDeterminismTest, ByteIdenticalV2Serializations) {
   }
 }
 
-// The serialized image also round-trips: an index built in parallel,
-// saved, and reloaded still equals the sequential build.
-TEST(ParallelBuildDeterminismTest, RoundTripsThroughV2Image) {
+// The image also round-trips: an index built in parallel, encoded, and
+// validated back still equals the sequential build.
+TEST(ParallelBuildDeterminismTest, RoundTripsThroughArenaImage) {
   const Graph g = GenerateRmat(7, 600, 29);
   ParallelBuildOptions opts;
   opts.threads = 8;
   const SpcIndex parallel = BuildSpcIndexParallel(g, OrderingOptions{}, opts);
-  const std::string path = ::testing::TempDir() + "/parallel_build_v2.bin";
-  ASSERT_TRUE(FlatSpcIndex(parallel).Save(path).ok());
-  SpcIndex reloaded;
-  ASSERT_TRUE(SpcIndex::Load(path, &reloaded).ok());
-  EXPECT_TRUE(reloaded == BuildSpcIndex(g));
+  const auto reloaded = testing::ArenaRoundTrip(FlatSpcIndex(parallel));
+  ASSERT_NE(reloaded, nullptr);
+  EXPECT_TRUE(reloaded->Unpack() == BuildSpcIndex(g));
 }
 
 // Engine integration: an engine configured with build.threads uses the

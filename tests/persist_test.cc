@@ -17,6 +17,8 @@
 #include "dspc/graph/generators.h"
 #include "dspc/persist/checkpointer.h"
 #include "dspc/persist/env.h"
+#include "dspc/persist/framed_file.h"
+#include "dspc/persist/snapshot_arena.h"
 #include "dspc/persist/wal.h"
 #include "test_util.h"
 
@@ -410,6 +412,77 @@ TEST(CheckpointerTest, PublishRoundTripsGraphIndexAndManifest) {
       EXPECT_EQ(loaded.index.Query(s, t), flat.Query(s, t));
     }
   }
+  EXPECT_TRUE(loaded.index.Unpack() == index);
+}
+
+TEST(CheckpointerTest, ArenaBitFlipUnderFreshFrameIsDataLoss) {
+  const std::string dir = FreshDir("ckpt_arena_flip");
+  FileSystem* fs = FileSystem::Default();
+  const Graph g = GenerateBarabasiAlbert(40, 2, 13);
+  const FlatSpcIndex flat(BuildSpcIndex(g));
+  TouchSegment(fs, dir, 1, 6);
+  Checkpointer checkpointer(fs, dir);
+  ASSERT_TRUE(checkpointer.Publish(g, flat, 6, 1).ok());
+
+  const std::string path = dir + "/" + CheckpointFileName(6);
+  std::vector<uint8_t> payload = ReadAll(fs, path);
+  ASSERT_TRUE(UnframePayload(&payload, path).ok());
+  // Header, graph, image length: the arena image starts 48 + 8m bytes in.
+  const size_t arena_at = 48 + 8 * g.NumEdges();
+  ASSERT_GT(payload.size(), arena_at + kSnapshotArenaAlign);
+  for (const size_t pos :
+       {arena_at, arena_at + 8, arena_at + kSnapshotArenaAlign,
+        (arena_at + payload.size()) / 2, payload.size() - 1}) {
+    std::vector<uint8_t> flipped = payload;
+    flipped[pos] ^= 0x04;
+    // A fresh frame CRC: the framing check passes, so only the arena
+    // validator stands between the flip and the index.
+    ASSERT_TRUE(
+        WriteFramedFileAtomic(fs, dir, CheckpointFileName(6), flipped).ok());
+    LoadedCheckpoint loaded;
+    const Status st = LoadCheckpoint(fs, dir, 6, &loaded);
+    EXPECT_TRUE(st.IsDataLoss()) << "pos=" << pos << " " << st.ToString();
+    EXPECT_NE(st.message().find("index image invalid"), std::string::npos)
+        << st.ToString();
+    const Status parsed = ParseCheckpointBytes(ReadAll(fs, path), 6,
+                                               "shipped", &loaded);
+    EXPECT_TRUE(parsed.IsDataLoss()) << "pos=" << pos << " "
+                                     << parsed.ToString();
+  }
+  ASSERT_TRUE(
+      WriteFramedFileAtomic(fs, dir, CheckpointFileName(6), payload).ok());
+  LoadedCheckpoint loaded;
+  EXPECT_TRUE(LoadCheckpoint(fs, dir, 6, &loaded).ok());
+}
+
+TEST(CheckpointerTest, LoadedIndexOutlivesTheCheckpointBytes) {
+  const std::string dir = FreshDir("ckpt_outlives");
+  FileSystem* fs = FileSystem::Default();
+  const Graph g = GenerateBarabasiAlbert(40, 2, 17);
+  const SpcIndex index = BuildSpcIndex(g);
+  const FlatSpcIndex flat(index, 4);
+  TouchSegment(fs, dir, 2, 8);
+  Checkpointer checkpointer(fs, dir);
+  ASSERT_TRUE(checkpointer.Publish(g, flat, 8, 2).ok());
+
+  std::vector<uint8_t> bytes = ReadAll(fs, dir + "/" + CheckpointFileName(8));
+  const size_t size = bytes.size();
+  LoadedCheckpoint parsed;
+  ASSERT_TRUE(ParseCheckpointBytes(std::move(bytes), 8, "shipped", &parsed)
+                  .ok());
+  // The index views the payload it was parsed from, so it must keep those
+  // bytes alive itself. Buffers of the payload's size, scribbled, would
+  // take the payload's place if it had been freed.
+  bytes.assign(size, 0xEE);
+  const std::vector<uint8_t> scribble(size, 0xEE);
+  const LoadedCheckpoint moved = std::move(parsed);
+  parsed = LoadedCheckpoint();
+  for (Vertex s = 0; s < g.NumVertices(); ++s) {
+    for (Vertex t = 0; t < g.NumVertices(); ++t) {
+      ASSERT_EQ(moved.index.Query(s, t), flat.Query(s, t)) << s << "," << t;
+    }
+  }
+  EXPECT_TRUE(moved.index.Unpack() == index);
 }
 
 TEST(CheckpointerTest, CorruptCheckpointAndManifestAreDataLoss) {

@@ -20,9 +20,12 @@
 #include "dspc/core/snapshot_manager.h"
 #include "dspc/graph/generators.h"
 #include "dspc/graph/update_stream.h"
+#include "test_util.h"
 
 namespace dspc {
 namespace {
+
+using dspc::testing::ArenaRoundTrip;
 
 TEST(ShardLayoutTest, PowerOfTwoWidthsCoverAllVertices) {
   EXPECT_EQ(FlatSpcIndex::ComputeShardLayout(0, 4).count, 0u);
@@ -98,7 +101,7 @@ TEST(ShardedFlatIndexTest, CrossShardEndpointsWithHubInThirdShard) {
 TEST(ShardedFlatIndexTest, OverflowSideTableIsShardLocal) {
   // Overflow entries (dist at the marker, count beyond 29 bits) land in
   // per-shard side tables; cross-shard queries must chase each side's
-  // own table, and the monolithic save image must rebase the slots.
+  // own table, and the monolithic arena image must rebase the slots.
   SpcIndex index(BuildOrdering(GenerateComplete(8)));
   const Rank h0 = 0;
   index.InsertLabel(index.VertexOf(1), LabelEntry{h0, 7, (1ULL << 40) + 3});
@@ -113,33 +116,47 @@ TEST(ShardedFlatIndexTest, OverflowSideTableIsShardLocal) {
       ASSERT_EQ(flat.Query(s, t), index.Query(s, t)) << s << "," << t;
     }
   }
-  const std::string path = ::testing::TempDir() + "/sharded_overflow.dspc";
-  ASSERT_TRUE(flat.Save(path).ok());
-  FlatSpcIndex loaded;
-  ASSERT_TRUE(FlatSpcIndex::Load(path, &loaded).ok());
-  EXPECT_EQ(loaded.OverflowEntries(), 2u);
+  const auto loaded = ArenaRoundTrip(flat);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->OverflowEntries(), 2u);
   for (Vertex s = 0; s < 8; ++s) {
     for (Vertex t = 0; t < 8; ++t) {
-      ASSERT_EQ(loaded.Query(s, t), flat.Query(s, t)) << s << "," << t;
+      ASSERT_EQ(loaded->Query(s, t), flat.Query(s, t)) << s << "," << t;
     }
   }
+  EXPECT_TRUE(loaded->Unpack() == index);
 }
 
 TEST(ShardedFlatIndexTest, ShardedSaveLoadRoundTrip) {
+  // Overflow entries in several shards: the image must rebase each
+  // shard's local slots onto its one global side table.
   const Graph g = GenerateBarabasiAlbert(64, 2, 23);
-  const SpcIndex index = BuildSpcIndex(g);
+  SpcIndex index = BuildSpcIndex(g);
+  const FlatSpcIndex::ShardLayout layout =
+      FlatSpcIndex::ComputeShardLayout(g.NumVertices(), 7);
+  std::vector<size_t> overflow_shards;
+  for (Vertex v = 0; v < g.NumVertices(); v += 3) {
+    LabelEntry* top = index.FindLabel(v, 0);
+    if (index.RankOf(v) == 0 || top == nullptr) continue;
+    top->count = (uint64_t{1} << 40) + v;
+    overflow_shards.push_back(v >> layout.shift);
+  }
   const FlatSpcIndex flat(index, 7);
-  const std::string path = ::testing::TempDir() + "/sharded_roundtrip.dspc";
-  ASSERT_TRUE(flat.Save(path).ok());
-  FlatSpcIndex loaded;
-  ASSERT_TRUE(FlatSpcIndex::Load(path, &loaded).ok());
-  EXPECT_EQ(loaded.NumShards(), 1u);  // persistence is shard-agnostic
-  EXPECT_EQ(loaded.TotalEntries(), flat.TotalEntries());
+  ASSERT_GT(flat.NumShards(), 1u);
+  ASSERT_EQ(flat.OverflowEntries(), overflow_shards.size());
+  ASSERT_NE(overflow_shards.front(), overflow_shards.back());
+
+  const auto loaded = ArenaRoundTrip(flat);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->NumShards(), 1u);  // persistence is shard-agnostic
+  EXPECT_EQ(loaded->TotalEntries(), flat.TotalEntries());
+  EXPECT_EQ(loaded->OverflowEntries(), flat.OverflowEntries());
   for (Vertex s = 0; s < g.NumVertices(); ++s) {
     for (Vertex t = 0; t < g.NumVertices(); ++t) {
-      ASSERT_EQ(loaded.Query(s, t), flat.Query(s, t)) << s << "," << t;
+      ASSERT_EQ(loaded->Query(s, t), flat.Query(s, t)) << s << "," << t;
     }
   }
+  EXPECT_TRUE(loaded->Unpack() == index);
 }
 
 TEST(DeltaRebuildTest, CleanShardsAreAdoptedAcrossRefreshes) {

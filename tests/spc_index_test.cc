@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "dspc/common/binary_io.h"
 #include "dspc/common/label_codec.h"
+#include "dspc/core/flat_spc_index.h"
 #include "dspc/core/hp_spc.h"
 #include "dspc/core/merge_kernel.h"
 #include "dspc/core/spc_index.h"
@@ -21,6 +21,7 @@
 namespace dspc {
 namespace {
 
+using testing::ArenaRoundTrip;
 using testing::ExpectIndexMatchesBfs;
 using testing::RandomGraph;
 
@@ -178,36 +179,34 @@ TEST(SpcIndexTest, SizeStatsCountsOverflowSideTable) {
 TEST(SpcIndexSerialization, RoundTripPreservesEverything) {
   const Graph g = RandomGraph(25, 60, 5);
   const SpcIndex index = BuildSpcIndex(g);
-  const std::string path = ::testing::TempDir() + "/dspc_index.bin";
-  ASSERT_TRUE(index.Save(path).ok());
-  SpcIndex loaded;
-  ASSERT_TRUE(SpcIndex::Load(path, &loaded).ok());
-  EXPECT_TRUE(loaded == index);
+  const auto mapped = ArenaRoundTrip(FlatSpcIndex(index));
+  ASSERT_NE(mapped, nullptr);
+  const SpcIndex loaded = mapped->Unpack();
   ExpectIndexMatchesBfs(g, loaded, "loaded index");
-  std::remove(path.c_str());
+  EXPECT_TRUE(loaded == index);
 }
 
 TEST(SpcIndexSerialization, WideEntriesSurviveRoundTrip) {
-  // A count beyond the 29-bit packed field must use the wide encoding.
+  // A count beyond the 29-bit packed field lives in the overflow section.
   SpcIndex index(IdentityOrdering(2));
   index.InsertLabel(1, LabelEntry{0, 3, (1ULL << 40) + 17});
-  const std::string path = ::testing::TempDir() + "/dspc_index_wide.bin";
-  ASSERT_TRUE(index.Save(path).ok());
-  SpcIndex loaded;
-  ASSERT_TRUE(SpcIndex::Load(path, &loaded).ok());
+  const auto mapped = ArenaRoundTrip(FlatSpcIndex(index));
+  ASSERT_NE(mapped, nullptr);
+  EXPECT_EQ(mapped->OverflowEntries(), 1u);
+  const SpcIndex loaded = mapped->Unpack();
   ASSERT_NE(loaded.FindLabel(1, 0), nullptr);
   EXPECT_EQ(loaded.FindLabel(1, 0)->count, (1ULL << 40) + 17);
-  std::remove(path.c_str());
+  EXPECT_TRUE(loaded == index);
 }
 
 TEST(SpcIndexSerialization, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/dspc_index_bad.bin";
-  BinaryWriter w;
-  w.PutU32(0x0BADF00D);
-  ASSERT_TRUE(w.WriteToFile(path).ok());
-  SpcIndex loaded;
-  EXPECT_TRUE(SpcIndex::Load(path, &loaded).IsCorruption());
-  std::remove(path.c_str());
+  // Too short for a header, then a full page with a bad magic.
+  for (const size_t size : {size_t{4}, size_t{8192}}) {
+    auto garbage = std::make_shared<std::vector<uint8_t>>(size, 0xAB);
+    const auto arena = MappedArena::FromBytes(garbage->data(), size, garbage,
+                                              "garbage");
+    EXPECT_TRUE(arena.status().IsCorruption()) << arena.status().ToString();
+  }
 }
 
 // --- HubCache -------------------------------------------------------------------

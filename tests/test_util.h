@@ -7,13 +7,16 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "dspc/baseline/bfs_counting.h"
 #include "dspc/common/rng.h"
+#include "dspc/core/flat_spc_index.h"
 #include "dspc/core/spc_index.h"
 #include "dspc/graph/graph.h"
+#include "dspc/persist/snapshot_arena.h"
 
 namespace dspc {
 namespace testing {
@@ -51,6 +54,21 @@ inline std::string FreshDir(const std::string& name) {
   std::filesystem::remove_all(dir, ec);
   std::filesystem::create_directories(dir, ec);
   return dir.string();
+}
+
+/// Encodes `flat` as a snapshot arena image and validates it back — the
+/// on-disk image's round trip, in memory. Returns the adopted snapshot
+/// (a single shard viewing the image), or null after failing the test.
+inline std::shared_ptr<const FlatSpcIndex> ArenaRoundTrip(
+    const FlatSpcIndex& flat) {
+  auto image = std::make_shared<std::vector<uint8_t>>();
+  const Status encoded =
+      EncodeSnapshotArena(flat, /*generation=*/1, /*wal_seq=*/0, image.get());
+  EXPECT_TRUE(encoded.ok()) << encoded.ToString();
+  auto arena =
+      MappedArena::FromBytes(image->data(), image->size(), image, "test");
+  EXPECT_TRUE(arena.ok()) << arena.status().ToString();
+  return arena.ok() ? arena->snapshot() : nullptr;
 }
 
 /// Random simple graph on n vertices with ~m edges (exact if possible).
