@@ -1,7 +1,6 @@
 #include "dspc/common/binary_io.h"
 
 #include <array>
-#include <bit>
 #include <cstring>
 
 #ifdef __SSE4_2__
@@ -95,22 +94,6 @@ void BinaryWriter::Append(const void* data, size_t n) {
   buffer_.insert(buffer_.end(), p, p + n);
 }
 
-void BinaryWriter::PutU32Array(const uint32_t* data, size_t n) {
-  if constexpr (std::endian::native == std::endian::little) {
-    Append(data, n * sizeof(uint32_t));
-  } else {
-    for (size_t i = 0; i < n; ++i) PutU32(data[i]);
-  }
-}
-
-void BinaryWriter::PutU64Array(const uint64_t* data, size_t n) {
-  if constexpr (std::endian::native == std::endian::little) {
-    Append(data, n * sizeof(uint64_t));
-  } else {
-    for (size_t i = 0; i < n; ++i) PutU64(data[i]);
-  }
-}
-
 Status BinaryWriter::WriteToFile(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
@@ -196,34 +179,6 @@ uint64_t BinaryReader::GetU64() {
   const uint64_t lo = GetU32();
   const uint64_t hi = GetU32();
   return lo | (hi << 32);
-}
-
-bool BinaryReader::GetU32Array(uint32_t* out, size_t n) {
-  if (n > remaining() / sizeof(uint32_t) || !Ensure(n * sizeof(uint32_t))) {
-    ok_ = false;
-    return false;
-  }
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out, data_.data() + pos_, n * sizeof(uint32_t));
-    pos_ += n * sizeof(uint32_t);
-  } else {
-    for (size_t i = 0; i < n; ++i) out[i] = GetU32();
-  }
-  return true;
-}
-
-bool BinaryReader::GetU64Array(uint64_t* out, size_t n) {
-  if (n > remaining() / sizeof(uint64_t) || !Ensure(n * sizeof(uint64_t))) {
-    ok_ = false;
-    return false;
-  }
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out, data_.data() + pos_, n * sizeof(uint64_t));
-    pos_ += n * sizeof(uint64_t);
-  } else {
-    for (size_t i = 0; i < n; ++i) out[i] = GetU64();
-  }
-  return true;
 }
 
 bool BinaryReader::GetBytes(void* out, size_t n) {

@@ -35,10 +35,6 @@ class BinaryWriter {
   void PutString(const std::string& s);
   /// Raw bytes, no length prefix.
   void Append(const void* data, size_t n);
-  /// Bulk little-endian arrays, no length prefix: a single memcpy on
-  /// little-endian hosts.
-  void PutU32Array(const uint32_t* data, size_t n);
-  void PutU64Array(const uint64_t* data, size_t n);
 
   const std::vector<uint8_t>& buffer() const { return buffer_; }
   /// For encoders that fill a region in place (the snapshot arena).
@@ -66,10 +62,6 @@ class BinaryReader {
   uint32_t GetU32();
   uint64_t GetU64();
   std::string GetString();
-  /// Bulk counterparts of PutU32Array/PutU64Array; on failure the reader
-  /// flips into the failed state and `out` is untouched.
-  bool GetU32Array(uint32_t* out, size_t n);
-  bool GetU64Array(uint64_t* out, size_t n);
   /// Raw byte run (counterpart of Append); same failure contract.
   bool GetBytes(void* out, size_t n);
 

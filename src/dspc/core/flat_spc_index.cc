@@ -473,21 +473,15 @@ std::vector<SpcResult> FlatSpcIndex::QueryManyParallel(
 }
 
 SpcIndex FlatSpcIndex::Unpack() const {
-  SpcIndex index(*ordering_);
+  // Shards cover [0, n) in order; each stores sorted sets, self included.
+  std::vector<LabelSet> labels;
+  labels.reserve(num_vertices_);
   for (const auto& shard_ptr : shards_) {
-    const Shard& sh = *shard_ptr;
-    for (Vertex v = sh.begin; v < sh.end; ++v) {
-      const Rank self = ordering_->rank_of[v];
-      const size_t lv = v - sh.begin;
-      for (uint64_t i = sh.offsets[lv]; i < sh.offsets[lv + 1]; ++i) {
-        const LabelEntry e = EntryAt(sh, wide_mode_, i);
-        if (e.hub == self) continue;  // self label exists since construction
-        index.InsertLabel(v, e);
-      }
+    for (LabelSet& set : UnpackShardLabels(*shard_ptr, wide_mode_)) {
+      labels.push_back(std::move(set));
     }
   }
-  index.ClearTouched();
-  return index;
+  return SpcIndex(*ordering_, std::move(labels));
 }
 
 Status FlatSpcIndex::ValidateArena() const {

@@ -20,6 +20,8 @@ namespace {
 
 using internal::BfsScratch;
 using internal::PendingLabel;
+using internal::RankGraph;
+using internal::RankLabels;
 using internal::RunPrunedHubBfs;
 
 /// Frontier split granularity for the level-synchronous mode. Small enough
@@ -27,20 +29,20 @@ using internal::RunPrunedHubBfs;
 /// bookkeeping stays cheap.
 constexpr size_t kFrontierGrain = 128;
 
-/// Scratch for the intra-hub frontier mode: atomic distance/count arrays
-/// so concurrent expansions of one level can discover and accumulate into
-/// the next level without locks.
+/// Scratch for the intra-hub frontier mode, indexed by rank: atomic
+/// distance/count arrays so concurrent expansions of one level can
+/// discover and accumulate into the next level without locks.
 struct FrontierScratch {
   std::vector<std::atomic<Distance>> dist;
   std::vector<std::atomic<PathCount>> count;
-  std::vector<Vertex> frontier;
-  std::vector<Vertex> next;
-  std::vector<Vertex> touched;
+  std::vector<Rank> frontier;
+  std::vector<Rank> next;
+  std::vector<Rank> touched;
   HubCache cache;
   /// Per-grain output and next-frontier buffers, concatenated serially in
   /// grain order after each level so the result is schedule-independent.
   std::vector<std::vector<PendingLabel>> grain_out;
-  std::vector<std::vector<Vertex>> grain_next;
+  std::vector<std::vector<Rank>> grain_next;
 
   explicit FrontierScratch(size_t n) : dist(n), count(n), cache(n) {
     for (auto& d : dist) d.store(kInfDistance, std::memory_order_relaxed);
@@ -55,18 +57,16 @@ struct FrontierScratch {
 /// distance), and count accumulation is a sum of the same contributions in
 /// some order — addition mod 2^64 is commutative, so the totals match.
 /// Cross-level visibility rides on ParallelFor's fork/join rendezvous.
-void RunFrontierHubBfs(const Graph& graph, const VertexOrdering& order,
-                       const Rank h, const SpcIndex& index,
-                       FrontierScratch& ws, ThreadPool* pool,
-                       std::vector<PendingLabel>* out) {
+void RunFrontierHubBfs(const RankGraph& graph, const Rank h,
+                       const RankLabels& labels, FrontierScratch& ws,
+                       ThreadPool* pool, std::vector<PendingLabel>* out) {
   constexpr auto relaxed = std::memory_order_relaxed;
   out->clear();
-  const Vertex hv = order.vertex_of[h];
-  ws.cache.Load(index.Labels(hv));
-  ws.dist[hv].store(0, relaxed);
-  ws.count[hv].store(1, relaxed);
-  ws.frontier.assign(1, hv);
-  ws.touched.assign(1, hv);
+  ws.cache.Load(labels.HubDists(h));
+  ws.dist[h].store(0, relaxed);
+  ws.count[h].store(1, relaxed);
+  ws.frontier.assign(1, h);
+  ws.touched.assign(1, h);
   Distance level = 0;
   while (!ws.frontier.empty()) {
     const size_t fsize = ws.frontier.size();
@@ -77,20 +77,20 @@ void RunFrontierHubBfs(const Graph& graph, const VertexOrdering& order,
     }
     const auto expand = [&](size_t g) {
       std::vector<PendingLabel>& ob = ws.grain_out[g];
-      std::vector<Vertex>& nb = ws.grain_next[g];
+      std::vector<Rank>& nb = ws.grain_next[g];
       ob.clear();
       nb.clear();
       const size_t lo = g * kFrontierGrain;
       const size_t hi = std::min(fsize, lo + kFrontierGrain);
       for (size_t i = lo; i < hi; ++i) {
-        const Vertex v = ws.frontier[i];
+        const Rank v = ws.frontier[i];
         const PathCount cv = ws.count[v].load(relaxed);
-        if (v != hv) {
-          if (ws.cache.Covers(index.Labels(v), level)) continue;
+        if (v != h) {
+          if (ws.cache.Covers(labels.HubDists(v), level)) continue;
           ob.push_back({v, level, cv});
         }
-        for (const Vertex w : graph.Neighbors(v)) {
-          if (order.rank_of[w] <= h) continue;
+        for (const Rank w : graph.Neighbors(v)) {
+          if (w <= h) break;  // descending: the rest outrank or equal h
           Distance dw = ws.dist[w].load(relaxed);
           if (dw == kInfDistance &&
               ws.dist[w].compare_exchange_strong(dw, level + 1, relaxed)) {
@@ -117,7 +117,7 @@ void RunFrontierHubBfs(const Graph& graph, const VertexOrdering& order,
     std::swap(ws.frontier, ws.next);
     ++level;
   }
-  for (const Vertex v : ws.touched) {
+  for (const Rank v : ws.touched) {
     ws.dist[v].store(kInfDistance, relaxed);
     ws.count[v].store(0, relaxed);
   }
@@ -148,8 +148,8 @@ SpcIndex BuildSpcIndexParallel(const Graph& graph, VertexOrdering ordering,
     pool = owned.get();
   }
 
-  SpcIndex index(std::move(ordering));
-  const VertexOrdering& order = index.ordering();
+  const RankGraph rank_graph(graph, ordering);
+  RankLabels labels(n);
 
   const size_t window = options.rank_window != 0
                             ? options.rank_window
@@ -174,8 +174,7 @@ SpcIndex BuildSpcIndexParallel(const Graph& graph, VertexOrdering ordering,
   Rank h = 0;
   while (h < n) {
     if (frontier_phase) {
-      const Vertex hv = order.vertex_of[h];
-      if (graph.Degree(hv) == 0) {
+      if (rank_graph.Degree(h) == 0) {
         ++h;
         continue;
       }
@@ -183,10 +182,8 @@ SpcIndex BuildSpcIndexParallel(const Graph& graph, VertexOrdering ordering,
         frontier_ws = std::make_unique<FrontierScratch>(n);
       }
       std::vector<PendingLabel>& out = outs[0];
-      RunFrontierHubBfs(graph, order, h, index, *frontier_ws, pool, &out);
-      for (const PendingLabel& e : out) {
-        index.InsertLabel(e.v, LabelEntry{h, e.dist, e.count});
-      }
+      RunFrontierHubBfs(rank_graph, h, labels, *frontier_ws, pool, &out);
+      labels.Append(h, out);
       if (options.batch_strategy == BuildBatchStrategy::kAuto) {
         small_streak = out.size() <= small_tree ? small_streak + 1 : 0;
         if (small_streak >= 4) frontier_phase = false;
@@ -199,14 +196,14 @@ SpcIndex BuildSpcIndexParallel(const Graph& graph, VertexOrdering ordering,
     const Rank end = static_cast<Rank>(std::min<size_t>(n, h + window));
     const size_t batch = end - h;
     // Phase A: every hub in the window runs its pruned BFS against the
-    // prefix index completed by earlier windows, concurrently. Workers
-    // only read `index` (const) and write their own scratch + out buffer.
+    // prefix labels completed by earlier windows, concurrently. Workers
+    // only read `labels` (const) and write their own scratch + out buffer.
     pool->ParallelFor(threads, [&](size_t slot) {
       for (size_t k = slot; k < batch; k += threads) {
         const Rank hk = h + static_cast<Rank>(k);
         outs[k].clear();
-        if (graph.Degree(order.vertex_of[hk]) == 0) continue;
-        RunPrunedHubBfs(graph, order, hk, index, scratch[slot], &outs[k]);
+        if (rank_graph.Degree(hk) == 0) continue;
+        RunPrunedHubBfs(rank_graph, hk, labels, scratch[slot], &outs[k]);
       }
     });
     // Phase B: serial rank-ordered merge. A hub whose label set was
@@ -217,19 +214,18 @@ SpcIndex BuildSpcIndexParallel(const Graph& graph, VertexOrdering ordering,
     std::fill(suspect.begin(), suspect.begin() + batch, 0);
     for (size_t k = 0; k < batch; ++k) {
       const Rank hk = h + static_cast<Rank>(k);
-      if (graph.Degree(order.vertex_of[hk]) == 0) continue;
+      if (rank_graph.Degree(hk) == 0) continue;
       if (suspect[k]) {
-        RunPrunedHubBfs(graph, order, hk, index, scratch[0], &outs[k]);
+        RunPrunedHubBfs(rank_graph, hk, labels, scratch[0], &outs[k]);
       }
+      labels.Append(hk, outs[k]);
       for (const PendingLabel& e : outs[k]) {
-        index.InsertLabel(e.v, LabelEntry{hk, e.dist, e.count});
-        const Rank rv = order.rank_of[e.v];
-        if (rv < end) suspect[rv - h] = 1;  // rv > hk always holds
+        if (e.r < end) suspect[e.r - h] = 1;  // e.r > hk always holds
       }
     }
     h = end;
   }
-  return index;
+  return std::move(labels).ToIndex(std::move(ordering));
 }
 
 SpcIndex BuildSpcIndexParallel(const Graph& graph,

@@ -3,7 +3,7 @@
 // Two complementary forms of parallelism over `common/ThreadPool`:
 //
 //  1. Rank-window batching: a window of consecutive ranks runs its pruned
-//     BFSes concurrently, each pruning only against the index prefix
+//     BFSes concurrently, each pruning only against the labels
 //     completed by earlier windows. A serial rank-ordered merge then
 //     re-runs exactly the hubs whose batch-mates turned out to influence
 //     them (hub g influences hub h only if g's merged output labels h —
@@ -18,10 +18,18 @@
 //     accumulated with commutative fetch-adds — again exactly the
 //     sequential per-hub result.
 //
+// Both forms run over the sequential builder's rank-space state
+// (hp_spc.h): the graph relabelled by rank, read-only and shared by every
+// worker, and per-rank label columns appended in hub order. The rank
+// windows run the sequential builder's own per-hub BFS; the frontier mode
+// is its level-synchronous form over the same state. The SpcIndex is
+// materialised once, after the last hub.
+//
 // Either way the output satisfies SpcIndex::operator== against
 // BuildSpcIndex under the same ordering, for every thread count and
 // strategy, so arena images stay byte-identical and checkpoint
-// digests remain reproducible (tests/parallel_build_test.cc pins this).
+// digests remain reproducible (tests/parallel_build_test.cc pins this,
+// and HpSpcTest.LabelsMatchParentDigest pins both builders' labels).
 
 #ifndef DSPC_CORE_PARALLEL_BUILD_H_
 #define DSPC_CORE_PARALLEL_BUILD_H_

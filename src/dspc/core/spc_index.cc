@@ -44,6 +44,17 @@ SpcIndex::SpcIndex(VertexOrdering ordering) : ordering_(std::move(ordering)) {
   }
 }
 
+SpcIndex::SpcIndex(VertexOrdering ordering, std::vector<LabelSet> labels)
+    : ordering_(std::move(ordering)), labels_(std::move(labels)) {
+  hub_occurrences_.assign(ordering_.size(), 0);
+  touched_flag_.assign(ordering_.size(), 0);
+  for (Vertex v = 0; v < labels_.size(); ++v) {
+    for (const LabelEntry& e : labels_[v]) {
+      if (e.hub != ordering_.rank_of[v]) ++hub_occurrences_[e.hub];
+    }
+  }
+}
+
 void SpcIndex::ClearTouched() {
   for (const Vertex v : touched_) touched_flag_[v] = 0;
   touched_.clear();
@@ -184,15 +195,6 @@ Status SpcIndex::ValidateStructure() const {
 HubCache::HubCache(size_t n)
     : dist_(n, kInfDistance), count_(n, 0) {}
 
-void HubCache::Load(const LabelSet& labels) {
-  Clear();
-  for (const LabelEntry& e : labels) {
-    dist_[e.hub] = e.dist;
-    count_[e.hub] = e.count;
-    touched_.push_back(e.hub);
-  }
-}
-
 SpcResult HubCache::Query(const LabelSet& labels) const {
   SpcResult result;
   for (const LabelEntry& e : labels) {
@@ -201,18 +203,6 @@ SpcResult HubCache::Query(const LabelSet& labels) const {
     AccumulateMatch(dh, count_[e.hub], e.dist, e.count, &result);
   }
   return result;
-}
-
-bool HubCache::Covers(const LabelSet& labels, Distance bound,
-                      Rank below_rank) const {
-  for (const LabelEntry& e : labels) {
-    if (e.hub >= below_rank) break;  // labels sorted ascending by rank
-    const Distance dh = dist_[e.hub];
-    // The same uint32 sum AccumulateMatch forms: the minimum is below
-    // `bound` exactly when some term is.
-    if (dh != kInfDistance && dh + e.dist < bound) return true;
-  }
-  return false;
 }
 
 void HubCache::Clear() {

@@ -67,6 +67,11 @@ class SpcIndex {
   /// (rank(v), 0, 1); construction algorithms fill in the rest.
   explicit SpcIndex(VertexOrdering ordering);
 
+  /// Adopts finished label sets, labels[v] = L(v) sorted by hub with its
+  /// self label, as the builders and FlatSpcIndex::Unpack produce them.
+  /// Recomputes the hub occurrence counts; the touched set starts empty.
+  SpcIndex(VertexOrdering ordering, std::vector<LabelSet> labels);
+
   /// Number of vertices covered.
   size_t NumVertices() const { return labels_.size(); }
 
@@ -185,12 +190,26 @@ class SpcIndex {
 /// are n-sized but reset via a touched list, so Load+Clear cost O(|L(h)|).
 /// Every pruning test is Covers; Query is for the searches that need the
 /// count as well (DecSPC's SrrSEARCH).
+///
+/// Load and Covers take label sets of any entry type with `hub` and
+/// `dist` fields, sorted ascending by hub: LabelSet, and the HP-SPC
+/// builders' 8-byte (hub, dist) column (hp_spc.h).
 class HubCache {
  public:
   explicit HubCache(size_t n);
 
-  /// Loads every entry of `labels`. Replaces any previous load.
-  void Load(const LabelSet& labels);
+  /// Loads every entry of `labels`, and its count if the entry type has
+  /// one (Query needs counts, so it wants a LabelSet load). Replaces any
+  /// previous load.
+  template <typename Entry>
+  void Load(const std::vector<Entry>& labels) {
+    Clear();
+    for (const Entry& e : labels) {
+      dist_[e.hub] = e.dist;
+      if constexpr (requires { e.count; }) count_[e.hub] = e.count;
+      touched_.push_back(e.hub);
+    }
+  }
 
   /// SpcQUERY between the loaded label set and `labels` (Eq. 1 and 2).
   SpcResult Query(const LabelSet& labels) const;
@@ -198,10 +217,29 @@ class HubCache {
   /// The prune test: true iff some common hub ranked strictly higher than
   /// `below_rank` (rank(h) for PreQUERY, the default for SpcQUERY)
   /// certifies a distance below `bound` — the SpcQUERY/PreQUERY distance
-  /// compared with `bound`, but it stops at the first such hub and never
-  /// reads a count.
-  bool Covers(const LabelSet& labels, Distance bound,
-              Rank below_rank = kInvalidRank) const;
+  /// compared with `bound`, but it never reads a count. It tests blocks of
+  /// 8 entries without branches, OR-reduces each block and stops at the
+  /// first block with a hit; the entries left, fewer than 8 or in the
+  /// block that crosses `below_rank`, are tested one at a time.
+  template <typename Entry>
+  bool Covers(const std::vector<Entry>& labels, Distance bound,
+              Rank below_rank = kInvalidRank) const {
+    const Entry* p = labels.data();
+    const Entry* const end = p + labels.size();
+    // Hubs ascend, so a block whose last hub is above the cut lies wholly
+    // above it. Cutting block by block, not by a binary search up front,
+    // reads nothing beyond the block that holds the cut: DecSPC's cut is
+    // often a top hub, near the front of every set.
+    for (; end - p >= 8 && p[7].hub < below_rank; p += 8) {
+      bool hit = false;
+      for (int k = 0; k < 8; ++k) hit |= Certifies(p[k], bound);
+      if (hit) return true;
+    }
+    for (; p != end && p->hub < below_rank; ++p) {
+      if (Certifies(*p, bound)) return true;
+    }
+    return false;
+  }
 
   /// Distance recorded for hub rank r (kInfDistance if absent).
   Distance DistOf(Rank r) const { return dist_[r]; }
@@ -210,6 +248,16 @@ class HubCache {
   void Clear();
 
  private:
+  /// True iff `e`'s hub is loaded and the path through it is shorter than
+  /// `bound`. Evaluates both sides (no branch): the same uint32 sum
+  /// AccumulateMatch forms, so the minimum is below `bound` exactly when
+  /// some term is; with an unloaded hub the wrapped sum is masked off.
+  template <typename Entry>
+  bool Certifies(const Entry& e, Distance bound) const {
+    const Distance dh = dist_[e.hub];
+    return (dh != kInfDistance) & (dh + e.dist < bound);
+  }
+
   std::vector<Distance> dist_;
   std::vector<PathCount> count_;
   std::vector<Rank> touched_;

@@ -329,39 +329,6 @@ TEST(BinaryIoTest, OverrunFlagsFailure) {
   EXPECT_FALSE(r.AtEnd());
 }
 
-TEST(BinaryIoTest, BulkArrayRoundTrip) {
-  const std::vector<uint32_t> u32s = {0, 1, 0xDEADBEEF, 0xFFFFFFFF};
-  const std::vector<uint64_t> u64s = {0, 42, 0x0123456789ABCDEFULL,
-                                      ~0ULL};
-  BinaryWriter w;
-  w.PutU32Array(u32s.data(), u32s.size());
-  w.PutU64Array(u64s.data(), u64s.size());
-  // Bulk writes are bit-identical to the scalar encoders.
-  BinaryWriter scalar;
-  for (const uint32_t v : u32s) scalar.PutU32(v);
-  for (const uint64_t v : u64s) scalar.PutU64(v);
-  EXPECT_EQ(w.buffer(), scalar.buffer());
-
-  BinaryReader r(w.buffer());
-  std::vector<uint32_t> got32(u32s.size());
-  std::vector<uint64_t> got64(u64s.size());
-  ASSERT_TRUE(r.GetU32Array(got32.data(), got32.size()));
-  ASSERT_TRUE(r.GetU64Array(got64.data(), got64.size()));
-  EXPECT_EQ(got32, u32s);
-  EXPECT_EQ(got64, u64s);
-  EXPECT_TRUE(r.AtEnd());
-}
-
-TEST(BinaryIoTest, BulkArrayOverrunFails) {
-  BinaryReader r(std::vector<uint8_t>(12, 0));
-  uint64_t out[2];
-  EXPECT_FALSE(r.GetU64Array(out, 2));  // needs 16 bytes, only 12
-  EXPECT_FALSE(r.status().ok());
-  // A huge count must fail cleanly instead of overflowing the size math.
-  BinaryReader r2(std::vector<uint8_t>(8, 0));
-  EXPECT_FALSE(r2.GetU64Array(out, ~size_t{0} / 2));
-}
-
 // --- ThreadPool -------------------------------------------------------------
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexExactlyOnce) {

@@ -5,14 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
+#include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dspc/baseline/bfs_counting.h"
 #include "dspc/core/directed_spc.h"
 #include "dspc/core/dynamic_spc.h"
 #include "dspc/core/hp_spc.h"
+#include "dspc/core/parallel_build.h"
 #include "dspc/core/weighted_spc.h"
 #include "dspc/graph/digraph.h"
 #include "dspc/graph/generators.h"
@@ -180,6 +185,137 @@ TEST(HpSpcTest, RebuildIdempotent) {
   const SpcIndex a = BuildSpcIndex(g);
   const SpcIndex b = BuildSpcIndex(g);
   EXPECT_TRUE(a == b);
+}
+
+// --- Pinned label digests --------------------------------------------------
+//
+// Both builders run one pruned BFS, so comparing them with each other
+// cannot catch a label that moves in both. These digests come from an
+// independent implementation: the vertex-space builder that the rank-space
+// one replaced. Any label that moves changes them.
+
+/// FNV-1a-64 over (v, hub, dist, count) of every entry of every L(v), in
+/// vertex order, each field little-endian at its own width.
+uint64_t LabelDigest(const SpcIndex& index) {
+  uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](uint64_t x, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (Vertex v = 0; v < index.NumVertices(); ++v) {
+    for (const LabelEntry& e : index.Labels(v)) {
+      mix(v, 4);
+      mix(e.hub, 4);
+      mix(e.dist, 4);
+      mix(e.count, 8);
+    }
+  }
+  return h;
+}
+
+/// Two components plus isolated vertices, under an explicit ordering that
+/// scrambles the ids and puts isolated vertex 17 at rank 0.
+std::pair<Graph, VertexOrdering> TwoComponentsWithIsolated() {
+  constexpr size_t kN = 40;
+  Graph g(kN);
+  for (Vertex v = 1; v < 15; ++v) g.AddEdge(v, v + 1);  // path 1..15
+  g.AddEdge(15, 1);                                     // closes a cycle
+  g.AddEdge(3, 9);
+  g.AddEdge(5, 12);
+  const Graph grid = GenerateGrid(4, 4);  // 20..35
+  for (const Edge& e : grid.Edges()) {
+    g.AddEdge(static_cast<Vertex>(20 + e.u), static_cast<Vertex>(20 + e.v));
+  }
+  g.AddEdge(20, 35);
+  // Isolated: 0, 16..19, 36..39.
+  VertexOrdering order;
+  order.vertex_of.push_back(17);
+  for (size_t i = 0; i < kN; ++i) {
+    const auto v = static_cast<Vertex>((13 * i + 5) % kN);
+    if (v != 17) order.vertex_of.push_back(v);
+  }
+  order.rank_of.assign(kN, 0);
+  for (Rank r = 0; r < kN; ++r) order.rank_of[order.vertex_of[r]] = r;
+  return {std::move(g), std::move(order)};
+}
+
+TEST(HpSpcTest, LabelsMatchParentDigest) {
+  struct Case {
+    const char* name;
+    Graph graph;
+    VertexOrdering order;
+    uint64_t digest;
+  };
+  std::vector<Case> cases;
+  {
+    Graph g = GenerateRmat(12, 16384, 7001);
+    VertexOrdering order = BuildOrdering(g, OrderingOptions{});
+    cases.push_back({"rmat12/degree", std::move(g), std::move(order),
+                     0xc76dbe8c1d1c9ea8ULL});
+  }
+  {
+    Graph g = GenerateBarabasiAlbert(400, 3, 11);
+    OrderingOptions random;
+    random.strategy = OrderingStrategy::kRandom;
+    random.seed = 99;
+    VertexOrdering order = BuildOrdering(g, random);
+    cases.push_back(
+        {"ba/random", std::move(g), std::move(order), 0x3e1c32b65450a505ULL});
+  }
+  {
+    auto [g, order] = TwoComponentsWithIsolated();
+    ASSERT_TRUE(order.IsValid());
+    ASSERT_EQ(g.Degree(order.vertex_of[0]), 0u);
+    cases.push_back(
+        {"isolated/explicit", std::move(g), std::move(order),
+         0xd0b2e4d32b4be257ULL});
+  }
+  for (const Case& c : cases) {
+    const SpcIndex seq = BuildSpcIndex(c.graph, c.order);
+    ASSERT_TRUE(seq.ValidateStructure().ok()) << c.name;
+    EXPECT_EQ(LabelDigest(seq), c.digest)
+        << c.name << ": 0x" << std::hex << LabelDigest(seq);
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      for (const BuildBatchStrategy strategy :
+           {BuildBatchStrategy::kAuto, BuildBatchStrategy::kRankWindow,
+            BuildBatchStrategy::kFrontier}) {
+        ParallelBuildOptions opts;
+        opts.threads = threads;
+        opts.batch_strategy = strategy;
+        EXPECT_EQ(LabelDigest(BuildSpcIndexParallel(c.graph, c.order, opts)),
+                  c.digest)
+            << c.name << " threads=" << threads
+            << " strategy=" << static_cast<int>(strategy);
+      }
+    }
+  }
+}
+
+TEST(HpSpcTest, RankGraphIsThePermutedGraphSortedDescending) {
+  auto [g, order] = TwoComponentsWithIsolated();
+  const internal::RankGraph rg(g, order);
+  ASSERT_EQ(rg.NumVertices(), g.NumVertices());
+  size_t slots = 0;
+  for (Rank r = 0; r < rg.NumVertices(); ++r) {
+    const Vertex v = order.vertex_of[r];
+    const std::span<const Rank> adj = rg.Neighbors(r);
+    ASSERT_EQ(rg.Degree(r), g.Degree(v)) << "r=" << r;
+    ASSERT_EQ(adj.size(), g.Degree(v)) << "r=" << r;
+    EXPECT_TRUE(std::is_sorted(adj.begin(), adj.end(), std::greater<Rank>()))
+        << "r=" << r;
+    for (const Rank w : adj) {
+      EXPECT_TRUE(g.HasEdge(v, order.vertex_of[w])) << "r=" << r << " w=" << w;
+    }
+    if (g.Degree(v) == 0) {
+      EXPECT_TRUE(adj.empty()) << "isolated r=" << r;
+    }
+    slots += adj.size();
+  }
+  EXPECT_EQ(slots, 2 * g.NumEdges());
+  EXPECT_TRUE(rg.Neighbors(0).empty());  // vertex 17, isolated, at rank 0
+  EXPECT_EQ(internal::RankGraph(Graph(0), VertexOrdering{}).NumVertices(), 0u);
 }
 
 // --- Pinned work counters --------------------------------------------------

@@ -315,6 +315,50 @@ TEST(HubCacheTest, CoversMatchesQueryAtEveryBound) {
   }
 }
 
+// Covers tests blocks of 8 entries without branches, then the tail: a
+// certifying hub at every position of sets of every length up to 3 blocks
+// plus a tail, read as LabelSet and as the builders' (hub, dist) column,
+// under every cut, against a one-entry reference.
+template <typename Entry>
+void ExpectBlockedCoversMatchesReference() {
+  constexpr size_t kN = 64;
+  HubCache cache(kN);
+  for (size_t size = 0; size <= 27; ++size) {
+    std::vector<Entry> labels;
+    for (size_t i = 0; i < size; ++i) {
+      Entry e{};
+      e.hub = static_cast<Rank>(2 * i);
+      e.dist = static_cast<Distance>(1 + i % 5);
+      labels.push_back(e);
+    }
+    // Nothing loaded: an unloaded hub's dist is kInfDistance, and its sum
+    // with e.dist wraps below kInfDistance; the mask must reject it.
+    cache.Clear();
+    EXPECT_FALSE(cache.Covers(labels, kInfDistance)) << "size=" << size;
+    for (size_t p = 0; p < size; ++p) {
+      Entry loaded{};
+      loaded.hub = static_cast<Rank>(2 * p);
+      loaded.dist = 3;
+      cache.Load(std::vector<Entry>{loaded});
+      const Distance through = 3 + labels[p].dist;
+      for (const Rank cut : {kInvalidRank, Rank{0}, loaded.hub,
+                             loaded.hub + 1, static_cast<Rank>(2 * size)}) {
+        for (Distance bound = 0; bound <= 10; ++bound) {
+          const bool expect = loaded.hub < cut && through < bound;
+          ASSERT_EQ(cache.Covers(labels, bound, cut), expect)
+              << "size=" << size << " p=" << p << " cut=" << cut
+              << " bound=" << bound;
+        }
+      }
+    }
+  }
+}
+
+TEST(HubCacheTest, BlockedScanMatchesReferenceForEveryEntryType) {
+  ExpectBlockedCoversMatchesReference<LabelEntry>();
+  ExpectBlockedCoversMatchesReference<internal::HubDist>();
+}
+
 TEST(HubCacheTest, ReloadClearsPreviousHub) {
   SpcIndex index(IdentityOrdering(3));
   index.InsertLabel(2, LabelEntry{0, 1, 1});
