@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <utility>
 
 #include "dspc/persist/snapshot_arena.h"
@@ -10,19 +9,6 @@
 namespace dspc {
 
 namespace {
-
-[[gnu::cold, gnu::noinline]] Status BadVertex(const char* what, Vertex v,
-                                              size_t n) {
-  return Status::InvalidArgument(std::string(what) + " vertex id " +
-                                 std::to_string(v) + " outside [0, " +
-                                 std::to_string(n) + ")");
-}
-
-[[gnu::cold, gnu::noinline]] Status NoLiveIndex() {
-  return Status::NotSupported(
-      "kFresh is not servable by a mapped reader (no live index in this "
-      "process); use kSnapshot or kBoundedStaleness");
-}
 
 uint64_t SelfPid() { return static_cast<uint64_t>(::getpid()); }
 
@@ -146,122 +132,79 @@ Status MappedReaderService::RefreshLocked() const {
   return last;
 }
 
-Status MappedReaderService::RouteMapped(
-    const ReadOptions& options, std::shared_ptr<const Adopted>* cur,
-    uint64_t* staleness) const {
-  switch (options.consistency) {
-    case Consistency::kFresh:
-      metrics_.RecordRejected(Status::Code::kNotSupported);
-      return NoLiveIndex();
-
-    case Consistency::kSnapshot: {
-      // No I/O: serve the mapping, report lag against the publisher
-      // generation last observed. The served generation is exact; the
-      // staleness can understate between polls — never overstate
-      // freshness of the *answer*, which is pinned to (*cur)->generation.
-      if ((*cur)->generation < options.min_generation) {
-        metrics_.RecordRejected(Status::Code::kUnavailable);
-        return Status::Unavailable(
-            "mapped snapshot at generation " +
-            std::to_string((*cur)->generation) +
-            " is older than min_generation " +
-            std::to_string(options.min_generation) +
-            " (kSnapshot never remaps inline; Refresh() and retry)");
-      }
-      const uint64_t pub = PublisherGeneration();
-      *staleness =
-          pub > (*cur)->generation ? pub - (*cur)->generation : 0;
-      return Status::OK();
+Status MappedReaderService::Admit(const ReadOptions& options,
+                                  std::shared_ptr<const Adopted>* cur,
+                                  ReadDecision* decision) const {
+  // kSnapshot does no I/O; a bounded answer must hold against the
+  // *current* publisher generation, so that mode re-reads PUBSTATE.
+  uint64_t tip = PublisherGeneration();
+  if (options.consistency == Consistency::kBoundedStaleness) {
+    auto state = ReadPubState(fs_, dir_);
+    if (!state.ok()) {
+      metrics_.RecordRejected(Status::Code::kUnavailable);
+      return Status::Unavailable("cannot establish the staleness bound: " +
+                                 state.status().message());
     }
-
-    case Consistency::kBoundedStaleness: {
-      // The bound must hold against the *current* publisher generation,
-      // so the manifest is re-read — a bounded answer is never issued
-      // off a stale cached bound.
-      auto state = ReadPubState(fs_, dir_);
-      if (!state.ok()) {
-        metrics_.RecordRejected(Status::Code::kUnavailable);
-        return Status::Unavailable(
-            "cannot establish the staleness bound: " +
-            state.status().message());
-      }
-      publisher_generation_.store(state->generation,
-                                  std::memory_order_relaxed);
-      const uint64_t pub = state->generation;
-      auto behind = [&](const Adopted& a) {
-        return a.generation < options.min_generation ||
-               (pub > a.generation && pub - a.generation > options.max_lag);
-      };
-      if (behind(**cur)) {
-        // One inline adoption attempt — the closest a reader gets to
-        // SpcService's escalate-to-live.
-        (void)RefreshNow();
-        *cur = Current();
-        if (behind(**cur)) {
-          metrics_.RecordRejected(Status::Code::kUnavailable);
-          return Status::Unavailable(
-              "mapped snapshot at generation " +
-              std::to_string((*cur)->generation) +
-              " cannot satisfy max_lag " + std::to_string(options.max_lag) +
-              " / min_generation " + std::to_string(options.min_generation) +
-              " against publisher generation " + std::to_string(pub));
-        }
-      }
-      *staleness =
-          pub > (*cur)->generation ? pub - (*cur)->generation : 0;
-      return Status::OK();
-    }
+    publisher_generation_.store(state->generation,
+                                std::memory_order_relaxed);
+    tip = state->generation;
   }
-  return Status::InvalidArgument("unknown consistency mode");
+  ReadView view{.tip = tip,
+                .token_ceiling = kNoTokenCeiling,
+                .live = std::nullopt,
+                .snapshots = true,
+                .snapshot = (*cur)->generation};
+  *decision = AdmitRead(options, view);
+  if (decision->code == Status::Code::kUnavailable &&
+      options.consistency == Consistency::kBoundedStaleness) {
+    // One inline adoption attempt — the closest a reader gets to
+    // SpcService's escalate-to-live.
+    (void)RefreshNow();
+    *cur = Current();
+    view.snapshot = (*cur)->generation;
+    *decision = AdmitRead(options, view);
+  }
+  if (!decision->ok()) {
+    metrics_.RecordRejected(decision->code);
+    return RefuseRead(options, view, decision->code);
+  }
+  return Status::OK();
 }
 
 StatusOr<QueryResponse> MappedReaderService::Query(
     Vertex s, Vertex t, const ReadOptions& options) const {
   std::shared_ptr<const Adopted> cur = Current();
-  const size_t n = cur->index->NumVertices();
-  if (static_cast<size_t>(s) >= n || static_cast<size_t>(t) >= n)
-      [[unlikely]] {
+  const VertexPair pair{s, t};
+  if (Status st = ValidatePairs({&pair, 1}, cur->index->NumVertices());
+      !st.ok()) [[unlikely]] {
     metrics_.RecordRejected(Status::Code::kInvalidArgument);
-    return BadVertex(static_cast<size_t>(s) >= n ? "source" : "target",
-                     static_cast<size_t>(s) >= n ? s : t, n);
-  }
-  uint64_t staleness = 0;
-  if (Status st = RouteMapped(options, &cur, &staleness); !st.ok()) {
     return st;
   }
-  metrics_.RecordRead(options.consistency, ServedFrom::kSnapshot, staleness,
-                      1, false);
+  ReadDecision decision;
+  if (Status st = Admit(options, &cur, &decision); !st.ok()) return st;
+  metrics_.RecordRead(options.consistency, ServedFrom::kSnapshot,
+                      decision.staleness, 1, false);
   return StatusOr<QueryResponse>(std::in_place, cur->index->Query(s, t),
-                                 cur->generation, staleness,
+                                 cur->generation, decision.staleness,
                                  ServedFrom::kSnapshot);
 }
 
 StatusOr<BatchQueryResponse> MappedReaderService::QueryBatch(
     std::span<const VertexPair> pairs, const ReadOptions& options) const {
   std::shared_ptr<const Adopted> cur = Current();
-  const size_t n = cur->index->NumVertices();
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const auto [s, t] = pairs[i];
-    if (static_cast<size_t>(s) >= n || static_cast<size_t>(t) >= n) {
-      metrics_.RecordRejected(Status::Code::kInvalidArgument);
-      const Status bad =
-          BadVertex(static_cast<size_t>(s) >= n ? "source" : "target",
-                    static_cast<size_t>(s) >= n ? s : t, n);
-      return Status::InvalidArgument("pair " + std::to_string(i) + ": " +
-                                     bad.message());
-    }
-  }
-  uint64_t staleness = 0;
-  if (Status st = RouteMapped(options, &cur, &staleness); !st.ok()) {
+  if (Status st = ValidatePairs(pairs, cur->index->NumVertices()); !st.ok()) {
+    metrics_.RecordRejected(Status::Code::kInvalidArgument);
     return st;
   }
+  ReadDecision decision;
+  if (Status st = Admit(options, &cur, &decision); !st.ok()) return st;
   StatusOr<BatchQueryResponse> out(std::in_place);
   out->results = cur->index->QueryManyParallel(pairs, options.threads);
   out->generation = cur->generation;
-  out->staleness = staleness;
+  out->staleness = decision.staleness;
   out->served_from = ServedFrom::kSnapshot;
-  metrics_.RecordRead(options.consistency, ServedFrom::kSnapshot, staleness,
-                      pairs.size(), true);
+  metrics_.RecordRead(options.consistency, ServedFrom::kSnapshot,
+                      decision.staleness, pairs.size(), true);
   return out;
 }
 

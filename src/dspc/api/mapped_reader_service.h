@@ -21,21 +21,11 @@
 // regardless: a posix mapping survives unlink, and published arenas are
 // never truncated in place.
 //
-// Consistency lattice (api/spc_service.h), honestly reported:
-//
-//   kFresh             kNotSupported — there is no live index here.
-//   kSnapshot          serves the adopted mapping without any I/O;
-//                      staleness is computed against the publisher
-//                      generation last observed (adoption or poll), so
-//                      it can understate between polls but the served
-//                      generation is always exact. A min_generation the
-//                      mapping has not reached is refused (kUnavailable)
-//                      — kSnapshot never blocks, and remapping is I/O.
-//   kBoundedStaleness  re-reads PUBSTATE for the *current* publisher
-//                      generation, attempts one inline Refresh() if the
-//                      mapping is out of bounds, and refuses with
-//                      kUnavailable if still behind — a bounded answer
-//                      is never fabricated from a stale bound.
+// Consistency lattice: the one admission rule (DESIGN.md §9) with the
+// publisher generation as the tip and no live index. kSnapshot does no
+// I/O, so its staleness can understate between polls (the served
+// generation is always exact); kBoundedStaleness re-reads PUBSTATE and
+// gets one inline Refresh() before it refuses.
 //
 // Thread-safety: all methods may be called concurrently; Refresh() and
 // the optional poll thread serialize among themselves and never block
@@ -158,11 +148,11 @@ class MappedReaderService {
   /// advance past the adopted generation.
   Status RefreshLocked() const;
 
-  /// Shared mode routing for Query/QueryBatch: on OK, *cur is the
-  /// snapshot to serve and *staleness its honest lag. Counts rejections.
-  Status RouteMapped(const ReadOptions& options,
-                     std::shared_ptr<const Adopted>* cur,
-                     uint64_t* staleness) const;
+  /// Asks AdmitRead about `*cur` (see the file comment); an inline
+  /// Refresh() may update *cur. Records refusals.
+  Status Admit(const ReadOptions& options,
+               std::shared_ptr<const Adopted>* cur,
+               ReadDecision* decision) const;
 
   void PollLoop();
 

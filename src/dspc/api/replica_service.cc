@@ -325,94 +325,31 @@ bool ReplicaService::Promoted() const {
   return promoted_;
 }
 
+// Reads run the inner service's admission with the primary's durable
+// generation as the tip (file comment).
 StatusOr<QueryResponse> ReplicaService::Query(
     Vertex s, Vertex t, const ReadOptions& options) const {
-  const uint64_t applied = applied_.load(std::memory_order_acquire);
-  const uint64_t primary =
-      std::max(primary_durable_.load(std::memory_order_acquire), applied);
-  ReadOptions inner_options = options;
-  if (Status st = AdmitRead(options, applied, primary, &inner_options);
-      !st.ok()) {
-    return st;
-  }
-  auto resp = Inner()->Query(s, t, inner_options);
-  if (!resp.ok()) return resp;
-  // Staleness on a replica counts from the PRIMARY's durably-acked
-  // generation, not from the replica's own tail — the number a freshness
-  // SLO actually cares about.
-  resp->staleness =
-      primary > resp->generation ? primary - resp->generation : 0;
-  return resp;
+  if (Status st = Health(); !st.ok()) return st;
+  return Inner()->Query(s, t, options, PrimaryDurableGeneration());
 }
 
 StatusOr<BatchQueryResponse> ReplicaService::QueryBatch(
     std::span<const VertexPair> pairs, const ReadOptions& options) const {
-  const uint64_t applied = applied_.load(std::memory_order_acquire);
-  const uint64_t primary =
-      std::max(primary_durable_.load(std::memory_order_acquire), applied);
-  ReadOptions inner_options = options;
-  if (Status st = AdmitRead(options, applied, primary, &inner_options);
-      !st.ok()) {
-    return st;
-  }
-  auto resp = Inner()->QueryBatch(pairs, inner_options);
-  if (!resp.ok()) return resp;
-  resp->staleness =
-      primary > resp->generation ? primary - resp->generation : 0;
-  return resp;
-}
-
-Status ReplicaService::AdmitRead(const ReadOptions& options, uint64_t applied,
-                                 uint64_t primary,
-                                 ReadOptions* inner_options) const {
   if (Status st = Health(); !st.ok()) return st;
-  if (options.min_generation > applied) {
-    // The primary issued this token but the replica has not applied that
-    // far yet — refuse instead of serving an answer the token disproves.
-    metrics_.RecordRejected(Status::Code::kUnavailable);
-    return Status::Unavailable(
-        "replica applied through generation " + std::to_string(applied) +
-        ", which trails min_generation " +
-        std::to_string(options.min_generation) +
-        "; retry, or read the primary");
-  }
-  if (options.consistency == Consistency::kBoundedStaleness) {
-    const uint64_t floor =
-        primary > options.max_lag ? primary - options.max_lag : 0;
-    if (applied < floor) {
-      metrics_.RecordRejected(Status::Code::kUnavailable);
-      return Status::Unavailable(
-          "replica too stale for max_lag " + std::to_string(options.max_lag) +
-          ": applied generation " + std::to_string(applied) +
-          " trails the primary's durably-acked " + std::to_string(primary));
-    }
-    // Map the primary-relative bound onto the inner engine, which sits
-    // at `applied`: its snapshot may trail by at most applied - floor
-    // before the caller's global bound is violated.
-    inner_options->max_lag = applied - floor;
-    inner_options->min_generation = std::max(options.min_generation, floor);
-  }
-  return Status::OK();
+  return Inner()->QueryBatch(pairs, options, PrimaryDurableGeneration());
 }
 
 MetricsSnapshot ReplicaService::Metrics() const {
   MetricsSnapshot snap = Inner()->Metrics();
   const MetricsSnapshot own = metrics_.Snapshot();
-  // The inner engine's rejection counters miss the replica's own
-  // admission layer; fold it in.
-  snap.rejected_invalid_argument += own.rejected_invalid_argument;
-  snap.rejected_unavailable += own.rejected_unavailable;
-  snap.rejected_not_supported += own.rejected_not_supported;
   snap.repl_ops_applied = own.repl_ops_applied;
   snap.repl_reconnects = own.repl_reconnects;
   snap.repl_backoff_sleeps = own.repl_backoff_sleeps;
   snap.repl_rebootstraps = own.repl_rebootstraps;
   snap.repl_failovers = own.repl_failovers;
   const uint64_t applied = applied_.load(std::memory_order_acquire);
-  const uint64_t primary =
-      std::max(primary_durable_.load(std::memory_order_acquire), applied);
   snap.replica_applied_generation = applied;
-  snap.replica_lag = primary - applied;
+  snap.replica_lag = PrimaryDurableGeneration() - applied;
   return snap;
 }
 

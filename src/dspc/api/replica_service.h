@@ -11,16 +11,11 @@
 // recovery would reconstruct: generation-exact, never reflecting a write
 // the primary has not durably acked.
 //
-// Honesty is the contract of the read surface:
-//   - every response's `generation` is the replica's applied generation
-//     (or an older snapshot's, under kSnapshot), and `staleness` is
-//     rewritten to count generations behind the PRIMARY's durably-acked
-//     generation — not behind the replica's own tail;
-//   - kBoundedStaleness{max_lag} is enforced against that primary
-//     generation: a replica more than max_lag behind refuses the read
-//     (kUnavailable) instead of serving it and lying about freshness;
-//   - min_generation (read-your-writes tokens minted by the primary)
-//     refuses with kUnavailable until the replica has applied that far.
+// Honesty is the contract of the read surface: reads run the one
+// admission rule (DESIGN.md §9) with the PRIMARY's durably-acked
+// generation as the tip, so `staleness` — in responses and Metrics()
+// alike — counts from the primary, and a bound the replica cannot prove
+// is refused with kUnavailable instead of served.
 //
 // Robustness: every transport fault is retried with capped exponential
 // backoff + jitter; falling behind the store's retention horizon (the
@@ -146,7 +141,8 @@ class ReplicaService {
   /// The inner engine's metrics plus this replica's replication
   /// counters, with `replica_applied_generation` / `replica_lag` gauges
   /// filled in. A re-bootstrap swaps the inner engine, so engine-side
-  /// counters restart from zero; the replication counters are cumulative.
+  /// counters — reads and refusals included — restart from zero; the
+  /// replication counters are cumulative.
   MetricsSnapshot Metrics() const;
 
   // --- failover -----------------------------------------------------------
@@ -182,12 +178,6 @@ class ReplicaService {
   /// step_mu_.
   Status ApplyWindowLocked(std::vector<WalRecord> records);
 
-  /// Read admission: sticky-health check, min_generation floor, and the
-  /// kBoundedStaleness primary-relative bound; on OK, *inner_options is
-  /// the options to forward to the inner engine.
-  Status AdmitRead(const ReadOptions& options, uint64_t applied,
-                   uint64_t primary, ReadOptions* inner_options) const;
-
   std::shared_ptr<SpcService> Inner() const;
   void TailLoop();
 
@@ -218,8 +208,8 @@ class ReplicaService {
   std::atomic<uint64_t> primary_durable_{0};
 
   /// Replica-side replication counters (ops applied, reconnects,
-  /// backoffs, re-bootstraps, failovers) and read-refusal counts for the
-  /// replica's own admission layer; merged into Metrics().
+  /// backoffs, re-bootstraps, failovers); merged into Metrics(). Reads
+  /// and their refusals are counted by the inner service.
   mutable ServiceMetrics metrics_;
 
   // Background tailer.

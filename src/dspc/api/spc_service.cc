@@ -21,22 +21,7 @@ static_assert(static_cast<size_t>(Consistency::kFresh) == 0 &&
 namespace {
 
 // Error construction is kept out of line (and out of the serving hot
-// path): admission failures build strings, served requests never do.
-[[gnu::cold, gnu::noinline]] Status BadVertex(const char* what, Vertex v,
-                                              size_t n) {
-  return Status::InvalidArgument(std::string(what) + " vertex id " +
-                                 std::to_string(v) + " outside [0, " +
-                                 std::to_string(n) + ")");
-}
-
-[[gnu::cold, gnu::noinline]] Status FutureMinGeneration(uint64_t min_gen,
-                                                        uint64_t gen) {
-  return Status::InvalidArgument(
-      "min_generation " + std::to_string(min_gen) +
-      " exceeds the current generation " + std::to_string(gen) +
-      " — not a token issued by this service");
-}
-
+// path): refusals build strings, served requests never do.
 [[gnu::cold, gnu::noinline]] Status LiveReadDeadlineExceeded() {
   return Status::DeadlineExceeded(
       "live-index read could not acquire the lock before the deadline "
@@ -294,131 +279,103 @@ Status SpcService::ValidateVertex(Vertex v, const char* what) const {
   const size_t n = engine_.NumVertices();
   if (static_cast<size_t>(v) < n) return Status::OK();
   metrics_.RecordRejected(Status::Code::kInvalidArgument);
-  return BadVertex(what, v, n);
-}
-
-/// The kSnapshot case of RouteRead, out of line: it is the only mode
-/// with refusal (kUnavailable) outcomes, and keeping it out of RouteRead
-/// keeps the kFresh/kBoundedStaleness hot path small enough to inline.
-Status SpcService::RouteSnapshotRead(const ReadOptions& options,
-                                     size_t queries, Vertex max_vertex,
-                                     uint64_t gen,
-                                     SnapshotManager::Pinned* pin) const {
-  // With snapshots disabled no publish can ever happen: that is a
-  // configuration error, not a transient one — kUnavailable would invite
-  // a retry loop that can never succeed.
-  if (!engine_.options().snapshot.enabled) {
-    return Status::NotSupported(
-        "kSnapshot reads need snapshots enabled on this service "
-        "(SnapshotOptions::enabled)");
-  }
-  // Never block: pin whatever is published. Under kBackground the pin
-  // still charges the staleness budget so the worker keeps the snapshot
-  // converging even for pure-snapshot workloads; under kSync/kManual
-  // Acquire could rebuild inline or withhold a stale pin, so take the
-  // raw (free) pin instead.
-  const bool background =
-      engine_.snapshots()->policy() == RefreshPolicy::kBackground;
-  *pin = background ? engine_.AcquireSnapshot(gen, queries)
-                    : engine_.PinSnapshot();
-  if (!*pin) {
-    // Under kSync/kManual nothing publishes until some other traffic does
-    // (a budget-crossing kFresh read, or an explicit refresh), so a pure
-    // kSnapshot client must warm the snapshot once — say so instead of
-    // inviting a blind retry.
-    return Status::Unavailable(
-        "kSnapshot read with no published snapshot; warm one with "
-        "WaitForSnapshot({Generation()}) first (under kSync, kFresh "
-        "traffic also publishes eventually)");
-  }
-  if (pin->generation < options.min_generation) {
-    return Status::Unavailable(
-        "published snapshot at generation " +
-        std::to_string(pin->generation) + " trails min_generation " +
-        std::to_string(options.min_generation) +
-        "; retry, WaitForSnapshot, or relax to kFresh");
-  }
-  if (max_vertex >= (*pin)->NumVertices()) {
-    return Status::Unavailable(
-        "published snapshot predates vertex " + std::to_string(max_vertex) +
-        "; retry after the next refresh or relax to kFresh");
-  }
-  engine_.YieldForMaintenance(gen, pin->generation);
-  return Status::OK();
+  return Status::InvalidArgument(std::string(what) + " vertex id " +
+                                 std::to_string(v) + " outside [0, " +
+                                 std::to_string(n) + ")");
 }
 
 Status SpcService::RouteRead(const ReadOptions& options, size_t queries,
-                             Vertex max_vertex, uint64_t* generation,
+                             Vertex max_vertex, std::optional<uint64_t> tip,
+                             ReadDecision* decision,
                              SnapshotManager::Pinned* pin) const {
   const uint64_t gen = engine_.Generation();
-  *generation = gen;
-  if (options.min_generation > gen) [[unlikely]] {
-    metrics_.RecordRejected(Status::Code::kInvalidArgument);
-    return FutureMinGeneration(options.min_generation, gen);
+  ReadView view{.tip = tip.value_or(gen),
+                .token_ceiling = tip ? kNoTokenCeiling : gen,
+                .live = gen,
+                .snapshots = engine_.options().snapshot.enabled,
+                .snapshot = std::nullopt};
+  // Pinning has side effects (it charges the staleness budget, and under
+  // kSync may rebuild inline), so a read no snapshot could admit is
+  // refused before it pins.
+  if (const Status::Code code = PrecheckRead(options, view);
+      code != Status::Code::kOk) [[unlikely]] {
+    metrics_.RecordRejected(code);
+    return RefuseRead(options, view, code);
   }
 
-  if (options.consistency == Consistency::kSnapshot) {
-    Status st = RouteSnapshotRead(options, queries, max_vertex, gen, pin);
-    if (!st.ok()) [[unlikely]] {
-      metrics_.RecordRejected(st.code());
-    }
-    return st;
-  }
-
-  // kFresh / kBoundedStaleness: acquire (budget-charging, so rebuilds
-  // keep getting scheduled), serve the pin when it satisfies the mode's
-  // bound, ride the live index otherwise — which is current by
-  // definition and therefore satisfies any valid min_generation and any
-  // lag bound.
   SnapshotManager::Pinned acquired;
-  if (options.timeout >= std::chrono::nanoseconds::zero() &&
-      engine_.options().snapshot.enabled &&
-      engine_.snapshots()->policy() == RefreshPolicy::kSync) [[unlikely]] {
+  if (options.consistency == Consistency::kSnapshot) {
+    // Never block: pin whatever is published. Under kBackground the pin
+    // still charges the staleness budget so the worker keeps the
+    // snapshot converging even for pure-snapshot workloads; under
+    // kSync/kManual Acquire could rebuild inline or withhold a stale
+    // pin, so take the raw (free) pin instead.
+    acquired = engine_.snapshots()->policy() == RefreshPolicy::kBackground
+                   ? engine_.AcquireSnapshot(gen, queries)
+                   : engine_.PinSnapshot();
+  } else if (options.timeout >= std::chrono::nanoseconds::zero() &&
+             view.snapshots &&
+             engine_.snapshots()->policy() == RefreshPolicy::kSync)
+      [[unlikely]] {
     // Under kSync a budget-crossing Acquire rebuilds inline — an
     // unbounded wait on the writer lock inside the snapshot source. A
     // deadline-bounded read must never perform maintenance: take the
-    // free pin (serving it only if it satisfies the mode below) and
-    // leave the inline rebuild to the next untimed read — but still
-    // charge the staleness budget, so an all-timed workload keeps the
-    // rebuild due instead of pinning staleness forever.
+    // free pin and leave the inline rebuild to the next untimed read —
+    // but still charge the staleness budget, so an all-timed workload
+    // keeps the rebuild due instead of pinning staleness forever.
     acquired = engine_.PinSnapshot();
     if (!acquired || acquired.generation < gen) {
       engine_.ChargeSnapshotBudget(queries);
     }
   } else {
+    // Budget-charging, so rebuilds keep getting scheduled.
     acquired = engine_.AcquireSnapshot(gen, queries);
   }
   if (acquired && max_vertex < acquired->NumVertices()) {
-    if (acquired.generation >= gen ||
-        (options.consistency == Consistency::kBoundedStaleness &&
-         gen - acquired.generation <= options.max_lag &&
-         acquired.generation >= options.min_generation)) {
-      // Same pacing as the engine's own query path: every snapshot-served
-      // read donates a timeslice while a writer is mid-update (or the
-      // snapshot trails too far), current pin or not.
-      engine_.YieldForMaintenance(gen, acquired.generation);
-      *pin = std::move(acquired);
-    }
+    view.snapshot = acquired.generation;
+  }
+
+  *decision = AdmitRead(options, view);
+  if (!decision->ok()) [[unlikely]] {
+    metrics_.RecordRejected(decision->code);
+    return RefuseRead(options, view, decision->code);
+  }
+  if (decision->served_from == ServedFrom::kSnapshot) {
+    // Same pacing as the engine's own query path: every snapshot-served
+    // read donates a timeslice while a writer is mid-update (or the
+    // snapshot trails too far), current pin or not.
+    engine_.YieldForMaintenance(gen, acquired.generation);
+    *pin = std::move(acquired);
   }
   return Status::OK();
 }
 
 StatusOr<QueryResponse> SpcService::Query(Vertex s, Vertex t,
                                           const ReadOptions& options) const {
-  // One admission check for both endpoints: this sits on the hot path,
-  // so read the id-space bound once.
-  const size_t n = engine_.NumVertices();
-  if (static_cast<size_t>(s) >= n || static_cast<size_t>(t) >= n)
+  return ServeQuery(s, t, options, std::nullopt);
+}
+
+StatusOr<QueryResponse> SpcService::Query(Vertex s, Vertex t,
+                                          const ReadOptions& options,
+                                          uint64_t tip) const {
+  return ServeQuery(s, t, options, tip);
+}
+
+StatusOr<QueryResponse> SpcService::ServeQuery(
+    Vertex s, Vertex t, const ReadOptions& options,
+    std::optional<uint64_t> tip) const {
+  const VertexPair pair{s, t};
+  if (Status st = ValidatePairs({&pair, 1}, engine_.NumVertices()); !st.ok())
       [[unlikely]] {
     metrics_.RecordRejected(Status::Code::kInvalidArgument);
-    return BadVertex(static_cast<size_t>(s) >= n ? "source" : "target",
-                     static_cast<size_t>(s) >= n ? s : t, n);
+    return st;
   }
 
   const LatencyTimer timer(SampleReadLatency());
-  uint64_t generation = 0;
+  ReadDecision decision;
   SnapshotManager::Pinned pin;
-  if (Status st = RouteRead(options, 1, std::max(s, t), &generation, &pin);
+  if (Status st =
+          RouteRead(options, 1, std::max(s, t), tip, &decision, &pin);
       !st.ok()) [[unlikely]] {
     return st;
   }
@@ -426,15 +383,13 @@ StatusOr<QueryResponse> SpcService::Query(Vertex s, Vertex t,
   // Responses are built fully formed in the return slot (no default
   // construction + field-by-field overwrite): this path runs per query.
   if (pin) {
-    const uint64_t staleness =
-        generation > pin.generation ? generation - pin.generation : 0;
     metrics_.RecordRead(options.consistency, ServedFrom::kSnapshot,
-                        staleness, 1, false);
+                        decision.staleness, 1, false);
     // Hot-pair cache (DESIGN.md §15): keyed by the generation of the
     // snapshot that is ABOUT to serve this read, so a hit is by
     // construction the exact answer that snapshot would compute —
-    // min_generation / token semantics were already enforced by
-    // RouteRead when it picked the pin. A miss computes and caches.
+    // min_generation / token semantics were already enforced when
+    // admission picked the pin. A miss computes and caches.
     if (pair_cache_ != nullptr) {
       SpcResult cached;
       if (!pair_cache_->Lookup(s, t, pin.generation, &cached)) {
@@ -442,12 +397,12 @@ StatusOr<QueryResponse> SpcService::Query(Vertex s, Vertex t,
         pair_cache_->Insert(s, t, pin.generation, cached);
       }
       StatusOr<QueryResponse> out(std::in_place, cached, pin.generation,
-                                  staleness, ServedFrom::kSnapshot);
+                                  decision.staleness, ServedFrom::kSnapshot);
       timer.Finish(&metrics_, options.consistency);
       return out;
     }
     StatusOr<QueryResponse> out(std::in_place, pin->Query(s, t),
-                                pin.generation, staleness,
+                                pin.generation, decision.staleness,
                                 ServedFrom::kSnapshot);
     timer.Finish(&metrics_, options.consistency);
     return out;
@@ -456,56 +411,52 @@ StatusOr<QueryResponse> SpcService::Query(Vertex s, Vertex t,
   // one place the per-call deadline binds. The response generation is
   // re-read under the lock: a write that finished while we waited is in
   // the answer, so the admission-time value would understate it.
+  uint64_t generation = decision.generation;
+  SpcResult live;
   if (options.timeout >= std::chrono::nanoseconds::zero()) [[unlikely]] {
-    SpcResult result;
-    if (!engine_.QueryLiveBefore(s, t, DeadlineFor(options.timeout),
-                                 &result, &generation)) {
+    if (!engine_.QueryLiveBefore(s, t, DeadlineFor(options.timeout), &live,
+                                 &generation)) {
       metrics_.RecordReadDeadlineMiss();
       return LiveReadDeadlineExceeded();
     }
-    metrics_.RecordRead(options.consistency, ServedFrom::kLiveIndex, 0, 1,
-                        false);
-    timer.Finish(&metrics_, options.consistency);
-    return StatusOr<QueryResponse>(std::in_place, result, generation,
-                                   uint64_t{0}, ServedFrom::kLiveIndex);
+  } else {
+    live = engine_.QueryLive(s, t, &generation);
   }
-  const SpcResult live = engine_.QueryLive(s, t, &generation);
-  metrics_.RecordRead(options.consistency, ServedFrom::kLiveIndex, 0, 1,
-                      false);
+  metrics_.RecordRead(options.consistency, ServedFrom::kLiveIndex,
+                      decision.staleness, 1, false);
   timer.Finish(&metrics_, options.consistency);
   return StatusOr<QueryResponse>(std::in_place, live, generation,
-                                 uint64_t{0}, ServedFrom::kLiveIndex);
+                                 decision.staleness, ServedFrom::kLiveIndex);
 }
 
 StatusOr<BatchQueryResponse> SpcService::QueryBatch(
     std::span<const VertexPair> pairs, const ReadOptions& options) const {
-  const size_t n = engine_.NumVertices();
-  Vertex max_vertex = 0;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const auto [s, t] = pairs[i];
-    if (static_cast<size_t>(s) >= n || static_cast<size_t>(t) >= n) {
-      metrics_.RecordRejected(Status::Code::kInvalidArgument);
-      const Status bad =
-          BadVertex(static_cast<size_t>(s) >= n ? "source" : "target",
-                    static_cast<size_t>(s) >= n ? s : t, n);
-      return Status::InvalidArgument("pair " + std::to_string(i) + ": " +
-                                     bad.message());
-    }
-    max_vertex = std::max({max_vertex, s, t});
+  return QueryBatch(pairs, options, std::nullopt);
+}
+
+StatusOr<BatchQueryResponse> SpcService::QueryBatch(
+    std::span<const VertexPair> pairs, const ReadOptions& options,
+    std::optional<uint64_t> tip) const {
+  if (Status st = ValidatePairs(pairs, engine_.NumVertices()); !st.ok()) {
+    metrics_.RecordRejected(Status::Code::kInvalidArgument);
+    return st;
   }
+  Vertex max_vertex = 0;
+  for (const auto& [s, t] : pairs) max_vertex = std::max({max_vertex, s, t});
 
   // Batches always time: the call amortizes the two clock reads.
   const LatencyTimer timer(true);
-  uint64_t generation = 0;
+  ReadDecision decision;
   SnapshotManager::Pinned pin;
-  if (Status st =
-          RouteRead(options, pairs.size(), max_vertex, &generation, &pin);
+  if (Status st = RouteRead(options, pairs.size(), max_vertex, tip,
+                            &decision, &pin);
       !st.ok()) {
     return st;
   }
 
-  const bool timed = options.timeout >= std::chrono::nanoseconds::zero();
   StatusOr<BatchQueryResponse> out(std::in_place);
+  out->staleness = decision.staleness;
+  out->served_from = decision.served_from;
   if (pin) {
     // Batches bypass the pair cache deliberately: the parallel fan-out
     // below would serialize on the cache's shard locks, and batch
@@ -521,23 +472,19 @@ StatusOr<BatchQueryResponse> SpcService::QueryBatch(
         pairs, options.threads,
         engine_.PoolForBatch(pairs.size(), options.threads));
     out->generation = pin.generation;
-    out->staleness =
-        generation > pin.generation ? generation - pin.generation : 0;
-    out->served_from = ServedFrom::kSnapshot;
   } else {
-    if (timed) [[unlikely]] {
+    out->generation = decision.generation;
+    if (options.timeout >= std::chrono::nanoseconds::zero()) [[unlikely]] {
       if (!engine_.BatchQueryLiveBefore(pairs, options.threads,
                                         DeadlineFor(options.timeout),
-                                        &out->results, &generation)) {
+                                        &out->results, &out->generation)) {
         metrics_.RecordReadDeadlineMiss();
         return LiveReadDeadlineExceeded();
       }
     } else {
       out->results =
-          engine_.BatchQueryLive(pairs, options.threads, &generation);
+          engine_.BatchQueryLive(pairs, options.threads, &out->generation);
     }
-    out->generation = generation;
-    out->served_from = ServedFrom::kLiveIndex;
   }
   metrics_.RecordRead(options.consistency, out->served_from, out->staleness,
                       pairs.size(), true);

@@ -10,24 +10,10 @@
 //               instead of undefined behavior, a min_generation from the
 //               future is rejected instead of silently unsatisfiable.
 //   freshness   Every read carries ReadOptions{consistency, ...} choosing
-//               a point on the freshness/latency lattice:
-//                 kFresh             answers reflect every update admitted
-//                                    before the read; may ride the mutable
-//                                    index (and thus briefly wait for an
-//                                    in-flight writer).
-//                 kSnapshot          answers come from the pinned published
-//                                    snapshot and NEVER block — not on
-//                                    writers, not on maintenance. May be
-//                                    stale; unservable requests (nothing
-//                                    published, snapshot too old for
-//                                    min_generation, vertex newer than the
-//                                    snapshot) return kUnavailable instead
-//                                    of waiting.
-//                 kBoundedStaleness  snapshot-served while the snapshot is
-//                                    within max_lag generations of the
-//                                    index (and >= min_generation);
-//                                    otherwise escalates to the live index,
-//                                    which always satisfies both bounds.
+//               a point on the freshness/latency lattice — kFresh,
+//               kBoundedStaleness or kSnapshot — decided by the one
+//               admission rule every serving process shares
+//               (api/read_admission.h; DESIGN.md §9 states it once).
 //   tokens      Every write returns a WriteToken carrying the structural
 //               generation it advanced the index to. A later read passes
 //               token.generation as ReadOptions::min_generation and is
@@ -68,11 +54,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dspc/api/read_admission.h"
 #include "dspc/api/service_metrics.h"
 #include "dspc/common/status.h"
 #include "dspc/common/types.h"
@@ -90,60 +78,6 @@
 #include "dspc/persist/wal.h"
 
 namespace dspc {
-
-/// The freshness contract of one read. See the file comment for the full
-/// lattice.
-///
-/// kSnapshot requires a published snapshot to exist: under kBackground
-/// one is published eagerly at construction, but under kSync/kManual the
-/// first publish happens only when other traffic causes it (a
-/// budget-crossing kFresh read under kSync, or an explicit refresh), so
-/// a pure-kSnapshot client should call WaitForSnapshot({Generation()})
-/// once to warm the serving path — until then kSnapshot reads return
-/// kUnavailable.
-enum class Consistency : unsigned char {
-  kFresh,             ///< reflects all updates admitted before the read
-  kSnapshot,          ///< pinned published snapshot; never blocks
-  kBoundedStaleness,  ///< snapshot while within max_lag, else live index
-};
-
-/// Sentinel for ReadOptions::timeout and WaitForSnapshot: no deadline —
-/// block as long as it takes (any negative duration means the same).
-inline constexpr std::chrono::nanoseconds kNoTimeout{-1};
-
-/// Per-read options. Aggregate-initializable:
-///   service.Query(s, t, {.consistency = Consistency::kSnapshot});
-struct ReadOptions {
-  Consistency consistency = Consistency::kFresh;
-
-  /// kBoundedStaleness: how many generations the served snapshot may
-  /// trail the index. 0 demands a current snapshot (escalating to the
-  /// live index whenever the snapshot is at all stale).
-  uint64_t max_lag = 0;
-
-  /// Read-your-writes floor: the answer must reflect at least this
-  /// structural generation (normally a WriteToken::generation from a
-  /// prior update on this service). 0 = no floor.
-  uint64_t min_generation = 0;
-
-  /// Worker threads for batch reads (0 = hardware concurrency). Ignored
-  /// by single queries.
-  unsigned threads = 0;
-
-  /// Per-call deadline, as a timeout relative to admission. Bounds the
-  /// only blocking edge a read has: waiting for the live-index lock
-  /// behind an in-flight writer (kFresh always; kBoundedStaleness when
-  /// it escalates). A read that cannot acquire the lock by the deadline
-  /// returns kDeadlineExceeded instead of blocking; 0 degrades to a pure
-  /// try-lock (still serves when no writer holds the lock).
-  /// Snapshot-served reads never block, so the timeout never fails them.
-  /// A timed read also never performs snapshot maintenance: under
-  /// RefreshPolicy::kSync it takes the free pin instead of the
-  /// budget-charging acquire (whose inline rebuild waits unbounded on
-  /// the writer lock), leaving the rebuild to the next untimed read.
-  /// kNoTimeout (the default, or any negative value) = no deadline.
-  std::chrono::nanoseconds timeout = kNoTimeout;
-};
 
 /// Proof of a write's position in the update sequence. Pass
 /// token.generation as ReadOptions::min_generation to read your write.
@@ -196,12 +130,6 @@ struct DurabilityOptions {
   /// Filesystem seam; nullptr = FileSystem::Default(). Tests inject a
   /// FaultInjectingEnv here. Must outlive the service.
   FileSystem* fs = nullptr;
-};
-
-/// Which serving path answered a read.
-enum class ServedFrom : unsigned char {
-  kSnapshot,   ///< immutable published FlatSpcIndex snapshot
-  kLiveIndex,  ///< mutable index under the engine's shared lock
 };
 
 /// One answered query plus its serving metadata.
@@ -470,22 +398,32 @@ class SpcService {
   DynamicSpcIndex& engine() { return engine_; }
 
  private:
-  /// Shared read-routing: resolves which source should serve a read of
-  /// `queries` queries under `options`. On OK, *pin names the snapshot to
-  /// serve (empty => the live index) and *generation holds the admission
-  /// generation. Out-params instead of a StatusOr<struct>, and forced
-  /// inlining into its two callers, keep the single-query hot path free
-  /// of wrapper construction and call overhead while the routing logic
-  /// stays written exactly once.
+  friend class ReplicaService;
+
+  /// ReplicaService's entry points: `tip` is the primary's durable
+  /// generation, and there is no token ceiling. The public overloads
+  /// pass none, making this service's generation both (DESIGN.md §9).
+  StatusOr<QueryResponse> Query(Vertex s, Vertex t, const ReadOptions& options,
+                                uint64_t tip) const;
+  StatusOr<BatchQueryResponse> QueryBatch(std::span<const VertexPair> pairs,
+                                          const ReadOptions& options,
+                                          std::optional<uint64_t> tip) const;
+
+  /// The body of both Query overloads, forced inline so the public one
+  /// keeps no extra call.
+  [[gnu::always_inline]] inline StatusOr<QueryResponse> ServeQuery(
+      Vertex s, Vertex t, const ReadOptions& options,
+      std::optional<uint64_t> tip) const;
+
+  /// Gathers this service's ReadView for a read of `queries` queries
+  /// naming vertices up to `max_vertex`, pins the candidate snapshot and
+  /// asks AdmitRead. On OK, *decision names the source and *pin holds
+  /// the snapshot when it serves. Records refusals. Forced inline: it
+  /// sits on the single-query hot path.
   [[gnu::always_inline]] inline Status RouteRead(
       const ReadOptions& options, size_t queries, Vertex max_vertex,
-      uint64_t* generation, SnapshotManager::Pinned* pin) const;
-
-  /// kSnapshot routing (the only mode with refusal outcomes), split out
-  /// so RouteRead's hot path stays small.
-  Status RouteSnapshotRead(const ReadOptions& options, size_t queries,
-                           Vertex max_vertex, uint64_t generation,
-                           SnapshotManager::Pinned* pin) const;
+      std::optional<uint64_t> tip, ReadDecision* decision,
+      SnapshotManager::Pinned* pin) const;
 
   Status ValidateVertex(Vertex v, const char* what) const;
 

@@ -613,7 +613,7 @@ TEST(ReplicationTest, BoundedStalenessIsEnforcedAgainstThePrimary) {
 
   const MetricsSnapshot snap = (*replica)->Metrics();
   EXPECT_EQ(snap.replica_lag, lag);
-  EXPECT_GE(snap.rejected_unavailable, 2u);
+  EXPECT_EQ(snap.rejected_unavailable, 2u);
 
   // Once the disconnect window passes, the replica reconnects and the
   // same bounded read becomes current.
@@ -624,6 +624,101 @@ TEST(ReplicationTest, BoundedStalenessIsEnforcedAgainstThePrimary) {
       0, 5, {.consistency = Consistency::kBoundedStaleness, .max_lag = 0});
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   EXPECT_GE((*replica)->Metrics().repl_reconnects, 1u);
+}
+
+// A manual replica that applied through `caught_up` and then learned the
+// primary's newer durable generation `primary_gen`, but whose segment
+// fetch is cut off: it lags the primary by primary_gen - caught_up.
+// Members are declared so the transports outlive everything using them.
+struct LaggingReplica {
+  InProcessTransport store;
+  FaultInjectingTransport transport{&store};
+  std::unique_ptr<SpcService> primary;
+  std::unique_ptr<WalShipper> shipper;
+  std::unique_ptr<ReplicaService> replica;
+  uint64_t caught_up = 0;
+  uint64_t primary_gen = 0;
+};
+
+void MakeLaggingReplica(const std::string& name,
+                        const DynamicSpcOptions& engine, LaggingReplica* r) {
+  auto primary = SpcService::Open(GenerateBarabasiAlbert(30, 2, 5),
+                                  EveryWriteOptions(FreshDir(name)));
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  r->primary = std::move(*primary);
+  auto shipper = r->primary->NewShipper(&r->transport);
+  ASSERT_TRUE(shipper.ok());
+  r->shipper = std::move(*shipper);
+  ASSERT_TRUE(r->shipper->ShipOnce().ok());
+  ReplicaOptions options = ManualReplica(&r->transport);
+  options.engine = engine;
+  auto replica = ReplicaService::Open(options);
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  r->replica = std::move(*replica);
+  ASSERT_TRUE(Converge(r->shipper.get(), r->replica.get(),
+                       r->primary->Generation()));
+  r->caught_up = r->replica->AppliedGeneration();
+  r->primary_gen = r->caught_up;
+  for (int i = 0; i < 4; ++i) {
+    const auto resp = r->primary->InsertEdge(static_cast<Vertex>(i),
+                                             static_cast<Vertex>(20 + i),
+                                             {.durable = true});
+    ASSERT_TRUE(resp.ok());
+    if (resp->applied == 1) r->primary_gen = resp->token.generation;
+  }
+  ASSERT_GT(r->primary_gen, r->caught_up);
+  ASSERT_TRUE(r->shipper->ShipOnce().ok());
+  // The next Step's FetchState (op 0) succeeds, its FetchSegment (op 1)
+  // is disconnected.
+  r->transport.Arm(1, TransportFault::kDisconnect);
+  EXPECT_FALSE(r->replica->Step().ok());
+  ASSERT_EQ(r->replica->AppliedGeneration(), r->caught_up);
+  ASSERT_EQ(r->replica->PrimaryDurableGeneration(), r->primary_gen);
+}
+
+TEST(ReplicationTest, StalenessMetricsCountFromThePrimary) {
+  LaggingReplica r;
+  ASSERT_NO_FATAL_FAILURE(
+      MakeLaggingReplica("repl_staleness_metrics", {}, &r));
+  const uint64_t lag = r.primary_gen - r.caught_up;
+  const size_t bucket = MetricsSnapshot::StalenessBucket(lag);
+  const uint64_t before = r.replica->Metrics().staleness_hist[bucket];
+
+  const auto fresh = r.replica->Query(0, 5);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh->staleness, lag);
+  const auto bounded = r.replica->Query(
+      0, 5, {.consistency = Consistency::kBoundedStaleness, .max_lag = lag});
+  ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+  EXPECT_EQ(bounded->staleness, lag);
+
+  // The exported histogram counts the same primary-relative staleness the
+  // responses carry — one count per read in the lag's bucket.
+  EXPECT_EQ(r.replica->Metrics().staleness_hist[bucket], before + 2);
+}
+
+TEST(ReplicationTest, SnapshotReadsWithSnapshotsDisabledAreNotSupported) {
+  DynamicSpcOptions engine;
+  engine.snapshot.enabled = false;
+  LaggingReplica r;
+  ASSERT_NO_FATAL_FAILURE(MakeLaggingReplica("repl_no_snapshots", engine, &r));
+
+  // A token the replica has not applied yet cannot make a kSnapshot read
+  // servable here — no snapshot will ever exist — so the refusal is the
+  // configuration error, not a retryable kUnavailable.
+  const auto behind = r.replica->Query(
+      0, 5,
+      {.consistency = Consistency::kSnapshot,
+       .min_generation = r.primary_gen});
+  EXPECT_TRUE(behind.status().IsNotSupported()) << behind.status().ToString();
+  const auto caught_up = r.replica->Query(
+      0, 5,
+      {.consistency = Consistency::kSnapshot, .min_generation = r.caught_up});
+  EXPECT_TRUE(caught_up.status().IsNotSupported());
+
+  const MetricsSnapshot snap = r.replica->Metrics();
+  EXPECT_EQ(snap.rejected_not_supported, 2u);
+  EXPECT_EQ(snap.rejected_unavailable, 0u);
 }
 
 // --- retention -----------------------------------------------------------
