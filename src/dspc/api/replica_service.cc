@@ -72,13 +72,6 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
   if (options.transport == nullptr) {
     return Status::InvalidArgument("ReplicaOptions::transport must be set");
   }
-  if (options.engine.rebuild_after_updates != 0 ||
-      options.engine.rebuild_growth_factor != 0.0) {
-    return Status::NotSupported(
-        "replica serving requires the lazy rebuild policy disabled: a "
-        "policy rebuild advances the generation outside the shipped log, "
-        "which would break the replay chain");
-  }
   std::unique_ptr<ReplicaService> replica(new ReplicaService(options));
   ReplicationBackoff backoff(options.backoff);
   const bool timed = options.bootstrap_timeout >= std::chrono::nanoseconds{0};

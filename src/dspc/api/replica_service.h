@@ -63,9 +63,6 @@ struct ReplicaOptions {
   Transport* transport = nullptr;
 
   /// Engine options for the serving index rebuilt from shipped state.
-  /// The same restriction as durable primaries applies: lazy rebuild
-  /// policies are kNotSupported (a policy rebuild would advance the
-  /// generation outside the shipped log and break the chain).
   DynamicSpcOptions engine;
 
   /// Background tailer pacing: poll this often when caught up, back off
@@ -90,9 +87,8 @@ class ReplicaService {
  public:
   /// Bootstraps from the newest shipped checkpoint (retrying with
   /// backoff until `bootstrap_timeout`) and, by default, starts tailing.
-  /// kInvalidArgument for a missing transport or lazy-rebuild engine
-  /// options; kDeadlineExceeded when nothing bootstrappable appeared in
-  /// time.
+  /// kInvalidArgument for a missing transport; kDeadlineExceeded when
+  /// nothing bootstrappable appeared in time.
   static StatusOr<std::unique_ptr<ReplicaService>> Open(
       const ReplicaOptions& options);
 

@@ -105,13 +105,6 @@ StatusOr<std::unique_ptr<SpcService>> SpcService::Open(
   if (durability.dir.empty()) {
     return Status::InvalidArgument("DurabilityOptions::dir must be set");
   }
-  if (options.rebuild_after_updates != 0 ||
-      options.rebuild_growth_factor != 0.0) {
-    return Status::NotSupported(
-        "durable serving requires the lazy rebuild policy disabled: a "
-        "policy rebuild advances the generation outside the WAL, which "
-        "would break replay determinism");
-  }
   FileSystem* fs =
       durability.fs != nullptr ? durability.fs : FileSystem::Default();
   if (Status st = fs->CreateDir(durability.dir); !st.ok()) return st;
@@ -153,13 +146,6 @@ StatusOr<std::unique_ptr<SpcService>> SpcService::OpenWithState(
     const DurabilityOptions& durability, const DynamicSpcOptions& options) {
   if (durability.dir.empty()) {
     return Status::InvalidArgument("DurabilityOptions::dir must be set");
-  }
-  if (options.rebuild_after_updates != 0 ||
-      options.rebuild_growth_factor != 0.0) {
-    return Status::NotSupported(
-        "durable serving requires the lazy rebuild policy disabled: a "
-        "policy rebuild advances the generation outside the WAL, which "
-        "would break replay determinism");
   }
   FileSystem* fs =
       durability.fs != nullptr ? durability.fs : FileSystem::Default();
@@ -494,183 +480,7 @@ StatusOr<BatchQueryResponse> SpcService::QueryBatch(
 
 StatusOr<UpdateResponse> SpcService::ApplyUpdates(
     std::span<const Update> updates, const WriteOptions& write) {
-  if (fs_ == nullptr) return ApplyUpdatesPlain(updates);
-  return ApplyUpdatesDurable(updates, write);
-}
-
-StatusOr<UpdateResponse> SpcService::ApplyUpdatesPlain(
-    std::span<const Update> updates) {
-  // Admission is per update: out-of-range endpoints are rejected
-  // individually (kRejected report) while the valid remainder applies.
-  const size_t n = engine_.NumVertices();
-  size_t invalid = 0;
-  for (const Update& u : updates) {
-    if (static_cast<size_t>(u.edge.u) >= n ||
-        static_cast<size_t>(u.edge.v) >= n) {
-      ++invalid;
-    }
-  }
-
-  StatusOr<UpdateResponse> out(std::in_place);
-  UpdateResponse& resp = *out;
-  if (invalid == 0) {
-    resp.stats = engine_.ApplyBatch(updates, &resp.reports);
-  } else {
-    // Scatter/gather: apply the admitted subset, then place its reports
-    // back at the original input positions.
-    resp.reports.resize(updates.size());
-    std::vector<Update> admitted;
-    std::vector<size_t> position;
-    admitted.reserve(updates.size() - invalid);
-    position.reserve(updates.size() - invalid);
-    for (size_t i = 0; i < updates.size(); ++i) {
-      const Edge& e = updates[i].edge;
-      if (static_cast<size_t>(e.u) >= n || static_cast<size_t>(e.v) >= n) {
-        resp.reports[i].outcome = WriteReport::Outcome::kRejected;
-        resp.reports[i].reason =
-            "endpoint vertex id outside [0, NumVertices())";
-        continue;
-      }
-      admitted.push_back(updates[i]);
-      position.push_back(i);
-    }
-    std::vector<WriteReport> sub;
-    resp.stats = engine_.ApplyBatch(admitted, &sub);
-    for (size_t j = 0; j < sub.size(); ++j) {
-      resp.reports[position[j]] = sub[j];
-    }
-  }
-
-  for (const WriteReport& report : resp.reports) {
-    switch (report.outcome) {
-      case WriteReport::Outcome::kApplied:
-        ++resp.applied;
-        break;
-      case WriteReport::Outcome::kNoOp:
-        ++resp.noops;
-        break;
-      case WriteReport::Outcome::kRejected:
-        ++resp.rejected;
-        break;
-    }
-  }
-  resp.token.generation = engine_.Generation();
-  metrics_.RecordWrite(updates.size(), resp.applied, resp.noops,
-                       resp.rejected);
-  return out;
-}
-
-StatusOr<UpdateResponse> SpcService::ApplyUpdatesDurable(
-    std::span<const Update> updates, const WriteOptions& write) {
-  // Hard batch admission cap: an intent record larger than
-  // kWalMaxRecordBytes would be refused by the WAL (and, were it ever
-  // written, read back as a torn tail — losing an acknowledged write at
-  // recovery). Refused up front, before any per-update work.
-  if (updates.size() > kWalMaxBatchUpdates) {
-    metrics_.RecordRejected(Status::Code::kInvalidArgument);
-    return Status::InvalidArgument(
-        "durable batch of " + std::to_string(updates.size()) +
-        " updates exceeds the per-call cap of " +
-        std::to_string(kWalMaxBatchUpdates) +
-        " (its WAL intent record would not fit one frame); split the "
-        "batch");
-  }
-  StatusOr<UpdateResponse> out(std::in_place);
-  UpdateResponse& resp = *out;
-  uint64_t commit_offset = 0;
-  std::shared_ptr<WalWriter> wal;
-  {
-    // dur_mu_ serializes the whole durable write path: WAL order and
-    // engine apply order are the same order by construction, which is
-    // what makes replay deterministic. It is taken BEFORE the engine's
-    // writer lock (inside ApplyBatch), never the other way around.
-    std::lock_guard<std::mutex> lock(dur_mu_);
-    if (dur_failed_) {
-      metrics_.RecordRejected(dur_error_.code());
-      return dur_error_;
-    }
-    const size_t n = engine_.NumVertices();
-    resp.reports.resize(updates.size());
-    std::vector<Update> admitted;
-    std::vector<size_t> position;
-    admitted.reserve(updates.size());
-    position.reserve(updates.size());
-    for (size_t i = 0; i < updates.size(); ++i) {
-      const Edge& e = updates[i].edge;
-      if (static_cast<size_t>(e.u) >= n || static_cast<size_t>(e.v) >= n) {
-        resp.reports[i].outcome = WriteReport::Outcome::kRejected;
-        resp.reports[i].reason =
-            "endpoint vertex id outside [0, NumVertices())";
-        continue;
-      }
-      admitted.push_back(updates[i]);
-      position.push_back(i);
-    }
-    resp.token.generation = engine_.Generation();
-    if (!admitted.empty()) {
-      // Intent before apply, commit (with per-update outcomes) after:
-      // recovery replays only paired records, so a crash anywhere in
-      // between loses exactly the unacknowledged tail and nothing else.
-      WalRecord intent;
-      intent.kind = WalRecord::Kind::kBatch;
-      intent.seq = NextBatchSeqLocked();
-      intent.generation = engine_.Generation();
-      intent.updates = admitted;
-      if (auto off = AppendWalLocked(EncodeWalRecord(intent)); !off.ok()) {
-        return off.status();
-      }
-      std::vector<WriteReport> sub;
-      resp.stats = engine_.ApplyBatch(admitted, &sub);
-      WalRecord commit;
-      commit.kind = WalRecord::Kind::kCommit;
-      commit.seq = intent.seq;
-      commit.generation = engine_.Generation();
-      commit.outcomes.resize(sub.size());
-      for (size_t j = 0; j < sub.size(); ++j) {
-        commit.outcomes[j] = sub[j].applied() ? 1 : 0;
-      }
-      auto off = AppendWalLocked(EncodeWalRecord(commit));
-      for (size_t j = 0; j < sub.size(); ++j) {
-        resp.reports[position[j]] = sub[j];
-      }
-      resp.token.generation = commit.generation;
-      // The engine applied either way, but a write whose commit record
-      // never reached the log must not be acknowledged: recovery would
-      // drop it. Fail the call (and the service — AppendWalLocked has
-      // already latched fail-stop).
-      if (!off.ok()) return off.status();
-      commit_offset = *off;
-      wal = wal_;
-    }
-    MaybeTriggerCheckpointLocked();
-  }
-
-  for (const WriteReport& report : resp.reports) {
-    switch (report.outcome) {
-      case WriteReport::Outcome::kApplied:
-        ++resp.applied;
-        break;
-      case WriteReport::Outcome::kNoOp:
-        ++resp.noops;
-        break;
-      case WriteReport::Outcome::kRejected:
-        ++resp.rejected;
-        break;
-    }
-  }
-  metrics_.RecordWrite(updates.size(), resp.applied, resp.noops,
-                       resp.rejected);
-  if (write.durable) {
-    if (wal) {
-      metrics_.RecordWalDurableWait();
-      if (Status st = WaitDurableOffset(wal, commit_offset); !st.ok()) {
-        return st;
-      }
-    }
-    // Nothing admitted ⇒ nothing to persist; trivially durable.
-    resp.token.durable = true;
-  }
-  return out;
+  return Write({.updates = updates}, write);
 }
 
 StatusOr<UpdateResponse> SpcService::InsertEdge(Vertex u, Vertex v,
@@ -693,40 +503,12 @@ StatusOr<UpdateResponse> SpcService::RemoveEdge(Vertex u, Vertex v,
 
 AddVertexResponse SpcService::AddVertex(const WriteOptions& write) {
   AddVertexResponse resp;
-  if (fs_ == nullptr) {
-    resp.vertex = engine_.AddVertex();
-    resp.token.generation = engine_.Generation();
-    metrics_.RecordWrite(1, 1, 0, 0);
-    return resp;
-  }
-  uint64_t offset = 0;
-  std::shared_ptr<WalWriter> wal;
-  {
-    std::lock_guard<std::mutex> lock(dur_mu_);
-    if (dur_failed_) {
-      metrics_.RecordRejected(dur_error_.code());
-      return resp;  // vertex stays kInvalidVertex: the refusal signal
-    }
-    // AddVertex self-commits: under dur_mu_ serialization both record
-    // fields are exact predictions (the new id is the current count,
-    // the generation bumps by exactly one), so logging before the apply
-    // still lets replay cross-check them.
-    WalRecord rec;
-    rec.kind = WalRecord::Kind::kAddVertex;
-    rec.generation = engine_.Generation() + 1;
-    rec.vertex = static_cast<Vertex>(engine_.NumVertices());
-    auto off = AppendWalLocked(EncodeWalRecord(rec));
-    if (!off.ok()) return resp;
-    resp.vertex = engine_.AddVertex();
-    resp.token.generation = engine_.Generation();
-    offset = *off;
-    wal = wal_;
-    MaybeTriggerCheckpointLocked();
-  }
-  metrics_.RecordWrite(1, 1, 0, 0);
-  if (write.durable) {
-    metrics_.RecordWalDurableWait();
-    if (WaitDurableOffset(wal, offset).ok()) resp.token.durable = true;
+  Vertex added = kInvalidVertex;
+  const StatusOr<UpdateResponse> out = Write({.add_vertex = &added}, write);
+  // A refused write leaves resp.vertex == kInvalidVertex: the signal.
+  if (out.ok()) {
+    resp.vertex = added;
+    resp.token = out->token;
   }
   return resp;
 }
@@ -734,58 +516,157 @@ AddVertexResponse SpcService::AddVertex(const WriteOptions& write) {
 StatusOr<UpdateResponse> SpcService::RemoveVertex(Vertex v,
                                                  const WriteOptions& write) {
   if (Status st = ValidateVertex(v, "vertex"); !st.ok()) return st;
+  return Write({.remove_vertex = v}, write);
+}
+
+StatusOr<UpdateResponse> SpcService::Write(const WriteOp& op,
+                                           const WriteOptions& write) {
   StatusOr<UpdateResponse> out(std::in_place);
   UpdateResponse& resp = *out;
-  uint64_t offset = 0;
+  bool journaled = false;
+  uint64_t commit_offset = 0;
   std::shared_ptr<WalWriter> wal;
-  if (fs_ == nullptr) {
-    resp.stats = engine_.RemoveVertex(v);
-    resp.token.generation = engine_.Generation();
-  } else {
+  {
+    // dur_mu_ serializes every write: WAL order and engine apply order are
+    // the same order by construction, which is what makes replay
+    // deterministic. It is taken BEFORE the engine's writer lock (inside
+    // ApplyBatch), never the other way around.
     std::lock_guard<std::mutex> lock(dur_mu_);
     if (dur_failed_) {
       metrics_.RecordRejected(dur_error_.code());
       return dur_error_;
     }
-    WalRecord intent;
-    intent.kind = WalRecord::Kind::kRemoveVertex;
-    intent.seq = NextBatchSeqLocked();
-    intent.vertex = v;
-    if (auto off = AppendWalLocked(EncodeWalRecord(intent)); !off.ok()) {
-      return off.status();
+    journaled = wal_ != nullptr;
+    // A vertex removal is the batch of its edge deletes (paper Section 3),
+    // read under the serialization that applies it.
+    std::vector<Update> deletes;
+    std::span<const Update> updates = op.updates;
+    if (op.remove_vertex != kInvalidVertex) {
+      for (const Vertex u : engine_.Neighbors(op.remove_vertex)) {
+        deletes.push_back(Update::Delete(op.remove_vertex, u));
+      }
+      updates = deletes;
     }
-    resp.stats = engine_.RemoveVertex(v);
-    WalRecord commit;
-    commit.kind = WalRecord::Kind::kCommit;
-    commit.seq = intent.seq;
-    commit.generation = engine_.Generation();
-    auto off = AppendWalLocked(EncodeWalRecord(commit));
-    resp.token.generation = commit.generation;
-    if (!off.ok()) return off.status();
-    offset = *off;
-    wal = wal_;
+    // An intent record larger than kWalMaxRecordBytes would be refused by
+    // the WAL (and, were it ever written, read back as a torn tail —
+    // losing an acknowledged write at recovery). Refused before any
+    // per-update work.
+    if (journaled && updates.size() > kWalMaxBatchUpdates) {
+      metrics_.RecordRejected(Status::Code::kInvalidArgument);
+      return Status::InvalidArgument(
+          "durable batch of " + std::to_string(updates.size()) +
+          " updates exceeds the per-call cap of " +
+          std::to_string(kWalMaxBatchUpdates) +
+          " (its WAL intent record would not fit one frame); split the "
+          "batch");
+    }
+
+    // Admission is per update: out-of-range endpoints are rejected
+    // individually (kRejected report) while the valid remainder applies;
+    // `position` maps each admitted update back to its input slot.
+    const size_t n = engine_.NumVertices();
+    WalRecord intent;
+    intent.kind = op.add_vertex != nullptr ? WalRecord::Kind::kAddVertex
+                                           : WalRecord::Kind::kBatch;
+    intent.generation = engine_.Generation();
+    intent.vertex = static_cast<Vertex>(n);  // kAddVertex: the id it makes
+    intent.updates.reserve(updates.size());
+    std::vector<size_t> position;
+    position.reserve(updates.size());
+    resp.reports.resize(updates.size());
+    for (size_t i = 0; i < updates.size(); ++i) {
+      const Edge& e = updates[i].edge;
+      if (static_cast<size_t>(e.u) >= n || static_cast<size_t>(e.v) >= n) {
+        resp.reports[i].outcome = WriteReport::Outcome::kRejected;
+        resp.reports[i].reason =
+            "endpoint vertex id outside [0, NumVertices())";
+        continue;
+      }
+      intent.updates.push_back(updates[i]);
+      position.push_back(i);
+    }
+    resp.token.generation = intent.generation;
+    if (op.add_vertex != nullptr || !intent.updates.empty()) {
+      // Intent before apply, commit (with per-update outcomes) after:
+      // recovery replays only paired records, so a crash anywhere in
+      // between loses exactly the unacknowledged tail and nothing else.
+      if (journaled) {
+        intent.seq = NextBatchSeqLocked();
+        if (auto off = AppendWalLocked(EncodeWalRecord(intent)); !off.ok()) {
+          return off.status();
+        }
+      }
+      WalRecord commit;
+      commit.kind = WalRecord::Kind::kCommit;
+      commit.seq = intent.seq;
+      if (op.add_vertex != nullptr) {
+        *op.add_vertex = engine_.AddVertex();
+        WriteReport& report = resp.reports.emplace_back();
+        report.outcome = WriteReport::Outcome::kApplied;
+        report.reason = "applied";
+        report.generation = engine_.Generation();
+      } else {
+        std::vector<WriteReport> sub;
+        resp.stats = engine_.ApplyBatch(intent.updates, &sub);
+        commit.outcomes.resize(sub.size());
+        for (size_t j = 0; j < sub.size(); ++j) {
+          commit.outcomes[j] = sub[j].applied() ? 1 : 0;
+          resp.reports[position[j]] = sub[j];
+        }
+      }
+      commit.generation = engine_.Generation();
+      resp.token.generation = commit.generation;
+      if (journaled) {
+        // The engine applied either way, but a write whose commit record
+        // never reached the log must not be acknowledged: recovery would
+        // drop it. Fail the call (and the service — AppendWalLocked has
+        // already latched fail-stop).
+        auto off = AppendWalLocked(EncodeWalRecord(commit));
+        if (!off.ok()) return off.status();
+        commit_offset = *off;
+        wal = wal_;
+      }
+    }
     MaybeTriggerCheckpointLocked();
   }
-  // Vertex deletion folds one decremental update per incident edge; the
-  // report covers the whole deletion as one logical update.
-  resp.reports.resize(1);
-  WriteReport& report = resp.reports[0];
-  if (resp.stats.applied) {
-    report.outcome = WriteReport::Outcome::kApplied;
-    report.reason = "applied";
-    report.stats = resp.stats;
-    report.generation = resp.token.generation;
-    resp.applied = 1;
-  } else {
-    report.outcome = WriteReport::Outcome::kNoOp;
-    report.reason = "vertex already isolated";
-    resp.noops = 1;
+
+  if (op.remove_vertex != kInvalidVertex) {
+    // The deletes fold back into one report: a vertex removal is one
+    // logical update.
+    resp.reports.assign(1, WriteReport{});
+    WriteReport& report = resp.reports[0];
+    if (resp.stats.applied) {
+      report.outcome = WriteReport::Outcome::kApplied;
+      report.reason = "applied";
+      report.generation = resp.token.generation;
+      report.stats = resp.stats;
+    } else {
+      report.reason = "vertex already isolated";
+    }
   }
-  metrics_.RecordWrite(1, resp.applied, resp.noops, 0);
-  if (write.durable) {
+  for (const WriteReport& report : resp.reports) {
+    switch (report.outcome) {
+      case WriteReport::Outcome::kApplied:
+        ++resp.applied;
+        break;
+      case WriteReport::Outcome::kNoOp:
+        ++resp.noops;
+        break;
+      case WriteReport::Outcome::kRejected:
+        ++resp.rejected;
+        break;
+    }
+  }
+  metrics_.RecordWrite(resp.reports.size(), resp.applied, resp.noops,
+                       resp.rejected);
+  // Only a durable service can promise durability; there, a write that
+  // journaled nothing is trivially durable.
+  if (write.durable && journaled) {
     if (wal) {
       metrics_.RecordWalDurableWait();
-      if (Status st = WaitDurableOffset(wal, offset); !st.ok()) return st;
+      if (Status st = WaitDurableOffset(wal, commit_offset); !st.ok()) {
+        return st;
+      }
     }
     resp.token.durable = true;
   }

@@ -210,10 +210,8 @@ class SpcService {
   /// sequential one.
   ///
   /// Fails with kDataLoss when durable state is damaged beyond the
-  /// checkpoint fallback, kIOError on filesystem trouble, and
-  /// kNotSupported when `options` enables the lazy rebuild policy
-  /// (policy rebuilds advance the generation outside the WAL, which
-  /// would break replay determinism).
+  /// checkpoint fallback (including a WAL segment written in an older
+  /// format version), and kIOError on filesystem trouble.
   static StatusOr<std::unique_ptr<SpcService>> Open(
       Graph bootstrap, const DurabilityOptions& durability,
       const DynamicSpcOptions& options = {});
@@ -228,8 +226,7 @@ class SpcService {
   /// checkpoint is the adopted state at `generation`; subsequent writes
   /// continue the generation chain from there, so read-your-writes
   /// tokens issued by the old primary stay valid against the promoted
-  /// one. Same option restrictions as Open (lazy rebuild policies are
-  /// kNotSupported).
+  /// one.
   static StatusOr<std::unique_ptr<SpcService>> OpenWithState(
       Graph graph, SpcIndex index, uint64_t generation,
       const DurabilityOptions& durability,
@@ -277,15 +274,15 @@ class SpcService {
   /// do not advance the generation. The call itself only fails on
   /// engine-level misuse, so check per-update outcomes, not just ok().
   ///
-  /// Blocking: takes the writer lock per applied update; the batch is
-  /// not one atomic unit (readers may observe intermediate generations).
+  /// Blocking: the whole call is serialized with other writes and takes
+  /// the engine's writer lock per applied update; the batch is not one
+  /// atomic unit (readers may observe intermediate generations).
   /// Thread-safe against every other method. On a durable service the
   /// admitted subset is journaled (intent before apply, commit with
-  /// per-update outcomes after) and the whole call is serialized with
-  /// other writes; a batch larger than kWalMaxBatchUpdates (its intent
-  /// record would not fit one WAL frame) is kInvalidArgument up front —
-  /// split it; after a WAL failure the service is fail-stop and every
-  /// write returns the original kIOError.
+  /// per-update outcomes after); a batch larger than kWalMaxBatchUpdates
+  /// (its intent record would not fit one WAL frame) is kInvalidArgument
+  /// up front — split it; after a WAL failure the service is fail-stop
+  /// and every write returns the original kIOError.
   StatusOr<UpdateResponse> ApplyUpdates(std::span<const Update> updates,
                                         const WriteOptions& write = {});
 
@@ -299,15 +296,18 @@ class SpcService {
                                       const WriteOptions& write = {});
 
   /// Adds an isolated vertex. Infallible on a non-durable service (the
-  /// id space simply grows); on a fail-stopped durable service the write
-  /// is refused and resp.vertex == kInvalidVertex. Takes the writer
-  /// lock; forces a full snapshot rebuild next refresh.
+  /// id space simply grows); on a durable service whose write fails or
+  /// is fail-stopped the write is refused and resp.vertex ==
+  /// kInvalidVertex. Takes the writer lock; forces a full snapshot
+  /// rebuild next refresh.
   AddVertexResponse AddVertex(const WriteOptions& write = {});
 
   /// Removes all edges incident to `v` (the paper's vertex deletion);
   /// the id stays valid but isolated. kInvalidArgument for an
-  /// out-of-range id. Runs one writer-locked update per incident edge;
-  /// readers may observe intermediate generations.
+  /// out-of-range id. The incident edges are read under the write
+  /// serialization and applied (and journaled) as one batch of deletes,
+  /// one writer-locked update each — readers may observe intermediate
+  /// generations — and reported as one update.
   StatusOr<UpdateResponse> RemoveVertex(Vertex v,
                                         const WriteOptions& write = {});
 
@@ -444,14 +444,21 @@ class SpcService {
   Status StartDurability(const DurabilityOptions& durability,
                          const RecoveryPlan& plan);
 
-  /// The non-durable ApplyUpdates body (also the durable path's final
-  /// shape — kept verbatim so the non-durable service is untouched).
-  StatusOr<UpdateResponse> ApplyUpdatesPlain(std::span<const Update> updates);
+  /// One logical write: edge updates, or one vertex to remove (its
+  /// edges, deleted as one batch), or one vertex to add.
+  struct WriteOp {
+    std::span<const Update> updates = {};
+    Vertex remove_vertex = kInvalidVertex;
+    /// Non-null for AddVertex: receives the new id.
+    Vertex* add_vertex = nullptr;
+  };
 
-  /// Durable ApplyUpdates: intent record → engine apply → commit record
-  /// with per-update outcomes, all under dur_mu_.
-  StatusOr<UpdateResponse> ApplyUpdatesDurable(std::span<const Update> updates,
-                                               const WriteOptions& write);
+  /// The one write body behind every write method (DESIGN.md §11).
+  /// Under dur_mu_: the fail-stop latch, per-update admission, the
+  /// intent (journaled only on a durable service), the engine apply, the
+  /// commit with per-update outcomes, the checkpoint trigger. Then,
+  /// outside the lock: the tally, RecordWrite, and the durability wait.
+  StatusOr<UpdateResponse> Write(const WriteOp& op, const WriteOptions& write);
 
   /// Appends one encoded record to the WAL, updating metrics; on failure
   /// trips fail-stop and returns the sticky error. Caller holds dur_mu_.
@@ -503,11 +510,11 @@ class SpcService {
   DurabilityOptions dur_options_;
   std::unique_ptr<Checkpointer> checkpointer_;
 
-  /// Serializes the whole write path on a durable service: WAL append,
-  /// engine apply, commit append, rotation, checkpoint capture. Ordering
-  /// with the engine lock: dur_mu_ is always taken FIRST (writes apply
-  /// under it; Checkpoint takes it, then FreezeWrites). Reads never
-  /// touch it.
+  /// Serializes every write (Write) and, on a durable service, the rest
+  /// of the durability path: WAL append, engine apply, commit append,
+  /// rotation, checkpoint capture. Ordering with the engine lock: dur_mu_
+  /// is always taken FIRST (writes apply under it; Checkpoint takes it,
+  /// then FreezeWrites). Reads never touch it.
   std::mutex dur_mu_;
   /// Current segment's writer. shared_ptr so a durable waiter can hold
   /// the segment across a concurrent rotation (the retired writer's

@@ -57,7 +57,6 @@ void DynamicSpcIndex::InitSnapshots() {
   if (options_.initial_generation != 0) {
     generation_.store(options_.initial_generation, std::memory_order_release);
   }
-  entries_at_build_ = index_.SizeStats().total_entries;
   num_vertices_.store(graph_.NumVertices(), std::memory_order_release);
   snapshot_shards_ = options_.snapshot.shards != 0
                          ? options_.snapshot.shards
@@ -127,10 +126,8 @@ UpdateStats DynamicSpcIndex::InsertEdge(Vertex a, Vertex b) {
   std::unique_lock<std::shared_timed_mutex> lock(index_mu_);
   const UpdateStats stats = inc_.InsertEdge(a, b);
   if (stats.applied) {
-    ++updates_since_build_;
     BumpGeneration();
     NoteTouchedLocked();
-    MaybePolicyRebuildLocked();
   } else {
     index_.ClearTouched();
   }
@@ -142,10 +139,8 @@ UpdateStats DynamicSpcIndex::RemoveEdge(Vertex a, Vertex b) {
   std::unique_lock<std::shared_timed_mutex> lock(index_mu_);
   const UpdateStats stats = dec_.RemoveEdge(a, b);
   if (stats.applied) {
-    ++updates_since_build_;
     BumpGeneration();
     NoteTouchedLocked();
-    MaybePolicyRebuildLocked();
   } else {
     index_.ClearTouched();
   }
@@ -168,20 +163,20 @@ Vertex DynamicSpcIndex::AddVertex() {
 }
 
 UpdateStats DynamicSpcIndex::RemoveVertex(Vertex v) {
-  UpdateStats total;
   // Deleting a vertex is a sequence of decremental edge updates (paper
-  // Section 3). Copy the adjacency under the read lock: RemoveEdge
-  // mutates it (and takes the write lock itself, so don't hold it here).
-  std::vector<Vertex> nbrs;
-  {
-    std::shared_lock<std::shared_timed_mutex> lock(index_mu_);
-    if (!graph_.IsValidVertex(v)) return total;
-    nbrs = graph_.Neighbors(v);
-  }
-  for (const Vertex u : nbrs) {
+  // Section 3) over a copy of the adjacency: RemoveEdge mutates it (and
+  // takes the write lock itself).
+  UpdateStats total;
+  for (const Vertex u : Neighbors(v)) {
     total.Accumulate(RemoveEdge(v, u));
   }
   return total;
+}
+
+std::vector<Vertex> DynamicSpcIndex::Neighbors(Vertex v) const {
+  std::shared_lock<std::shared_timed_mutex> lock(index_mu_);
+  if (!graph_.IsValidVertex(v)) return {};
+  return graph_.Neighbors(v);
 }
 
 UpdateStats DynamicSpcIndex::Apply(const Update& update) {
@@ -239,7 +234,7 @@ UpdateStats DynamicSpcIndex::ApplyBatch(std::span<const Update> updates,
         report.reason = "applied";
         report.stats = stats;
         // Post-update generation: the read-your-writes floor for exactly
-        // this update (a policy rebuild it triggered is folded in).
+        // this update.
         report.generation = Generation();
       } else {
         report.outcome = WriteReport::Outcome::kNoOp;
@@ -401,38 +396,12 @@ SnapshotManager::Pinned DynamicSpcIndex::WaitForFreshSnapshot() const {
 void DynamicSpcIndex::Rebuild() {
   WriterScope writer(&active_writers_);
   std::unique_lock<std::shared_timed_mutex> lock(index_mu_);
-  RebuildLocked();
-}
-
-void DynamicSpcIndex::RebuildLocked() {
   index_ = BuildSpcIndexParallel(graph_, options_.ordering, options_.build);
   inc_.Resize();
   dec_.Resize();
-  updates_since_build_ = 0;
-  entries_at_build_ = index_.SizeStats().total_entries;
   BumpGeneration();
   // A fresh ordering re-ranks every hub, so no previous shard survives.
   ResetShardLayoutLocked();
-}
-
-void DynamicSpcIndex::MaybePolicyRebuildLocked() {
-  bool fire = false;
-  if (options_.rebuild_after_updates > 0 &&
-      updates_since_build_ >= options_.rebuild_after_updates) {
-    fire = true;
-  }
-  if (!fire && options_.rebuild_growth_factor > 0.0 && entries_at_build_ > 0) {
-    const size_t now = index_.SizeStats().total_entries;
-    if (static_cast<double>(now) >
-        options_.rebuild_growth_factor *
-            static_cast<double>(entries_at_build_)) {
-      fire = true;
-    }
-  }
-  if (fire) {
-    RebuildLocked();
-    ++policy_rebuilds_;
-  }
 }
 
 }  // namespace dspc

@@ -129,15 +129,6 @@ struct DynamicSpcOptions {
   /// Passed through to DecSPC (isolated-vertex fast path toggle).
   DecSpc::Options dec;
 
-  /// Lazy rebuild policy (paper §6, "Vertex Ordering Changes"): the frozen
-  /// ordering degrades as the graph drifts, so rebuild from scratch with a
-  /// fresh degree ordering after `rebuild_after_updates` applied updates
-  /// (0 = never), or whenever the label count exceeds
-  /// `rebuild_growth_factor` times the count at the last build
-  /// (0 = never). Both triggers are checked after each update.
-  size_t rebuild_after_updates = 0;
-  double rebuild_growth_factor = 0.0;
-
   /// Starting value of the structural generation counter (0 means the
   /// historical default of 1). Recovery (persist/recovery.h) passes the
   /// loaded checkpoint's generation here so that replaying the WAL
@@ -149,11 +140,10 @@ struct DynamicSpcOptions {
   SnapshotOptions snapshot;
 
   /// Full-(re)build parallelism (DESIGN.md §12). Every HP-SPC
-  /// construction this engine performs — at creation, in Rebuild(), and
-  /// when the lazy rebuild policy fires (SpcService::Open's
-  /// no-checkpoint bootstrap funnels through the constructor, so it is
-  /// covered too) — goes through BuildSpcIndexParallel with these
-  /// options. threads = 1 forces the sequential builder; the default 0
+  /// construction this engine performs — at creation and in Rebuild()
+  /// (SpcService::Open's no-checkpoint bootstrap funnels through the
+  /// constructor, so it is covered too) — goes through
+  /// BuildSpcIndexParallel with these options. threads = 1 forces the sequential builder; the default 0
   /// uses hardware concurrency on graphs large enough to amortize the
   /// worker pool (kParallelBuildMinVertices) and stays sequential below.
   /// The result is label-identical to the sequential builder either way.
@@ -217,6 +207,10 @@ class DynamicSpcIndex {
   /// writer-locked decremental update per incident edge — readers may
   /// observe intermediate generations. No-op for out-of-range v.
   UpdateStats RemoveVertex(Vertex v);
+
+  /// A copy of v's adjacency, taken under the shared lock (empty for an
+  /// out-of-range v): the edges RemoveVertex(v) deletes.
+  std::vector<Vertex> Neighbors(Vertex v) const;
 
   /// Applies one Update (insert or delete); see InsertEdge/RemoveEdge.
   UpdateStats Apply(const struct Update& update);
@@ -412,17 +406,10 @@ class DynamicSpcIndex {
   const SnapshotManager* snapshots() const { return snapshots_.get(); }
 
   /// Rebuilds the index from scratch with HP-SPC under a fresh ordering —
-  /// the paper's reconstruction baseline, also used by the lazy rebuild
-  /// policy. Takes the writer lock for the whole build (live reads wait;
+  /// the paper's reconstruction baseline. Takes the writer lock for the whole build (live reads wait;
   /// snapshot reads keep serving the old snapshot) and forces a full
   /// snapshot rebuild next refresh.
   void Rebuild();
-
-  /// Number of updates applied since the last (re)build.
-  size_t UpdatesSinceBuild() const { return updates_since_build_; }
-
-  /// Number of times the lazy rebuild policy fired.
-  size_t PolicyRebuilds() const { return policy_rebuilds_; }
 
   /// Freezes the mutable state by taking (and holding, for the guard's
   /// lifetime) the writer lock: all writes and live-served reads block
@@ -462,13 +449,6 @@ class DynamicSpcIndex {
   /// Shared tail of both constructors: resolves the shard layout and
   /// wires up the snapshot manager (plus the eager kBackground publish).
   void InitSnapshots();
-
-  /// Applies the §6 lazy rebuild policy after an applied update. Caller
-  /// holds index_mu_ exclusively.
-  void MaybePolicyRebuildLocked();
-
-  /// Rebuild body; caller holds index_mu_ exclusively.
-  void RebuildLocked();
 
   /// Invalidates the flat snapshot after a structural change. Caller
   /// holds index_mu_ exclusively.
@@ -512,9 +492,6 @@ class DynamicSpcIndex {
   DynamicSpcOptions options_;
   IncSpc inc_;
   DecSpc dec_;
-  size_t updates_since_build_ = 0;
-  size_t entries_at_build_ = 0;
-  size_t policy_rebuilds_ = 0;
 
   /// Dirty-shard tracking (DESIGN.md §8), all written under exclusive
   /// index_mu_ and read under the shared lock by the snapshot source:

@@ -37,6 +37,8 @@ struct UpdateStats {
   /// existing edge / deleting a missing one — those are no-ops).
   bool applied = false;
 
+  friend bool operator==(const UpdateStats&, const UpdateStats&) = default;
+
   /// Total number of label entries touched in any way.
   size_t TotalChanges() const {
     return renew_count + renew_dist + inserted + removed;

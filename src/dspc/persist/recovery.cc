@@ -189,14 +189,14 @@ Status PlanRecovery(FileSystem* fs, const std::string& dir,
 }
 
 Status ApplyReplayOp(DynamicSpcIndex* engine, const ReplayOp& op) {
+  if (op.base_generation != engine->Generation()) {
+    return Status::DataLoss("replay base generation mismatch: engine at " +
+                            std::to_string(engine->Generation()) +
+                            ", journal says " +
+                            std::to_string(op.base_generation));
+  }
   switch (op.kind) {
     case ReplayOp::Kind::kBatch: {
-      if (op.base_generation != engine->Generation()) {
-        return Status::DataLoss(
-            "replay base generation mismatch: engine at " +
-            std::to_string(engine->Generation()) + ", journal says " +
-            std::to_string(op.base_generation));
-      }
       std::vector<WriteReport> reports;
       engine->ApplyBatch(std::span<const Update>(op.updates), &reports);
       if (reports.size() != op.outcomes.size()) {
@@ -220,9 +220,6 @@ Status ApplyReplayOp(DynamicSpcIndex* engine, const ReplayOp& op) {
       }
       break;
     }
-    case ReplayOp::Kind::kRemoveVertex:
-      engine->RemoveVertex(op.vertex);
-      break;
   }
   if (engine->Generation() != op.end_generation) {
     return Status::DataLoss(

@@ -12,8 +12,8 @@
 //                  their commits, and emits the ordered list of
 //                  committed operations newer than the checkpoint;
 //   ApplyReplayOp  re-runs one such operation through
-//                  DynamicSpcIndex::ApplyBatch (or AddVertex /
-//                  RemoveVertex), cross-checking every recorded outcome
+//                  DynamicSpcIndex::ApplyBatch (or AddVertex),
+//                  cross-checking every recorded outcome
 //                  and the committed end generation — replay is
 //                  idempotent because a recorded no-op must replay as a
 //                  no-op, and any divergence is kDataLoss, never a
@@ -72,14 +72,14 @@ struct RecoveryReport {
 
 /// One committed WAL operation to re-apply, in commit order.
 struct ReplayOp {
-  enum class Kind : unsigned char { kBatch, kAddVertex, kRemoveVertex };
+  enum class Kind : unsigned char { kBatch, kAddVertex };
   Kind kind = Kind::kBatch;
-  /// Generation recorded at intent time (kBatch only; the base the
-  /// engine must be at when this op replays).
+  /// Generation recorded at intent time: the base the engine must be at
+  /// when this op replays.
   uint64_t base_generation = 0;
   /// Committed generation after the op — what the engine must reach.
   uint64_t end_generation = 0;
-  Vertex vertex = 0;                ///< kAddVertex / kRemoveVertex
+  Vertex vertex = 0;                ///< kAddVertex: the id it creates
   std::vector<Update> updates;      ///< kBatch
   std::vector<uint8_t> outcomes;    ///< kBatch: 1 = applied, 0 = no-op
 };

@@ -25,51 +25,36 @@ uint32_t LoadLE32(const uint8_t* p) {
 // --- ReplayCursor ----------------------------------------------------------
 
 Status ReplayCursor::Feed(WalRecord rec, std::vector<ReplayOp>* out) {
-  switch (rec.kind) {
-    case WalRecord::Kind::kBatch:
-    case WalRecord::Kind::kRemoveVertex: {
-      const uint64_t seq = rec.seq;
-      if (!pending_.emplace(seq, std::move(rec)).second) {
-        return Status::DataLoss("duplicate wal intent seq " +
-                                std::to_string(seq));
-      }
-      return Status::OK();
+  if (rec.kind != WalRecord::Kind::kCommit) {
+    const uint64_t seq = rec.seq;
+    if (!pending_.emplace(seq, std::move(rec)).second) {
+      return Status::DataLoss("duplicate wal intent seq " +
+                              std::to_string(seq));
     }
-    case WalRecord::Kind::kCommit: {
-      auto it = pending_.find(rec.seq);
-      if (it == pending_.end()) {
-        return Status::DataLoss("wal commit without intent, seq " +
-                                std::to_string(rec.seq));
-      }
-      WalRecord intent = std::move(it->second);
-      pending_.erase(it);
-      ReplayOp op;
-      if (intent.kind == WalRecord::Kind::kBatch) {
-        if (rec.outcomes.size() != intent.updates.size()) {
-          return Status::DataLoss(
-              "wal commit outcome count contradicts its intent, seq " +
-              std::to_string(rec.seq));
-        }
-        op.kind = ReplayOp::Kind::kBatch;
-        op.base_generation = intent.generation;
-        op.updates = std::move(intent.updates);
-        op.outcomes = std::move(rec.outcomes);
-      } else {
-        op.kind = ReplayOp::Kind::kRemoveVertex;
-        op.vertex = intent.vertex;
-      }
-      op.end_generation = rec.generation;
-      return Emit(std::move(op), out);
-    }
-    case WalRecord::Kind::kAddVertex: {
-      ReplayOp op;
-      op.kind = ReplayOp::Kind::kAddVertex;
-      op.vertex = rec.vertex;
-      op.end_generation = rec.generation;
-      return Emit(std::move(op), out);
-    }
+    return Status::OK();
   }
-  return Status::DataLoss("unknown wal record kind");
+  auto it = pending_.find(rec.seq);
+  if (it == pending_.end()) {
+    return Status::DataLoss("wal commit without intent, seq " +
+                            std::to_string(rec.seq));
+  }
+  WalRecord intent = std::move(it->second);
+  pending_.erase(it);
+  if (rec.outcomes.size() != intent.updates.size()) {
+    return Status::DataLoss(
+        "wal commit outcome count contradicts its intent, seq " +
+        std::to_string(rec.seq));
+  }
+  ReplayOp op;
+  op.kind = intent.kind == WalRecord::Kind::kAddVertex
+                ? ReplayOp::Kind::kAddVertex
+                : ReplayOp::Kind::kBatch;
+  op.base_generation = intent.generation;
+  op.end_generation = rec.generation;
+  op.vertex = intent.vertex;
+  op.updates = std::move(intent.updates);
+  op.outcomes = std::move(rec.outcomes);
+  return Emit(std::move(op), out);
 }
 
 Status ReplayCursor::Emit(ReplayOp op, std::vector<ReplayOp>* out) {
@@ -77,7 +62,7 @@ Status ReplayCursor::Emit(ReplayOp op, std::vector<ReplayOp>* out) {
     ++skipped_;
     return Status::OK();
   }
-  if (op.kind == ReplayOp::Kind::kBatch && op.base_generation != generation_) {
+  if (op.base_generation != generation_) {
     return Status::DataLoss("wal replay chain broken at generation " +
                             std::to_string(op.base_generation) +
                             ", expected " + std::to_string(generation_));
@@ -899,8 +884,7 @@ Status WalShipper::ShipSegmentLocked(uint64_t seq, bool final_segment,
           {data.data() + frames_begin, ship_end - frames_begin}, &recs);
       if (!consumed.ok()) return consumed.status();
       for (const WalRecord& rec : recs) {
-        if ((rec.kind == WalRecord::Kind::kCommit ||
-             rec.kind == WalRecord::Kind::kAddVertex) &&
+        if (rec.kind == WalRecord::Kind::kCommit &&
             rec.generation > durable_generation_) {
           durable_generation_ = rec.generation;
         }

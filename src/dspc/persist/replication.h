@@ -68,7 +68,10 @@ namespace dspc {
 
 /// The committed-operation state machine shared by crash recovery and
 /// replica tailing: feed WAL records in log order, get back committed
-/// ReplayOps in commit order, with exactly PlanRecovery's damage
+/// ReplayOps in commit order. One pairing rule covers every write: an
+/// intent (kBatch or kAddVertex) is emitted when the kCommit of its seq
+/// arrives, and its base generation must continue the chain. Damage
+/// semantics are exactly PlanRecovery's
 /// semantics — duplicate intent seqs, commits without intents, outcome
 /// count mismatches, chain breaks, and non-monotonic commits are all
 /// kDataLoss. Ops already covered by the start generation are counted as

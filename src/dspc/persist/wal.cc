@@ -59,11 +59,8 @@ std::vector<uint8_t> EncodeWalRecord(const WalRecord& rec) {
       w.Append(rec.outcomes.data(), rec.outcomes.size());
       break;
     case WalRecord::Kind::kAddVertex:
-      w.PutU64(rec.generation);
-      w.PutU32(rec.vertex);
-      break;
-    case WalRecord::Kind::kRemoveVertex:
       w.PutU64(rec.seq);
+      w.PutU64(rec.generation);
       w.PutU32(rec.vertex);
       break;
   }
@@ -113,12 +110,8 @@ Status DecodeWalRecord(std::span<const uint8_t> payload, WalRecord* out) {
     }
     case static_cast<uint8_t>(WalRecord::Kind::kAddVertex):
       rec.kind = WalRecord::Kind::kAddVertex;
-      rec.generation = r.GetU64();
-      rec.vertex = r.GetU32();
-      break;
-    case static_cast<uint8_t>(WalRecord::Kind::kRemoveVertex):
-      rec.kind = WalRecord::Kind::kRemoveVertex;
       rec.seq = r.GetU64();
+      rec.generation = r.GetU64();
       rec.vertex = r.GetU32();
       break;
     default:

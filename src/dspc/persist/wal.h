@@ -18,17 +18,17 @@
 // (RepairWalTail). Corruption *before* later valid records — which a
 // torn write cannot produce — is kDataLoss.
 //
-// Record protocol (the ApplyUpdates atomicity fix). A write batch is two
-// records: an INTENT (kBatch: sequence number, base generation, the
-// admitted updates) appended before the engine applies anything, and a
-// COMMIT (kCommit: same sequence number, end generation, one outcome
-// byte per update) appended after. Recovery replays only committed
-// batches, re-running the updates and cross-checking each recorded
-// outcome — a replayed no-op stays a no-op and bumps nothing, so the
-// recovered generation lands exactly on the commit record's value. A
-// trailing intent without its commit was never acknowledged and is
-// skipped. kAddVertex is a single self-committing record (the operation
-// is infallible); kRemoveVertex uses intent + commit like a batch.
+// Record protocol: every write is one INTENT plus one COMMIT. The intent
+// (sequence number, base generation, and what the write does: kBatch
+// carries the admitted edge updates, kAddVertex the new vertex id) is
+// appended before the engine applies anything; the commit (kCommit: same
+// sequence number, end generation, one outcome byte per update) is
+// appended after. A vertex removal journals as a kBatch of its edge
+// deletes. Recovery replays only committed intents, re-running them and
+// cross-checking each recorded outcome — a replayed no-op stays a no-op
+// and bumps nothing, so the recovered generation lands exactly on the
+// commit record's value. A trailing intent without its commit was never
+// acknowledged and is skipped.
 //
 // Sync policy. kNone never fsyncs (the OS decides; cheapest, weakest),
 // kEveryWrite fsyncs inside every AppendRecord (strongest, slowest),
@@ -62,7 +62,9 @@
 namespace dspc {
 
 inline constexpr uint32_t kWalMagic = 0x4C415744;  // "DWAL"
-inline constexpr uint32_t kWalVersion = 1;
+/// Version 2: kAddVertex is an intent (paired by kCommit) and there is
+/// no kRemoveVertex record. A version-1 segment is refused at its header.
+inline constexpr uint32_t kWalVersion = 2;
 /// Fixed segment header size: magic, version, seq, base generation, CRC.
 inline constexpr size_t kWalHeaderBytes = 4 + 4 + 8 + 8 + 4;
 /// Framing guard, enforced on BOTH sides of the log: AppendRecord
@@ -96,10 +98,9 @@ const char* WalSyncPolicyName(WalSyncPolicy policy);
 /// (see the record protocol in the file comment).
 struct WalRecord {
   enum class Kind : uint8_t {
-    kBatch = 1,         ///< intent: seq, generation (base), updates
-    kCommit = 2,        ///< commit: seq, generation (end), outcomes
-    kAddVertex = 3,     ///< self-committing: generation (end), vertex
-    kRemoveVertex = 4,  ///< intent: seq, vertex (committed by kCommit)
+    kBatch = 1,      ///< intent: seq, generation (base), updates
+    kCommit = 2,     ///< commit: seq, generation (end), outcomes
+    kAddVertex = 3,  ///< intent: seq, generation (base), vertex (new id)
   };
 
   Kind kind = Kind::kBatch;
@@ -108,7 +109,8 @@ struct WalRecord {
   Vertex vertex = 0;
   std::vector<Update> updates;
   /// Per-update outcome bytes of a commit: 1 = applied (bumped the
-  /// generation), 0 = no-op. Rejected updates never reach the WAL.
+  /// generation), 0 = no-op; one per update of its intent (none for
+  /// kAddVertex). Rejected updates never reach the WAL.
   std::vector<uint8_t> outcomes;
 };
 

@@ -41,14 +41,14 @@ class DifferentialStream {
   DifferentialStream(const Graph& start, RefreshPolicy policy, uint64_t seed,
                      size_t snapshot_shards = 0,
                      ParallelBuildOptions build = {},
-                     size_t rebuild_after_updates = 0)
-      : policy_(policy), build_(build), rng_(seed) {
+                     size_t rebuild_every = 0)
+      : policy_(policy), build_(build), rebuild_every_(rebuild_every),
+        rng_(seed) {
     DynamicSpcOptions options;
     options.snapshot.refresh = policy;
     options.snapshot.rebuild_after_queries = kStaleBudget;
     options.snapshot.shards = snapshot_shards;
     options.build = build;
-    options.rebuild_after_updates = rebuild_after_updates;
     dyn_ = std::make_unique<DynamicSpcIndex>(start, options);
     history_.emplace(dyn_->Generation(), dyn_->graph());
   }
@@ -81,6 +81,16 @@ class DifferentialStream {
 
   void RecordGeneration() {
     history_.emplace(dyn_->Generation(), dyn_->graph());
+  }
+
+  /// Records an applied edge update; every rebuild_every_-th one is
+  /// followed by a full Rebuild() (a new generation over the same graph).
+  void RecordAppliedUpdate() {
+    RecordGeneration();
+    if (rebuild_every_ != 0 && ++applied_updates_ % rebuild_every_ == 0) {
+      dyn_->Rebuild();
+      RecordGeneration();
+    }
   }
 
   /// Checks one query answer differentially against BiBFS. Sync/manual
@@ -143,7 +153,7 @@ class DifferentialStream {
     const Vertex v = RandomVertex();
     if (u == v || dyn_->graph().HasEdge(u, v)) return;
     ASSERT_TRUE(dyn_->InsertEdge(u, v).applied);
-    RecordGeneration();
+    RecordAppliedUpdate();
     BoundaryProbe("after insert");
   }
 
@@ -152,7 +162,7 @@ class DifferentialStream {
     if (edges.empty()) return;
     const Edge e = edges[rng_.NextBounded(edges.size())];
     ASSERT_TRUE(dyn_->RemoveEdge(e.u, e.v).applied);
-    RecordGeneration();
+    RecordAppliedUpdate();
     BoundaryProbe("after delete");
   }
 
@@ -165,7 +175,7 @@ class DifferentialStream {
     CheckQuery(v, u, "fresh isolated vertex");
     if (::testing::Test::HasFatalFailure()) return;
     ASSERT_TRUE(dyn_->InsertEdge(v, u).applied);
-    RecordGeneration();
+    RecordAppliedUpdate();
     BoundaryProbe("after vertex attach");
   }
 
@@ -216,6 +226,8 @@ class DifferentialStream {
 
   const RefreshPolicy policy_;
   const ParallelBuildOptions build_;
+  const size_t rebuild_every_;
+  size_t applied_updates_ = 0;
   Rng rng_;
   std::unique_ptr<DynamicSpcIndex> dyn_;
   /// Graph state at every generation the index has passed through.
@@ -261,9 +273,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 2u, 7u, 64u)),
     FuzzParamName);
 
-// Parallel-build fuzz sweep: the same randomized update streams, but the
-// lazy rebuild policy fires every 6 updates and every full rebuild —
-// construction included — runs through the parallel builder at the
+// Parallel-build fuzz sweep: the same randomized update streams, but
+// every 6 applied updates the stream calls Rebuild(), and every full
+// rebuild — construction included — runs through the parallel builder at the
 // sweep's thread count and batch strategy. Every answer is still checked
 // bit-for-bit against BiBFS, and every periodic cross-check asserts the
 // parallel rebuild is label-identical to a sequential one on the evolved
@@ -293,7 +305,7 @@ TEST_P(ParallelBuildFuzzTest, SyncRmatStream) {
   build.batch_strategy = strategy;
   DifferentialStream stream(GenerateRmat(6, 150, seed), RefreshPolicy::kSync,
                             seed, /*snapshot_shards=*/2, build,
-                            /*rebuild_after_updates=*/6);
+                            /*rebuild_every=*/6);
   stream.Run(70);
 }
 
@@ -305,7 +317,7 @@ TEST_P(ParallelBuildFuzzTest, BackgroundBaStream) {
   DifferentialStream stream(GenerateBarabasiAlbert(48, 2, seed),
                             RefreshPolicy::kBackground, seed,
                             /*snapshot_shards=*/7, build,
-                            /*rebuild_after_updates=*/6);
+                            /*rebuild_every=*/6);
   stream.Run(70);
 }
 

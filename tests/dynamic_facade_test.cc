@@ -150,54 +150,6 @@ TEST(BatchQueryTest, LiveFallbackUsesSharedPool) {
   }
 }
 
-TEST(LazyRebuildTest, UpdateCountTriggerFires) {
-  Graph g = RandomGraph(20, 40, 7);
-  DynamicSpcOptions options;
-  options.rebuild_after_updates = 5;
-  DynamicSpcIndex dyn(std::move(g), options);
-  Rng rng(8);
-  size_t applied = 0;
-  while (applied < 12) {
-    const auto u = static_cast<Vertex>(rng.NextBounded(20));
-    const auto v = static_cast<Vertex>(rng.NextBounded(20));
-    if (u != v && !dyn.graph().HasEdge(u, v) && dyn.InsertEdge(u, v).applied) {
-      ++applied;
-    }
-  }
-  EXPECT_EQ(dyn.PolicyRebuilds(), 2u);  // fired at updates 5 and 10
-  EXPECT_EQ(dyn.UpdatesSinceBuild(), 2u);
-  ExpectIndexMatchesBfs(dyn.graph(), dyn.index());
-}
-
-TEST(LazyRebuildTest, GrowthTriggerFires) {
-  // Start from a star (minimal index: two labels per leaf) and densify:
-  // inserted labels grow the index until the growth trigger fires.
-  Graph g = GenerateStar(30);
-  DynamicSpcOptions options;
-  options.rebuild_growth_factor = 1.5;
-  DynamicSpcIndex dyn(std::move(g), options);
-  Rng rng(9);
-  for (int i = 0; i < 120; ++i) {
-    const auto u = static_cast<Vertex>(rng.NextBounded(30));
-    const auto v = static_cast<Vertex>(rng.NextBounded(30));
-    if (u != v && !dyn.graph().HasEdge(u, v)) dyn.InsertEdge(u, v);
-  }
-  EXPECT_GE(dyn.PolicyRebuilds(), 1u);
-  ExpectIndexMatchesBfs(dyn.graph(), dyn.index());
-}
-
-TEST(LazyRebuildTest, DisabledByDefault) {
-  Graph g = RandomGraph(15, 25, 10);
-  DynamicSpcIndex dyn(std::move(g));
-  Rng rng(11);
-  for (int i = 0; i < 30; ++i) {
-    const auto u = static_cast<Vertex>(rng.NextBounded(15));
-    const auto v = static_cast<Vertex>(rng.NextBounded(15));
-    if (u != v && !dyn.graph().HasEdge(u, v)) dyn.InsertEdge(u, v);
-  }
-  EXPECT_EQ(dyn.PolicyRebuilds(), 0u);
-}
-
 TEST(AdoptIndexTest, LoadedIndexServesUpdates) {
   const Graph g = RandomGraph(22, 44, 12);
   const SpcIndex built = BuildSpcIndex(g);
@@ -322,9 +274,7 @@ TEST(ManualRebuildTest, ResetsCountersAndStaysExact) {
   Graph g = RandomGraph(18, 30, 13);
   DynamicSpcIndex dyn(std::move(g));
   dyn.InsertEdge(0, 17);
-  EXPECT_EQ(dyn.UpdatesSinceBuild(), 1u);
   dyn.Rebuild();
-  EXPECT_EQ(dyn.UpdatesSinceBuild(), 0u);
   ExpectIndexMatchesBfs(dyn.graph(), dyn.index());
   // Rebuild also compacts away redundant labels accumulated by IncSPC.
   const SpcIndex fresh = BuildSpcIndex(dyn.graph());

@@ -241,15 +241,6 @@ TEST(RecoveryTest, MetricsExposeDurabilityAndRecoveryCounters) {
   EXPECT_EQ((*reopened)->RecoveryInfo().replayed, 1u);
 }
 
-TEST(RecoveryTest, OpenRejectsLazyRebuildPolicies) {
-  const std::string dir = FreshDir("recovery_reject_lazy");
-  DynamicSpcOptions options;
-  options.rebuild_after_updates = 100;
-  const auto service = SpcService::Open(GenerateBarabasiAlbert(10, 2, 1),
-                                        EveryWriteOptions(dir), options);
-  EXPECT_TRUE(service.status().IsNotSupported());
-}
-
 // --- the crash matrix --------------------------------------------------------
 
 struct MatrixTally {

@@ -214,10 +214,11 @@ void CheckAnswers(const WorkloadLog& log, uint64_t generation,
 
 // --- unit: live-tail segment reads ---------------------------------------
 
-std::vector<uint8_t> SegmentHeader(uint64_t seq, uint64_t base_generation) {
+std::vector<uint8_t> SegmentHeader(uint64_t seq, uint64_t base_generation,
+                                   uint32_t version = kWalVersion) {
   BinaryWriter w;
   w.PutU32(kWalMagic);
-  w.PutU32(kWalVersion);
+  w.PutU32(version);
   w.PutU64(seq);
   w.PutU64(base_generation);
   w.PutU32(Crc32c(w.buffer().data(), w.buffer().size()));
@@ -247,6 +248,7 @@ TEST(WalLiveTailTest, PartialTrailingFrameIsInFlightNotTorn) {
 
   WalRecord rec;
   rec.kind = WalRecord::Kind::kAddVertex;
+  rec.seq = 1;
   rec.generation = 8;
   rec.vertex = 40;
   const std::vector<uint8_t> frame = Frame(EncodeWalRecord(rec));
@@ -276,6 +278,22 @@ TEST(WalLiveTailTest, PartialTrailingFrameIsInFlightNotTorn) {
   EXPECT_EQ(torn.valid_bytes, boundary);
 }
 
+TEST(WalSegmentTest, VersionOneHeaderIsDataLossUnderBothPolicies) {
+  FileSystem* fs = FileSystem::Default();
+  const std::string dir = FreshDir("wal_version_one");
+  const std::string path = dir + "/" + WalSegmentFileName(4);
+  // A well-formed segment header from the format before every write
+  // became one intent plus one commit.
+  WriteBytes(fs, path, SegmentHeader(4, 1, /*version=*/1));
+
+  for (const WalTailPolicy policy :
+       {WalTailPolicy::kCrashTorn, WalTailPolicy::kLiveTail}) {
+    WalSegment seg;
+    const Status st = ReadWalSegment(fs, path, 4, &seg, policy);
+    EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
+  }
+}
+
 TEST(WalLiveTailTest, CompleteFrameWithBadCrcIsTornUnderBothPolicies) {
   FileSystem* fs = FileSystem::Default();
   const std::string dir = FreshDir("livetail_badcrc");
@@ -283,6 +301,7 @@ TEST(WalLiveTailTest, CompleteFrameWithBadCrcIsTornUnderBothPolicies) {
 
   WalRecord rec;
   rec.kind = WalRecord::Kind::kAddVertex;
+  rec.seq = 2;
   rec.generation = 2;
   rec.vertex = 1;
   std::vector<uint8_t> frame = Frame(EncodeWalRecord(rec));
@@ -311,6 +330,7 @@ TEST(WalLiveTailTest, CompleteFrameWithBadCrcIsTornUnderBothPolicies) {
 TEST(ParseWalFrameWindowTest, StopsAtIncompleteTrailingFrame) {
   WalRecord rec;
   rec.kind = WalRecord::Kind::kAddVertex;
+  rec.seq = 3;
   rec.generation = 3;
   rec.vertex = 9;
   const std::vector<uint8_t> frame = Frame(EncodeWalRecord(rec));
@@ -361,6 +381,72 @@ TEST(ReplayCursorTest, SkipsCoveredOpsAndKeepsUnpairedIntentsPending) {
   // A duplicate intent seq is the same damage recovery reports.
   const Status dup = cursor.Feed(unpaired, &ops);
   EXPECT_TRUE(dup.IsDataLoss()) << dup.ToString();
+}
+
+TEST(ReplayCursorTest, AddVertexIntentPairsLikeABatch) {
+  ReplayCursor cursor(10);
+  std::vector<ReplayOp> ops;
+
+  WalRecord intent;
+  intent.kind = WalRecord::Kind::kAddVertex;
+  intent.seq = 5;
+  intent.generation = 10;
+  intent.vertex = 3;
+  // Without its commit the intent was never acknowledged: it stays
+  // pending and is never emitted, whatever follows it.
+  ASSERT_TRUE(cursor.Feed(intent, &ops).ok());
+  EXPECT_TRUE(ops.empty());
+  EXPECT_EQ(cursor.pending_intents(), 1u);
+  EXPECT_EQ(cursor.generation(), 10u);
+
+  WalRecord commit;
+  commit.kind = WalRecord::Kind::kCommit;
+  commit.seq = 5;
+  commit.generation = 11;
+  ASSERT_TRUE(cursor.Feed(commit, &ops).ok());
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].kind, ReplayOp::Kind::kAddVertex);
+  EXPECT_EQ(ops[0].base_generation, 10u);
+  EXPECT_EQ(ops[0].end_generation, 11u);
+  EXPECT_EQ(ops[0].vertex, 3u);
+  EXPECT_EQ(cursor.pending_intents(), 0u);
+  EXPECT_EQ(cursor.generation(), 11u);
+
+  // A commit that carries outcomes an AddVertex intent has no updates
+  // for contradicts it.
+  intent.seq = 6;
+  intent.generation = 11;
+  commit.seq = 6;
+  commit.generation = 12;
+  commit.outcomes = {1};
+  ASSERT_TRUE(cursor.Feed(intent, &ops).ok());
+  EXPECT_TRUE(cursor.Feed(commit, &ops).IsDataLoss());
+}
+
+TEST(ReplayCursorTest, ChainBreakIsDataLossForEitherIntentKind) {
+  for (const WalRecord::Kind kind :
+       {WalRecord::Kind::kBatch, WalRecord::Kind::kAddVertex}) {
+    ReplayCursor cursor(10);
+    std::vector<ReplayOp> ops;
+    WalRecord intent;
+    intent.kind = kind;
+    intent.seq = 1;
+    intent.generation = 11;  // the chain stands at 10: a generation is lost
+    WalRecord commit;
+    commit.kind = WalRecord::Kind::kCommit;
+    commit.seq = 1;
+    commit.generation = 12;
+    if (kind == WalRecord::Kind::kBatch) {
+      intent.updates = {Update::Insert(0, 1)};
+      commit.outcomes = {1};
+    } else {
+      intent.vertex = 7;
+    }
+    ASSERT_TRUE(cursor.Feed(intent, &ops).ok());
+    const Status st = cursor.Feed(commit, &ops);
+    EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
+    EXPECT_TRUE(ops.empty());
+  }
 }
 
 TEST(ReplicationBackoffTest, GrowsDoublesCapsAndResets) {

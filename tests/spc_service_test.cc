@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "dspc/common/rng.h"
 #include "dspc/graph/generators.h"
 #include "dspc/graph/update_stream.h"
+#include "test_util.h"
 
 namespace dspc {
 namespace {
@@ -652,6 +654,121 @@ TEST(SpcServiceTest, RemoveVertexIsolatesAndTokens) {
   const auto q = service.Query(3, 4, read);
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(q->result.count, 0u);
+}
+
+// --- one write path ----------------------------------------------------------
+
+void ExpectSameResponse(const UpdateResponse& plain,
+                        const UpdateResponse& durable, int step) {
+  SCOPED_TRACE("step " + std::to_string(step));
+  EXPECT_TRUE(plain.stats == durable.stats);
+  ASSERT_EQ(plain.reports.size(), durable.reports.size());
+  for (size_t i = 0; i < plain.reports.size(); ++i) {
+    const WriteReport& a = plain.reports[i];
+    const WriteReport& b = durable.reports[i];
+    EXPECT_EQ(a.outcome, b.outcome) << "report " << i;
+    EXPECT_STREQ(a.reason, b.reason) << "report " << i;
+    EXPECT_EQ(a.generation, b.generation) << "report " << i;
+    EXPECT_TRUE(a.stats == b.stats) << "report " << i;
+  }
+  EXPECT_EQ(plain.applied, durable.applied);
+  EXPECT_EQ(plain.noops, durable.noops);
+  EXPECT_EQ(plain.rejected, durable.rejected);
+  EXPECT_EQ(plain.token.generation, durable.token.generation);
+  // Only a durable service may promise durability.
+  EXPECT_FALSE(plain.token.durable);
+  EXPECT_TRUE(durable.token.durable);
+}
+
+// Every write method runs one body on plain and durable services alike:
+// one seeded script — batches with out-of-range endpoints, no-ops and an
+// inverse pair, AddVertex, RemoveVertex of connected and isolated
+// vertices — answers identically on both, every write asking for
+// durability.
+TEST(SpcServiceTest, PlainAndDurableWritesAgree) {
+  const Graph g = GenerateBarabasiAlbert(40, 2, 41);
+  SpcService plain(g);
+  DurabilityOptions durability;
+  durability.dir = testing::FreshDir("plain_durable_agree");
+  durability.sync = WalSyncPolicy::kNone;
+  auto opened = SpcService::Open(g, durability);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  SpcService& durable = **opened;
+  ASSERT_EQ(plain.Generation(), durable.Generation());
+
+  const WriteOptions write{.durable = true};
+  Rng rng(43);
+  Vertex removed = 0;
+  for (int step = 0; step < 40; ++step) {
+    const auto n = static_cast<Vertex>(plain.NumVertices());
+    auto random_vertex = [&] {
+      return static_cast<Vertex>(rng.NextBounded(n));
+    };
+    switch (step % 10) {
+      case 3: {
+        const AddVertexResponse a = plain.AddVertex(write);
+        const AddVertexResponse b = durable.AddVertex(write);
+        EXPECT_EQ(a.vertex, n) << "step " << step;
+        EXPECT_EQ(a.vertex, b.vertex) << "step " << step;
+        EXPECT_EQ(a.token.generation, b.token.generation) << "step " << step;
+        EXPECT_FALSE(a.token.durable) << "step " << step;
+        EXPECT_TRUE(b.token.durable) << "step " << step;
+        continue;
+      }
+      case 5:
+      case 6: {
+        // A connected vertex, then the same one again, now isolated.
+        if (step % 10 == 5) {
+          do {
+            removed = random_vertex();
+          } while (plain.engine().graph().Neighbors(removed).empty());
+        }
+        const auto a = plain.RemoveVertex(removed, write);
+        const auto b = durable.RemoveVertex(removed, write);
+        ASSERT_TRUE(a.ok() && b.ok()) << "step " << step;
+        EXPECT_EQ(a->applied, step % 10 == 5 ? 1u : 0u) << "step " << step;
+        ExpectSameResponse(*a, *b, step);
+        continue;
+      }
+      default:
+        break;
+    }
+    std::vector<Update> updates;
+    if (step % 10 == 9) {
+      // An exact inverse pair, a no-op insert, and a rejected endpoint.
+      const Edge fresh = SampleNonEdges(plain.engine().graph(), 1, step).at(0);
+      const Edge present = plain.engine().graph().Edges().front();
+      updates = {Update::Insert(fresh.u, fresh.v),
+                 Update::Insert(present.u, present.v),
+                 Update::Delete(fresh.u, fresh.v), Update::Insert(n + 2, 0)};
+    } else {
+      const size_t count = 1 + rng.NextBounded(4);
+      for (size_t i = 0; i < count; ++i) {
+        const Vertex u = rng.NextBounded(8) == 0 ? n + 1 : random_vertex();
+        Vertex v = random_vertex();
+        if (u == v) v = (v + 1) % n;
+        updates.push_back(rng.NextBounded(3) == 0 ? Update::Delete(u, v)
+                                                  : Update::Insert(u, v));
+      }
+    }
+    const auto a = plain.ApplyUpdates(updates, write);
+    const auto b = durable.ApplyUpdates(updates, write);
+    ASSERT_TRUE(a.ok() && b.ok()) << "step " << step;
+    ExpectSameResponse(*a, *b, step);
+  }
+
+  const MetricsSnapshot ma = plain.Metrics();
+  const MetricsSnapshot mb = durable.Metrics();
+  EXPECT_EQ(ma.write_batches, mb.write_batches);
+  EXPECT_EQ(ma.write_batch_size_hist, mb.write_batch_size_hist);
+  EXPECT_EQ(ma.updates_applied, mb.updates_applied);
+  EXPECT_EQ(ma.updates_noop, mb.updates_noop);
+  EXPECT_EQ(ma.updates_rejected, mb.updates_rejected);
+  EXPECT_GT(ma.updates_rejected, 0u);
+  EXPECT_EQ(plain.Generation(), durable.Generation());
+  EXPECT_EQ(plain.engine().graph().NumVertices(),
+            durable.engine().graph().NumVertices());
+  EXPECT_EQ(plain.engine().graph().Edges(), durable.engine().graph().Edges());
 }
 
 }  // namespace
