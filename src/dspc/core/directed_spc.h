@@ -5,23 +5,14 @@
 // h->v path on which h is the highest-ranked vertex) and L_out(v) covers
 // shortest paths *out of* v. SPC(s, t) scans L_out(s) against L_in(t).
 //
-// Maintenance mirrors the undirected algorithms with directions:
-//  - inserting arc a->b: hubs from L_in(a) run forward BFS from b and
-//    renew in-labels; hubs from L_out(b) run reverse BFS from a and renew
-//    out-labels;
-//  - deleting arc a->b: SR_a/R_a are found by reverse search from a
-//    (vertices v with sd(v,a)+1 = sd(v,b)), SR_b/R_b by forward search
-//    from b (vertices v with sd(b,v)+1 = sd(a,v)); SR_a hubs re-push
-//    forward into the opposite side's in-labels, SR_b hubs re-push in
-//    reverse into out-labels. The unconditional deferred-removal fix from
-//    dec_spc.cc applies here identically.
+// The build and both maintenance algorithms are the shared core
+// (core/label_maintenance.h) over out-arcs and in-labels forward, in-arcs
+// and out-labels in reverse.
 
 #ifndef DSPC_CORE_DIRECTED_SPC_H_
 #define DSPC_CORE_DIRECTED_SPC_H_
 
-#include <cstdint>
-#include <vector>
-
+#include "dspc/core/label_maintenance.h"
 #include "dspc/core/spc_index.h"
 #include "dspc/core/update_stats.h"
 #include "dspc/graph/digraph.h"
@@ -58,9 +49,9 @@ class DynamicDirectedSpcIndex {
   void Rebuild();
 
   const Digraph& graph() const { return graph_; }
-  const VertexOrdering& ordering() const { return ordering_; }
-  const LabelSet& InLabels(Vertex v) const { return in_labels_[v]; }
-  const LabelSet& OutLabels(Vertex v) const { return out_labels_[v]; }
+  const VertexOrdering& ordering() const { return in_.ordering(); }
+  const LabelSet& InLabels(Vertex v) const { return in_.Labels(v); }
+  const LabelSet& OutLabels(Vertex v) const { return out_.Labels(v); }
 
   /// Structural invariants of both label families.
   Status ValidateStructure() const;
@@ -69,74 +60,15 @@ class DynamicDirectedSpcIndex {
   IndexSizeStats SizeStats() const;
 
  private:
-  enum class Direction : uint8_t { kForward, kReverse };
-  // Unlike the undirected case, a vertex of a directed cycle through the
-  // arc can be upstream of a AND downstream of b at once, so side
-  // membership is a bitmask, not an enum.
-  enum : uint8_t {
-    kSideNone = 0,
-    kSideA = 1,      // in SR_a u R_a (upstream)
-    kSideB = 2,      // in SR_b u R_b (downstream)
-    kSrA = 4,        // in SR_a
-    kSrB = 8,        // in SR_b
-  };
-
-  /// The label family written by BFSs of a given direction: forward BFS
-  /// discovers paths hub->w (in-labels), reverse BFS paths w->hub
-  /// (out-labels).
-  std::vector<LabelSet>& TargetLabels(Direction dir) {
-    return dir == Direction::kForward ? in_labels_ : out_labels_;
-  }
-  /// The label family the pruning query reads on the hub side.
-  std::vector<LabelSet>& SourceLabels(Direction dir) {
-    return dir == Direction::kForward ? out_labels_ : in_labels_;
-  }
-  const std::vector<Vertex>& Successors(Vertex v, Direction dir) const {
-    return dir == Direction::kForward ? graph_.OutNeighbors(v)
-                                      : graph_.InNeighbors(v);
-  }
-
+  /// Pushes every hub in rank order, both directions, over families that
+  /// hold only self labels.
   void Build();
 
-  /// Hub-pushing BFS for hub rank h in the given direction, used both by
-  /// Build (seeded at the hub) and by label upkeep.
-  void PushFromHub(Rank h, Direction dir);
-
-  /// Incremental pruned BFS (directed Algorithm 3): hub h, entering at
-  /// `seed` with the given distance/count, writing the `dir` label family.
-  void IncUpdate(Rank h, Vertex seed, Distance seed_dist, PathCount seed_count,
-                 Direction dir, UpdateStats* stats);
-
-  /// Directed SrrSEARCH: search `dir` = kReverse from a (classifying v by
-  /// sd(v,a)+1 = sd(v,b)) or kForward from b.
-  void SrrSearch(Vertex from, Vertex towards, Direction dir,
-                 std::vector<Vertex>* sr, std::vector<Vertex>* r,
-                 UpdateStats* stats);
-
-  /// Directed DecUPDATE for hub `hv` in direction `dir`, touching labels
-  /// of opposite-side vertices only, with unconditional deferred removal.
-  void DecUpdate(Vertex hv, Direction dir, uint8_t opposite_side_bit,
-                 const std::vector<Vertex>& opposite_vertices,
-                 UpdateStats* stats);
-
-  /// Query by explicit label sets (merge scan).
-  static SpcResult ScanQuery(const LabelSet& out_s, const LabelSet& in_t);
-
   Digraph graph_;
-  VertexOrdering ordering_;
   OrderingOptions ordering_options_;
-  std::vector<LabelSet> in_labels_;
-  std::vector<LabelSet> out_labels_;
-
-  HubCache cache_;
-  std::vector<Distance> dist_;
-  std::vector<PathCount> count_;
-  std::vector<Vertex> queue_;
-  std::vector<Vertex> touched_;
-  std::vector<uint8_t> side_of_;
-  std::vector<Vertex> side_touched_;
-  std::vector<uint8_t> updated_;
-  std::vector<Vertex> updated_touched_;
+  SpcIndex in_;   // forward family
+  SpcIndex out_;  // reverse family
+  LabelMaintenance<DirectedPolicy> core_;
 };
 
 }  // namespace dspc

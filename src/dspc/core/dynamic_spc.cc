@@ -27,6 +27,53 @@ class WriterScope {
   std::atomic<uint32_t>* counter_;
 };
 
+/// The §3.2.3 isolated-vertex fast path, for undirected unit-length
+/// deletions only (DESIGN.md §3): deleting (a, b) where one endpoint has
+/// degree 1 and is outranked by the other detaches it, so its label set
+/// collapses to the self label and nothing else changes. Returns false,
+/// without changing anything, when the shortcut does not apply.
+bool TryIsolatedVertexDelete(Vertex a, Vertex b, Graph* graph,
+                             SpcIndex* index, UpdateStats* stats) {
+  const bool a_leaf = graph->Degree(a) == 1;
+  const bool b_leaf = graph->Degree(b) == 1;
+  Vertex keep;      // the paper's `a`
+  Vertex detached;  // the paper's `b`, about to become isolated
+  if (a_leaf && b_leaf) {
+    // Both degree 1: detach the lower-ranked one, so keep <= detached
+    // holds by construction.
+    if (index->RankOf(a) < index->RankOf(b)) {
+      keep = a;
+      detached = b;
+    } else {
+      keep = b;
+      detached = a;
+    }
+  } else if (b_leaf) {
+    keep = a;
+    detached = b;
+  } else if (a_leaf) {
+    keep = b;
+    detached = a;
+  } else {
+    return false;
+  }
+  // The paper's argument needs the surviving endpoint to outrank the
+  // detached one (then no label anywhere uses `detached` as hub). A frozen
+  // degree ordering does not guarantee this after updates, so check and
+  // fall back to the general path otherwise.
+  if (index->RankOf(keep) > index->RankOf(detached)) return false;
+  // Stale labels retained by IncSPC can use `detached` as hub even though
+  // a minimal index never would; they would answer queries against the
+  // soon-isolated vertex. Take the fast path only when provably none
+  // exist; the general path's removal scan cleans them otherwise.
+  if (index->HubOccurrences(index->RankOf(detached)) != 0) return false;
+
+  graph->RemoveEdge(a, b);
+  stats->removed += index->ClearToSelfLabel(detached);
+  stats->used_isolated_vertex_opt = true;
+  return true;
+}
+
 unsigned ResolveRebuildThreads(unsigned requested) {
   if (requested != 0) return requested;
   return std::clamp(std::thread::hardware_concurrency(), 1u, 8u);
@@ -38,8 +85,7 @@ DynamicSpcIndex::DynamicSpcIndex(Graph graph, const DynamicSpcOptions& options)
     : graph_(std::move(graph)),
       index_(BuildSpcIndexParallel(graph_, options.ordering, options.build)),
       options_(options),
-      inc_(&graph_, &index_),
-      dec_(&graph_, &index_, options.dec) {
+      core_(UndirectedPolicy{{}, &graph_, &index_}) {
   InitSnapshots();
 }
 
@@ -48,8 +94,7 @@ DynamicSpcIndex::DynamicSpcIndex(Graph graph, SpcIndex index,
     : graph_(std::move(graph)),
       index_(std::move(index)),
       options_(options),
-      inc_(&graph_, &index_),
-      dec_(&graph_, &index_, options.dec) {
+      core_(UndirectedPolicy{{}, &graph_, &index_}) {
   InitSnapshots();
 }
 
@@ -124,8 +169,12 @@ FlatSpcIndex::IndexDelta DynamicSpcIndex::CopyDeltaForSnapshot(
 UpdateStats DynamicSpcIndex::InsertEdge(Vertex a, Vertex b) {
   WriterScope writer(&active_writers_);
   std::unique_lock<std::shared_timed_mutex> lock(index_mu_);
-  const UpdateStats stats = inc_.InsertEdge(a, b);
-  if (stats.applied) {
+  UpdateStats stats;
+  // AddEdge refuses a self-loop, an out-of-range endpoint or an edge that
+  // exists: a no-op.
+  if (graph_.AddEdge(a, b)) {
+    stats.applied = true;
+    core_.Insert(a, b, 1, &stats);
     BumpGeneration();
     NoteTouchedLocked();
   } else {
@@ -137,8 +186,14 @@ UpdateStats DynamicSpcIndex::InsertEdge(Vertex a, Vertex b) {
 UpdateStats DynamicSpcIndex::RemoveEdge(Vertex a, Vertex b) {
   WriterScope writer(&active_writers_);
   std::unique_lock<std::shared_timed_mutex> lock(index_mu_);
-  const UpdateStats stats = dec_.RemoveEdge(a, b);
-  if (stats.applied) {
+  UpdateStats stats;
+  if (a != b && graph_.IsValidVertex(a) && graph_.IsValidVertex(b) &&
+      graph_.HasEdge(a, b)) {
+    stats.applied = true;
+    if (!options_.dec.enable_isolated_vertex_opt ||
+        !TryIsolatedVertexDelete(a, b, &graph_, &index_, &stats)) {
+      core_.Delete(a, b, 1, [&] { graph_.RemoveEdge(a, b); }, &stats);
+    }
     BumpGeneration();
     NoteTouchedLocked();
   } else {
@@ -152,8 +207,7 @@ Vertex DynamicSpcIndex::AddVertex() {
   std::unique_lock<std::shared_timed_mutex> lock(index_mu_);
   graph_.AddVertex();
   const Vertex v = index_.AddVertex();
-  inc_.Resize();
-  dec_.Resize();
+  core_.Resize();
   num_vertices_.store(graph_.NumVertices(), std::memory_order_release);
   BumpGeneration();
   // The vertex count changed, so shard boundaries (and the stale
@@ -397,8 +451,7 @@ void DynamicSpcIndex::Rebuild() {
   WriterScope writer(&active_writers_);
   std::unique_lock<std::shared_timed_mutex> lock(index_mu_);
   index_ = BuildSpcIndexParallel(graph_, options_.ordering, options_.build);
-  inc_.Resize();
-  dec_.Resize();
+  core_.Resize();
   BumpGeneration();
   // A fresh ordering re-ranks every hub, so no previous shard survives.
   ResetShardLayoutLocked();

@@ -45,9 +45,8 @@
 #include <vector>
 
 #include "dspc/common/thread_pool.h"
-#include "dspc/core/dec_spc.h"
 #include "dspc/core/flat_spc_index.h"
-#include "dspc/core/inc_spc.h"
+#include "dspc/core/label_maintenance.h"
 #include "dspc/core/pair_cache.h"
 #include "dspc/core/parallel_build.h"
 #include "dspc/core/snapshot_manager.h"
@@ -122,12 +121,18 @@ struct SnapshotOptions {
   bool writer_priority = true;
 };
 
+/// DecSPC knobs of the undirected index.
+struct DecSpcOptions {
+  /// Disables the §3.2.3 isolated-vertex fast path (ablation bench).
+  bool enable_isolated_vertex_opt = true;
+};
+
 /// Options for DynamicSpcIndex.
 struct DynamicSpcOptions {
   /// Ordering used for the initial HP-SPC build.
   OrderingOptions ordering;
-  /// Passed through to DecSPC (isolated-vertex fast path toggle).
-  DecSpc::Options dec;
+  /// DecSPC knobs (isolated-vertex fast path toggle).
+  DecSpcOptions dec;
 
   /// Starting value of the structural generation counter (0 means the
   /// historical default of 1). Recovery (persist/recovery.h) passes the
@@ -490,8 +495,8 @@ class DynamicSpcIndex {
   Graph graph_;
   SpcIndex index_;
   DynamicSpcOptions options_;
-  IncSpc inc_;
-  DecSpc dec_;
+  /// IncSPC and DecSPC over graph_/index_ (core/label_maintenance.h).
+  LabelMaintenance<UndirectedPolicy> core_;
 
   /// Dirty-shard tracking (DESIGN.md §8), all written under exclusive
   /// index_mu_ and read under the shared lock by the snapshot source:

@@ -1,38 +1,25 @@
 #include "dspc/core/spc_index.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "dspc/common/label_codec.h"
 #include "dspc/core/merge_kernel.h"
 
 namespace dspc {
 
-LabelEntry* FindLabelIn(LabelSet& set, Rank hub) {
-  auto it = std::lower_bound(
-      set.begin(), set.end(), hub,
-      [](const LabelEntry& e, Rank r) { return e.hub < r; });
-  if (it != set.end() && it->hub == hub) return &*it;
-  return nullptr;
-}
+namespace {
 
-const LabelEntry* FindLabelIn(const LabelSet& set, Rank hub) {
-  return FindLabelIn(const_cast<LabelSet&>(set), hub);
-}
+/// Binary-search order of a label set sorted by hub rank.
+bool HubBelow(const LabelEntry& e, Rank hub) { return e.hub < hub; }
 
-void InsertLabelInto(LabelSet& set, const LabelEntry& entry) {
-  auto it = std::lower_bound(
-      set.begin(), set.end(), entry.hub,
-      [](const LabelEntry& e, Rank r) { return e.hub < r; });
-  set.insert(it, entry);
-}
+}  // namespace
 
-bool RemoveLabelFrom(LabelSet& set, Rank hub) {
-  auto it = std::lower_bound(
-      set.begin(), set.end(), hub,
-      [](const LabelEntry& e, Rank r) { return e.hub < r; });
-  if (it == set.end() || it->hub != hub) return false;
-  set.erase(it);
-  return true;
+SpcResult QueryLabels(const LabelSet& ls, const LabelSet& lt) {
+  SpcResult result;
+  MergeWideScalar(ls.data(), ls.data() + ls.size(), lt.data(),
+                  lt.data() + lt.size(), &result);
+  return result;
 }
 
 SpcIndex::SpcIndex(VertexOrdering ordering) : ordering_(std::move(ordering)) {
@@ -61,12 +48,7 @@ void SpcIndex::ClearTouched() {
 }
 
 SpcResult SpcIndex::Query(Vertex s, Vertex t) const {
-  SpcResult result;
-  const LabelSet& ls = labels_[s];
-  const LabelSet& lt = labels_[t];
-  MergeWideScalar(ls.data(), ls.data() + ls.size(), lt.data(),
-                  lt.data() + lt.size(), &result);
-  return result;
+  return QueryLabels(labels_[s], labels_[t]);
 }
 
 SpcResult SpcIndex::PreQuery(Vertex s, Vertex t) const {
@@ -100,21 +82,28 @@ LabelEntry* SpcIndex::FindLabel(Vertex v, Rank hub) {
   // overload to update dist/count in place, so the pointer handout is the
   // last point where the write is observable.
   MarkTouched(v);
-  return FindLabelIn(labels_[v], hub);
+  return const_cast<LabelEntry*>(std::as_const(*this).FindLabel(v, hub));
 }
 
 const LabelEntry* SpcIndex::FindLabel(Vertex v, Rank hub) const {
-  return FindLabelIn(labels_[v], hub);
+  const LabelSet& set = labels_[v];
+  const auto it = std::lower_bound(set.begin(), set.end(), hub, HubBelow);
+  return it != set.end() && it->hub == hub ? &*it : nullptr;
 }
 
 void SpcIndex::InsertLabel(Vertex v, const LabelEntry& entry) {
   MarkTouched(v);
-  InsertLabelInto(labels_[v], entry);
+  LabelSet& set = labels_[v];
+  set.insert(std::lower_bound(set.begin(), set.end(), entry.hub, HubBelow),
+             entry);
   if (entry.hub != ordering_.rank_of[v]) ++hub_occurrences_[entry.hub];
 }
 
 bool SpcIndex::RemoveLabel(Vertex v, Rank hub) {
-  if (!RemoveLabelFrom(labels_[v], hub)) return false;
+  LabelSet& set = labels_[v];
+  const auto it = std::lower_bound(set.begin(), set.end(), hub, HubBelow);
+  if (it == set.end() || it->hub != hub) return false;
+  set.erase(it);
   MarkTouched(v);
   if (hub != ordering_.rank_of[v]) --hub_occurrences_[hub];
   return true;

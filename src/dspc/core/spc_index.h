@@ -32,13 +32,9 @@ namespace dspc {
 /// A vertex's label set, sorted ascending by hub rank.
 using LabelSet = std::vector<LabelEntry>;
 
-/// Sorted-label-set primitives shared by the undirected, directed, and
-/// weighted index variants. All are O(log |set|) search (+ O(|set|) shift
-/// for insert/remove).
-LabelEntry* FindLabelIn(LabelSet& set, Rank hub);
-const LabelEntry* FindLabelIn(const LabelSet& set, Rank hub);
-void InsertLabelInto(LabelSet& set, const LabelEntry& entry);
-bool RemoveLabelFrom(LabelSet& set, Rank hub);
+/// SpcQUERY (Algorithm 1) over two label sets: the merge scan of
+/// L(s) and L(t), or of L_out(s) and L_in(t) for a digraph.
+SpcResult QueryLabels(const LabelSet& ls, const LabelSet& lt);
 
 /// Size/shape statistics for an index (Table 4 reporting).
 struct IndexSizeStats {
@@ -57,8 +53,9 @@ struct IndexSizeStats {
   size_t packed_bytes = 0;
 };
 
-/// The SPC-Index. Hot paths (Query) never fail; mutating helpers are used
-/// by the construction/maintenance algorithms in hp_spc / inc_spc / dec_spc.
+/// The SPC-Index, or one label family of a directed index. Hot paths
+/// (Query) never fail; mutating helpers are used by the builders and the
+/// maintenance core (core/label_maintenance.h).
 class SpcIndex {
  public:
   SpcIndex() = default;
@@ -133,7 +130,7 @@ class SpcIndex {
   /// Number of label sets other than the hub's own that currently contain
   /// an entry with hub rank `r`. DecSPC's isolated-vertex fast path is
   /// sound only when this is 0 for the detached vertex (stale labels kept
-  /// by IncSPC may otherwise survive, see dec_spc.cc).
+  /// by IncSPC may otherwise survive, see DESIGN.md §3).
   size_t HubOccurrences(Rank r) const { return hub_occurrences_[r]; }
 
   // --- mutation tracking (delta snapshots, DESIGN.md §8) -----------------

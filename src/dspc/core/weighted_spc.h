@@ -9,16 +9,14 @@
 //   - edge deletion and weight *increase* are decremental: the affected-
 //     vertex condition becomes |sd(v,a) - sd(v,b)| = w (the old weight),
 //     and SrrSEARCH / DecUPDATE run as Dijkstra searches.
-// The unconditional deferred-removal fix (see dec_spc.cc) applies.
-// The paper's §3.2.3 isolated-vertex fast path is defined for the
-// unweighted case only and is not replicated here.
+// All of it is the shared core (core/label_maintenance.h) over a
+// Dijkstra frontier. The paper's §3.2.3 isolated-vertex fast path is
+// defined for the unweighted case only and is not used here.
 
 #ifndef DSPC_CORE_WEIGHTED_SPC_H_
 #define DSPC_CORE_WEIGHTED_SPC_H_
 
-#include <cstdint>
-#include <vector>
-
+#include "dspc/core/label_maintenance.h"
 #include "dspc/core/spc_index.h"
 #include "dspc/core/update_stats.h"
 #include "dspc/graph/ordering.h"
@@ -60,60 +58,24 @@ class DynamicWeightedSpcIndex {
   void Rebuild();
 
   const WeightedGraph& graph() const { return graph_; }
-  const VertexOrdering& ordering() const { return ordering_; }
-  const LabelSet& Labels(Vertex v) const { return labels_[v]; }
+  const VertexOrdering& ordering() const { return index_.ordering(); }
+  const LabelSet& Labels(Vertex v) const { return index_.Labels(v); }
 
   /// Structural invariants (sortedness, self labels, rank constraint).
-  Status ValidateStructure() const;
+  Status ValidateStructure() const { return index_.ValidateStructure(); }
 
   /// Size statistics.
-  IndexSizeStats SizeStats() const;
+  IndexSizeStats SizeStats() const { return index_.SizeStats(); }
 
  private:
-  enum : uint8_t { kSideNone = 0, kSideA = 1, kSideB = 2 };
-
+  /// Pushes every hub in rank order over labels that hold only self
+  /// labels.
   void Build();
-  void PushFromHub(Rank h);
-
-  /// Incremental seeded Dijkstra for hub h entering the (a, b) edge at
-  /// `seed` with the given initial distance and count.
-  void IncUpdate(Rank h, Vertex seed, Distance seed_dist, PathCount seed_count,
-                 UpdateStats* stats);
-
-  /// Shared incremental driver for InsertEdge / DecreaseWeight, run after
-  /// the graph mutation.
-  void IncrementalPass(Vertex a, Vertex b, Weight new_weight,
-                       UpdateStats* stats);
-
-  /// Weighted SrrSEARCH from `from`, pruning on D[v] + w != sd(v, towards).
-  void SrrSearch(Vertex from, Vertex towards, Weight w,
-                 std::vector<Vertex>* sr, std::vector<Vertex>* r,
-                 UpdateStats* stats);
-
-  /// Weighted DecUPDATE from hub `hv`.
-  void DecUpdate(Vertex hv, uint8_t opposite_side,
-                 const std::vector<Vertex>& opposite_vertices,
-                 UpdateStats* stats);
-
-  /// Shared decremental driver: classifies with the old weight `w_old`,
-  /// applies `mutate` (deletion or weight increase), then updates.
-  template <typename MutateFn>
-  UpdateStats DecrementalPass(Vertex a, Vertex b, Weight w_old,
-                              MutateFn mutate);
 
   WeightedGraph graph_;
-  VertexOrdering ordering_;
   OrderingOptions ordering_options_;
-  std::vector<LabelSet> labels_;
-
-  HubCache cache_;
-  std::vector<Distance> dist_;
-  std::vector<PathCount> count_;
-  std::vector<Vertex> touched_;
-  std::vector<uint8_t> side_of_;
-  std::vector<Vertex> side_touched_;
-  std::vector<uint8_t> updated_;
-  std::vector<Vertex> updated_touched_;
+  SpcIndex index_;
+  LabelMaintenance<WeightedPolicy> core_;
 };
 
 }  // namespace dspc

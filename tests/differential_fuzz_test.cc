@@ -20,13 +20,17 @@
 #include <vector>
 
 #include "dspc/api/spc_service.h"
+#include "dspc/baseline/bfs_counting.h"
 #include "dspc/baseline/bibfs_counting.h"
+#include "dspc/baseline/dijkstra_counting.h"
 #include "dspc/common/rng.h"
+#include "dspc/core/directed_spc.h"
 #include "dspc/core/dynamic_spc.h"
 #include "dspc/core/flat_spc_index.h"
 #include "dspc/core/hp_spc.h"
 #include "dspc/core/merge_kernel.h"
 #include "dspc/core/parallel_build.h"
+#include "dspc/core/weighted_spc.h"
 #include "dspc/graph/generators.h"
 #include "dspc/graph/update_stream.h"
 
@@ -329,6 +333,159 @@ INSTANTIATE_TEST_SUITE_P(
                                          BuildBatchStrategy::kFrontier),
                        ::testing::Values(11u)),
     ParallelFuzzParamName);
+
+// --- directed and weighted streams (paper Appendix C) ----------------------
+//
+// The maintenance core (core/label_maintenance.h) behind the directed and
+// weighted indexes, on seeded random streams: the label structure is
+// checked after every update, all pairs against a BFS or Dijkstra oracle
+// every kOracleEvery updates, and at the end every answer against a
+// Rebuild() of the evolved graph.
+
+constexpr int kAppendixSteps = 300;
+constexpr int kOracleEvery = 25;
+
+template <typename Index, typename Oracle>
+void ExpectAllPairs(const Index& index, Oracle oracle, const std::string& ctx) {
+  const size_t n = index.graph().NumVertices();
+  for (Vertex s = 0; s < n; ++s) {
+    for (Vertex t = 0; t < n; ++t) {
+      ASSERT_EQ(index.Query(s, t), oracle(s, t))
+          << ctx << " s=" << s << " t=" << t;
+    }
+  }
+}
+
+/// Rebuilds `index` from its graph and expects every answer unchanged.
+template <typename Index>
+void ExpectRebuildAgrees(Index* index) {
+  const size_t n = index->graph().NumVertices();
+  std::vector<SpcResult> maintained;
+  for (Vertex s = 0; s < n; ++s) {
+    for (Vertex t = 0; t < n; ++t) maintained.push_back(index->Query(s, t));
+  }
+  index->Rebuild();
+  ASSERT_TRUE(index->ValidateStructure().ok());
+  for (Vertex s = 0; s < n; ++s) {
+    for (Vertex t = 0; t < n; ++t) {
+      ASSERT_EQ(maintained[s * n + t], index->Query(s, t))
+          << "maintained vs rebuilt s=" << s << " t=" << t;
+    }
+  }
+}
+
+class DirectedDifferentialFuzzTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DirectedDifferentialFuzzTest, RmatStream) {
+  const uint64_t seed = GetParam();
+  DynamicDirectedSpcIndex index(GenerateRmatDigraph(6, 200, seed));
+  Rng rng(seed ^ 0xD16Au);
+  const auto random_vertex = [&] {
+    return static_cast<Vertex>(rng.NextBounded(index.graph().NumVertices()));
+  };
+  for (int step = 1; step <= kAppendixSteps; ++step) {
+    const std::string ctx = "step " + std::to_string(step);
+    const double dice = rng.NextDouble();
+    if (dice < 0.45) {
+      const Vertex u = random_vertex();
+      const Vertex v = random_vertex();
+      if (u != v && !index.graph().HasArc(u, v)) {
+        ASSERT_TRUE(index.InsertArc(u, v).applied) << ctx;
+      }
+    } else if (dice < 0.88) {
+      const std::vector<Edge> arcs = index.graph().Arcs();
+      if (arcs.empty()) continue;
+      const Edge e = arcs[rng.NextBounded(arcs.size())];
+      ASSERT_TRUE(index.RemoveArc(e.u, e.v).applied) << ctx;
+    } else if (dice < 0.94) {
+      // A new vertex, wired in both directions.
+      const Vertex v = index.AddVertex();
+      ASSERT_TRUE(
+          index.InsertArc(v, static_cast<Vertex>(rng.NextBounded(v))).applied)
+          << ctx;
+      ASSERT_TRUE(
+          index.InsertArc(static_cast<Vertex>(rng.NextBounded(v)), v).applied)
+          << ctx;
+    } else {
+      index.RemoveVertex(random_vertex());
+    }
+    const Status status = index.ValidateStructure();
+    ASSERT_TRUE(status.ok()) << ctx << ": " << status.ToString();
+    if (step % kOracleEvery == 0) {
+      ExpectAllPairs(
+          index,
+          [&](Vertex s, Vertex t) { return BfsCountPair(index.graph(), s, t); },
+          ctx);
+      if (HasFatalFailure()) return;
+    }
+  }
+  ExpectRebuildAgrees(&index);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DirectedDifferentialFuzzTest,
+                         ::testing::Values(1u, 2u, 3u, 4u));
+
+class WeightedDifferentialFuzzTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(WeightedDifferentialFuzzTest, RmatStream) {
+  const uint64_t seed = GetParam();
+  DynamicWeightedSpcIndex index(
+      AttachRandomWeights(GenerateRmat(6, 160, seed), 1, 8, seed));
+  Rng rng(seed ^ 0x3E16u);
+  const auto random_weight = [&] {
+    return static_cast<Weight>(1 + rng.NextBounded(8));
+  };
+  for (int step = 1; step <= kAppendixSteps; ++step) {
+    const std::string ctx = "step " + std::to_string(step);
+    const size_t n = index.graph().NumVertices();
+    const std::vector<WeightedEdge> edges = index.graph().Edges();
+    const double dice = rng.NextDouble();
+    if (dice < 0.30 || edges.empty()) {
+      const auto u = static_cast<Vertex>(rng.NextBounded(n));
+      const auto v = static_cast<Vertex>(rng.NextBounded(n));
+      if (u != v && !index.graph().HasEdge(u, v)) {
+        ASSERT_TRUE(index.InsertEdge(u, v, random_weight()).applied) << ctx;
+      }
+    } else if (dice < 0.95) {
+      const WeightedEdge e = edges[rng.NextBounded(edges.size())];
+      if (dice < 0.55) {
+        ASSERT_TRUE(index.RemoveEdge(e.u, e.v).applied) << ctx;
+      } else if (dice < 0.75) {
+        if (e.w == 1) continue;
+        const auto w = static_cast<Weight>(1 + rng.NextBounded(e.w - 1));
+        ASSERT_TRUE(index.DecreaseWeight(e.u, e.v, w).applied) << ctx;
+      } else {
+        ASSERT_TRUE(index.IncreaseWeight(e.u, e.v, e.w + random_weight())
+                        .applied)
+            << ctx;
+      }
+    } else {
+      const Vertex v = index.AddVertex();
+      ASSERT_TRUE(index
+                      .InsertEdge(v, static_cast<Vertex>(rng.NextBounded(v)),
+                                  random_weight())
+                      .applied)
+          << ctx;
+    }
+    const Status status = index.ValidateStructure();
+    ASSERT_TRUE(status.ok()) << ctx << ": " << status.ToString();
+    if (step % kOracleEvery == 0) {
+      ExpectAllPairs(
+          index,
+          [&](Vertex s, Vertex t) {
+            return DijkstraCountPair(index.graph(), s, t);
+          },
+          ctx);
+      if (HasFatalFailure()) return;
+    }
+  }
+  ExpectRebuildAgrees(&index);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WeightedDifferentialFuzzTest,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 // The boundary bookkeeping itself, deterministically: exactly budget-1
 // stale queries ride without a rebuild, the budget-th rebuilds (sync) or

@@ -366,8 +366,9 @@ TEST(PruneWorkTest, UndirectedCountersArePinned) {
                     .dec = {565, 161569, 453, 25, 42, 29}});
 }
 
-// The directed and weighted variants each carry their own copies of the
-// three pruned searches; they replay the same stream on the same edges.
+// The directed and weighted indexes run the shared maintenance core over
+// arcs and over Dijkstra (core/label_maintenance.h); they replay the same
+// stream on the same edges.
 TEST(PruneWorkTest, DirectedAndWeightedCountersArePinned) {
   const Graph g = GenerateRmat(9, 2048, 3);
   const std::vector<Update> stream = MakeHybridStream(g, 100, 10, 5);

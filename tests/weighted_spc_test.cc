@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "dspc/baseline/dijkstra_counting.h"
+#include "dspc/common/label_codec.h"
 #include "dspc/common/rng.h"
 #include "dspc/core/weighted_spc.h"
 #include "dspc/graph/generators.h"
@@ -199,6 +200,28 @@ TEST(WeightedDynamic, UnitWeightsAgreeWithUnweighted) {
   WeightedGraph g = AttachRandomWeights(base, 1, 1, 1);
   DynamicWeightedSpcIndex index(std::move(g));
   ExpectMatchesDijkstra(index.graph(), index);
+}
+
+// Weighted distances outgrow the packed 25/10/29-bit budget quickly; the
+// flat arena keeps such entries in its wide side table, and SizeStats must
+// charge for them.
+TEST(WeightedDynamic, SizeStatsCountsOverflowSideTable) {
+  const Graph base = GenerateErdosRenyi(30, 70, 12);
+  DynamicWeightedSpcIndex index(AttachRandomWeights(base, 1, 1u << 24, 12));
+  size_t entries = 0;
+  size_t overflow = 0;
+  for (Vertex v = 0; v < base.NumVertices(); ++v) {
+    for (const LabelEntry& e : index.Labels(v)) {
+      ++entries;
+      if (!FitsFlatInline(e.hub, e.dist, e.count)) ++overflow;
+    }
+  }
+  ASSERT_GT(overflow, 0u);
+  const IndexSizeStats stats = index.SizeStats();
+  EXPECT_EQ(stats.total_entries, entries);
+  EXPECT_EQ(stats.overflow_entries, overflow);
+  EXPECT_EQ(stats.packed_bytes, entries * sizeof(uint64_t) +
+                                    overflow * sizeof(LabelEntry));
 }
 
 }  // namespace
