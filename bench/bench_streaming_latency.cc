@@ -9,11 +9,14 @@
 // update-processing time and the repacked/adopted shard counters show
 // what the delta protocol saves — with one shard every refresh copies
 // and repacks the whole index, with 16 it touches only dirty ranges
-// (DESIGN.md §8). Readers and the writer go through the typed SpcService
-// API (DESIGN.md §9) — sync readers with kFresh, background readers with
-// kBoundedStaleness — so the numbers price the real serving surface, and
-// a final quiesced row compares facade-vs-service single-query
-// throughput (the service-layer overhead budget is <= 2%).
+// (DESIGN.md §8). A `one_cpu` row repeats the background sweep with every
+// thread of the row pinned to one CPU, where reader pacing (§8) is what
+// keeps the writer from starving. Readers and the writer go through the
+// typed SpcService API (DESIGN.md §9) — sync readers with kFresh,
+// background readers with kBoundedStaleness — so the numbers price the
+// real serving surface, and a final quiesced row compares
+// facade-vs-service single-query throughput (the service-layer overhead
+// budget is <= 2%).
 //
 // A second sweep prices durability (DESIGN.md §11): per-update latency
 // through a non-durable service vs a WAL-journaled one under each
@@ -24,11 +27,14 @@
 // inline. Emits a human table and machine-readable JSON
 // (BENCH_streaming_latency.json, override with argv[1]).
 
+#include <sched.h>
+
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -98,6 +104,7 @@ struct PolicyResult {
   size_t retired = 0;
   size_t shards_repacked = 0;
   size_t shards_adopted = 0;
+  uint64_t pacing_yields = 0;  // dspc_reader_pacing_yields_total
 };
 
 PolicyResult ServeUnderBursts(const Graph& graph, const SpcIndex& base,
@@ -187,7 +194,33 @@ PolicyResult ServeUnderBursts(const Graph& graph, const SpcIndex& base,
   out.retired = dyn.snapshots()->RetiredSnapshots();
   out.shards_repacked = dyn.snapshots()->ShardsRepacked();
   out.shards_adopted = dyn.snapshots()->ShardsAdopted();
+  out.pacing_yields = service.Metrics().reader_pacing_yields;
   return out;
+}
+
+/// Runs `row` with every thread it starts on one CPU: the calling thread
+/// is pinned (sched_setaffinity acts on this thread only) before the
+/// row's service, readers and workers are spawned, so they inherit the
+/// mask; the original mask is restored afterwards. Empty, without
+/// running the row, when the thread cannot be pinned.
+template <typename Row>
+std::optional<PolicyResult> OnOneCpu(Row row) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  if (sched_getaffinity(0, sizeof(saved), &saved) == 0) {
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
+    CPU_SET(cpu, &one);
+  }
+  if (CPU_COUNT(&one) == 0 || sched_setaffinity(0, sizeof(one), &one) != 0) {
+    std::fprintf(stderr, "one_cpu: cannot pin to one CPU, row skipped\n");
+    return std::nullopt;
+  }
+  PolicyResult result = row();
+  sched_setaffinity(0, sizeof(saved), &saved);
+  return result;
 }
 
 // --- durability sweep (DESIGN.md §11) ---------------------------------------
@@ -516,7 +549,16 @@ int main(int argc, char** argv) {
   const PolicyResult bg_s4 = ServeUnderBursts(graph, base, stream,
                                               RefreshPolicy::kBackground, 4,
                                               "background_s4");
-  const std::vector<PolicyResult> results = {sync, bg_s1, bg_s4, bg};
+  // Background serving with the writer, both readers and the rebuild
+  // worker sharing one CPU.
+  std::vector<PolicyResult> results = {sync, bg_s1, bg_s4, bg};
+  if (const auto one_cpu = OnOneCpu([&] {
+        return ServeUnderBursts(graph, base, stream,
+                                RefreshPolicy::kBackground, kDefaultShards,
+                                "one_cpu");
+      })) {
+    results.push_back(*one_cpu);
+  }
 
   std::printf("\n%-14s %-7s %9s %9s %9s %10s %7s %7s\n", "policy", "window",
               "queries", "p50 us", "p99 us", "max us", ">1ms", ">20ms");
@@ -528,11 +570,12 @@ int main(int argc, char** argv) {
                 r.burst.stalls_20ms);
     std::printf("%-14s %-7s %9zu %9.1f %9.1f %10.1f %7zu %7zu  "
                 "(%zu rebuilds, %zu shards repacked, %zu adopted, "
-                "updates %.2fs)\n",
+                "updates %.2fs, %llu pacing yields)\n",
                 r.name.c_str(), "idle", r.idle.queries, r.idle.p50_us,
                 r.idle.p99_us, r.idle.max_us, r.idle.stalls_1ms,
                 r.idle.stalls_20ms, r.rebuilds, r.shards_repacked,
-                r.shards_adopted, r.update_seconds);
+                r.shards_adopted, r.update_seconds,
+                static_cast<unsigned long long>(r.pacing_yields));
   }
   const double worst_ratio =
       bg.burst.max_us > 0.0 ? sync.burst.max_us / bg.burst.max_us : 0.0;
@@ -701,14 +744,14 @@ int main(int argc, char** argv) {
         "\"stalls_over_1ms\": %zu, \"stalls_over_20ms\": %zu},\n"
         "     \"rebuilds\": %zu, \"background_rebuilds\": %zu, "
         "\"retired_snapshots\": %zu, \"shards_repacked\": %zu, "
-        "\"shards_adopted\": %zu}\n",
+        "\"shards_adopted\": %zu, \"pacing_yields\": %llu}\n",
         first ? "" : ",", r.name.c_str(), r.shards, r.updates,
         r.update_seconds, r.burst.queries, r.burst.p50_us, r.burst.p90_us,
         r.burst.p99_us, r.burst.max_us, r.burst.stalls_1ms,
         r.burst.stalls_20ms, r.idle.queries, r.idle.p50_us, r.idle.p90_us,
         r.idle.p99_us, r.idle.max_us, r.idle.stalls_1ms, r.idle.stalls_20ms,
         r.rebuilds, r.background_rebuilds, r.retired, r.shards_repacked,
-        r.shards_adopted);
+        r.shards_adopted, static_cast<unsigned long long>(r.pacing_yields));
     first = false;
   }
   std::fprintf(json, "  ],\n  \"durability\": [\n");

@@ -192,6 +192,10 @@ std::string MetricsSnapshot::ToString() const {
                     : 0.0,
                 pair_cache_insertions, pair_cache_evictions);
   out += buf;
+
+  std::snprintf(buf, sizeof(buf), "  reader_pacing: yields=%" PRIu64 "\n",
+                reader_pacing_yields);
+  out += buf;
   return out;
 }
 
@@ -384,6 +388,8 @@ std::string MetricsSnapshot::PrometheusText() const {
   PromCounter(&out, "dspc_pair_cache_evictions_total",
               "Live same-generation entries displaced.",
               pair_cache_evictions);
+  PromCounter(&out, "dspc_reader_pacing_yields_total",
+              "Yields taken by paced snapshot reads.", reader_pacing_yields);
   return out;
 }
 

@@ -147,6 +147,12 @@ struct MetricsSnapshot {
   uint64_t pair_cache_insertions = 0;  ///< entries written (incl. upserts)
   uint64_t pair_cache_evictions = 0;   ///< live same-generation displacements
 
+  /// Yields taken by paced snapshot reads (DynamicSpcIndex::
+  /// ReaderPacingYields, DESIGN.md §8). Filled in by SpcService::Metrics()
+  /// from the engine's counter, like the cache counters above; 0 on a
+  /// mapped reader, which has no writer to yield to.
+  uint64_t reader_pacing_yields = 0;
+
   /// Served queries across all modes (equals the staleness histogram's
   /// total population).
   uint64_t TotalQueries() const {

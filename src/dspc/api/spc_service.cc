@@ -328,8 +328,8 @@ Status SpcService::RouteRead(const ReadOptions& options, size_t queries,
   }
   if (decision->served_from == ServedFrom::kSnapshot) {
     // Same pacing as the engine's own query path: every snapshot-served
-    // read donates a timeslice while a writer is mid-update (or the
-    // snapshot trails too far), current pin or not.
+    // read paces while a writer is mid-update (or the snapshot trails too
+    // far), current pin or not.
     engine_.YieldForMaintenance(gen, acquired.generation);
     *pin = std::move(acquired);
   }
@@ -863,6 +863,7 @@ MetricsSnapshot SpcService::Metrics() const {
     snap.pair_cache_insertions = stats.insertions;
     snap.pair_cache_evictions = stats.evictions;
   }
+  snap.reader_pacing_yields = engine_.ReaderPacingYields();
   return snap;
 }
 

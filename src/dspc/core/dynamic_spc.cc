@@ -1,6 +1,7 @@
 #include "dspc/core/dynamic_spc.h"
 
 #include <algorithm>
+#include <chrono>
 #include <mutex>
 #include <thread>
 
@@ -11,9 +12,9 @@ namespace dspc {
 
 namespace {
 
-/// RAII writer-priority signal: raised for the whole update application,
-/// including the wait for the exclusive lock (a reader-starved writer
-/// spends most of its time exactly there).
+/// RAII writer signal for reader pacing: raised for the whole update
+/// application, including the wait for the exclusive lock (a
+/// reader-starved writer spends most of its time exactly there).
 class WriterScope {
  public:
   explicit WriterScope(std::atomic<uint32_t>* counter) : counter_(counter) {
@@ -73,6 +74,9 @@ bool TryIsolatedVertexDelete(Vertex a, Vertex b, Graph* graph,
   stats->used_isolated_vertex_opt = true;
   return true;
 }
+
+/// A yield that returns sooner than this handed the CPU to nobody.
+constexpr std::chrono::nanoseconds kFastYield{5000};
 
 unsigned ResolveRebuildThreads(unsigned requested) {
   if (requested != 0) return requested;
@@ -333,6 +337,21 @@ bool DynamicSpcIndex::QueryLiveBefore(
              ? index_.Query(s, t)
              : SpcResult{kInfDistance, 0};
   return true;
+}
+
+void DynamicSpcIndex::PaceReader() const {
+  // Per thread, not per engine: the yield asks whether anyone else wants
+  // this thread's CPU, whichever engine the read serves.
+  thread_local ReaderPacing pacing;
+  if (pacing.left != 0) {
+    --pacing.left;
+    return;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  std::this_thread::yield();
+  pacing = NextPacing(pacing,
+                      std::chrono::steady_clock::now() - start < kFastYield);
+  pacing_yields_.fetch_add(1, std::memory_order_relaxed);
 }
 
 SpcResult DynamicSpcIndex::Query(Vertex s, Vertex t) const {

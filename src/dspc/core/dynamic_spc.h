@@ -35,11 +35,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <span>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -96,30 +96,56 @@ struct SnapshotOptions {
   /// (FlatSpcIndex::Rebuild). 0 picks hardware concurrency (capped at
   /// 8); 1 packs serially on the rebuilding thread.
   unsigned rebuild_threads = 0;
-
-  /// Reader backpressure under kBackground: the policy's contract is
-  /// *bounded* staleness, but spinning readers on a saturated machine
-  /// can starve the rebuild worker of CPU, letting the published
-  /// snapshot fall arbitrarily far behind. When the snapshot trails the
-  /// mutable index by more than this many generations, each
-  /// snapshot-served query donates one timeslice (std::this_thread::
-  /// yield) before answering — queries never block and never wait for a
-  /// rebuild, they just stop out-competing maintenance for the CPU that
-  /// would resolve the lag. Costs a few microseconds per query while
-  /// saturated, zero when the worker keeps up. 0 disables.
-  uint64_t backpressure_lag = 8;
-
-  /// Writer-priority yield under kBackground: snapshot-served queries
-  /// never touch the writer's lock, so on a machine with more spinning
-  /// readers than cores the scheduler starves update application (the
-  /// writer computes label changes on an equal CPU share against
-  /// readers that never block). While any update is mid-application,
-  /// each snapshot-served query donates one timeslice before answering:
-  /// updates then process at near-isolated speed and queries still
-  /// answer (stale, non-blocking) in microseconds. One relaxed atomic
-  /// load per query when no writer is active.
-  bool writer_priority = true;
 };
+
+/// Reader pacing under kBackground (DESIGN.md §8): snapshot-served reads
+/// never touch the writer's lock, so on a machine with more spinning
+/// readers than cores they would starve update application and the
+/// rebuild worker of CPU. A read *paces* while a writer is mid-update or
+/// while its pin trails the mutable index by more than kPacingLag
+/// generations. Pacing never blocks: a paced read may donate one
+/// timeslice (std::this_thread::yield) before answering, and it learns
+/// from the yield whether anyone wanted the CPU.
+inline constexpr uint64_t kPacingLag = 8;
+
+/// The most paced reads a reader skips between two yields.
+inline constexpr uint8_t kMaxPacingSkip = 255;
+
+/// True when a snapshot-served read paces: under kBackground only (sync
+/// and manual readers pace themselves on the writer lock), and only
+/// while a writer is active or the pin trails by more than kPacingLag.
+/// A publish can race ahead of the reader's generation read, making the
+/// pin *newer* than `current_generation`; that is freshness, not lag.
+constexpr bool ShouldPace(RefreshPolicy policy, uint32_t active_writers,
+                          uint64_t current_generation,
+                          uint64_t pinned_generation) {
+  return policy == RefreshPolicy::kBackground &&
+         (active_writers > 0 ||
+          (pinned_generation < current_generation &&
+           current_generation - pinned_generation > kPacingLag));
+}
+
+/// One reader thread's pacing state: it yields on a paced read when
+/// `left` is 0, and otherwise skips the yield and counts `left` down.
+struct ReaderPacing {
+  uint8_t skip = 0;  ///< paced reads skipped after each yield
+  uint8_t left = 0;  ///< paced reads still to skip before the next yield
+
+  friend constexpr bool operator==(const ReaderPacing&,
+                                   const ReaderPacing&) = default;
+};
+
+/// The backoff step after a yield. A fast yield (under 5 µs) means no
+/// other thread wanted this CPU, so the reader doubles its skip count (0 → 1 → 2 →
+/// … → 128 → 255, then stays); a yield that handed the CPU over resets
+/// it to 0, so the reader yields on every paced read again.
+constexpr ReaderPacing NextPacing(ReaderPacing pacing, bool fast_yield) {
+  if (!fast_yield) return {};
+  const unsigned doubled = pacing.skip == 0 ? 1u : 2u * pacing.skip;
+  const auto skip = static_cast<uint8_t>(
+      doubled < kMaxPacingSkip ? doubled : kMaxPacingSkip);
+  return {skip, skip};
+}
 
 /// DecSPC knobs of the undirected index.
 struct DecSpcOptions {
@@ -320,32 +346,26 @@ class DynamicSpcIndex {
     if (options_.snapshot.enabled) snapshots_->ChargeOnly(queries);
   }
 
-  /// Bounded-staleness/writer-priority pacing for snapshot-served reads
-  /// (SnapshotOptions::backpressure_lag, writer_priority): donates one
-  /// timeslice when the pinned generation trails too far or a writer is
-  /// mid-update. Never blocks. Callers serving a pin they obtained
-  /// themselves (SpcService) apply this before answering. Header-inline
-  /// (one relaxed load in the common case) because it runs per
-  /// snapshot-served query.
+  /// Reader pacing for snapshot-served reads (ShouldPace, NextPacing):
+  /// when a writer is mid-update or the pin trails too far, the read
+  /// goes through the calling thread's pacing state and may donate one
+  /// timeslice. Never blocks. Callers serving a pin they obtained
+  /// themselves (SpcService) apply this before answering. The check is
+  /// header-inline because it runs per snapshot-served query; the pacing
+  /// body is out of line (an inline body cost read_zipf 5–7% read_qps).
   void YieldForMaintenance(uint64_t current_generation,
                            uint64_t pinned_generation) const {
-    if (options_.snapshot.refresh != RefreshPolicy::kBackground) {
-      return;  // sync/manual readers already pace themselves on the lock
+    if (ShouldPace(options_.snapshot.refresh,
+                   active_writers_.load(std::memory_order_relaxed),
+                   current_generation, pinned_generation)) [[unlikely]] {
+      PaceReader();
     }
-    if (options_.snapshot.writer_priority &&
-        active_writers_.load(std::memory_order_relaxed) > 0) {
-      std::this_thread::yield();
-      return;
-    }
-    // A publish can race ahead of this reader's generation read, making
-    // the pin *newer* than current_generation — that is freshness, not
-    // lag, so only subtract when the pin actually trails.
-    if (options_.snapshot.backpressure_lag != 0 &&
-        pinned_generation < current_generation &&
-        current_generation - pinned_generation >
-            options_.snapshot.backpressure_lag) {
-      std::this_thread::yield();
-    }
+  }
+
+  /// Yields the paced reads took, over every reader thread: the
+  /// `dspc_reader_pacing_yields_total` metric.
+  uint64_t ReaderPacingYields() const {
+    return pacing_yields_.load(std::memory_order_relaxed);
   }
 
   /// Blocks until a snapshot of generation >= `generation` is published
@@ -455,6 +475,11 @@ class DynamicSpcIndex {
   /// wires up the snapshot manager (plus the eager kBackground publish).
   void InitSnapshots();
 
+  /// The paced-read body of YieldForMaintenance: skips the yield while
+  /// the thread's pacing state says so, otherwise yields, times the
+  /// yield and takes the NextPacing step.
+  [[gnu::cold, gnu::noinline]] void PaceReader() const;
+
   /// Invalidates the flat snapshot after a structural change. Caller
   /// holds index_mu_ exclusively.
   void BumpGeneration() {
@@ -528,9 +553,12 @@ class DynamicSpcIndex {
   mutable std::unique_ptr<ThreadPool> live_pool_;
 
   /// Updates currently being applied (including time spent waiting for
-  /// the exclusive lock) — the writer-priority signal read lock-free by
-  /// MaybeBackpressure.
+  /// the exclusive lock) — the writer trigger of ShouldPace, read
+  /// lock-free by YieldForMaintenance.
   mutable std::atomic<uint32_t> active_writers_{0};
+
+  /// Yields taken by paced reads (ReaderPacingYields).
+  mutable std::atomic<uint64_t> pacing_yields_{0};
 
   /// Snapshot publication/rebuild machinery. Declared last so its
   /// destructor joins the background worker before graph_/index_ (which

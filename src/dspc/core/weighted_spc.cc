@@ -1,12 +1,34 @@
 #include "dspc/core/weighted_spc.h"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace dspc {
 
+namespace {
+
+/// True when replacing an edge of weight `old` (0: a new edge) by one of
+/// weight `w` keeps the total within kMaxTotalWeight.
+bool FitsTotalWeight(const WeightedGraph& graph, Weight old, Weight w) {
+  return graph.TotalWeight() - old + w <= kMaxTotalWeight;
+}
+
+/// The constructor's refusal, checked before any label is built.
+WeightedGraph CheckTotalWeight(WeightedGraph graph) {
+  if (graph.TotalWeight() > kMaxTotalWeight) {
+    throw std::invalid_argument(
+        "total edge weight " + std::to_string(graph.TotalWeight()) +
+        " exceeds kMaxTotalWeight " + std::to_string(kMaxTotalWeight));
+  }
+  return graph;
+}
+
+}  // namespace
+
 DynamicWeightedSpcIndex::DynamicWeightedSpcIndex(
     WeightedGraph graph, const OrderingOptions& ordering)
-    : graph_(std::move(graph)),
+    : graph_(CheckTotalWeight(std::move(graph))),
       ordering_options_(ordering),
       index_(BuildOrdering(graph_, ordering)),
       core_(WeightedPolicy{&graph_, &index_}) {
@@ -26,7 +48,9 @@ SpcResult DynamicWeightedSpcIndex::Query(Vertex s, Vertex t) const {
 
 UpdateStats DynamicWeightedSpcIndex::InsertEdge(Vertex a, Vertex b, Weight w) {
   UpdateStats stats;
-  if (!graph_.AddEdge(a, b, w)) return stats;
+  if (!FitsTotalWeight(graph_, 0, w) || !graph_.AddEdge(a, b, w)) {
+    return stats;
+  }
   stats.applied = true;
   core_.Insert(a, b, w, &stats);
   return stats;
@@ -57,6 +81,7 @@ UpdateStats DynamicWeightedSpcIndex::IncreaseWeight(Vertex a, Vertex b,
   UpdateStats stats;
   const Weight old = graph_.EdgeWeight(a, b);
   if (old == 0 || w <= old) return stats;  // absent or not an increase
+  if (!FitsTotalWeight(graph_, old, w)) return stats;
   stats.applied = true;
   // Classified with the old length, which the paths being lost used.
   core_.Delete(a, b, old, [&] { graph_.SetWeight(a, b, w); }, &stats);

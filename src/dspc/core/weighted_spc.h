@@ -12,6 +12,9 @@
 // All of it is the shared core (core/label_maintenance.h) over a
 // Dijkstra frontier. The paper's §3.2.3 isolated-vertex fast path is
 // defined for the unweighted case only and is not used here.
+//
+// Distances are uint32 and the core adds them unchecked, so the index
+// refuses any edge set whose total weight exceeds kMaxTotalWeight.
 
 #ifndef DSPC_CORE_WEIGHTED_SPC_H_
 #define DSPC_CORE_WEIGHTED_SPC_H_
@@ -24,12 +27,22 @@
 
 namespace dspc {
 
+/// The largest total edge weight a DynamicWeightedSpcIndex accepts. Every
+/// label distance is the length of a simple path in a graph the index
+/// held, so it is at most this bound. The widest uint32 sum the core forms
+/// has three such terms: an insertion seeds a label distance plus the new
+/// edge, then relaxes one more edge (a label merge adds two). Three times
+/// the bound stays below kInfDistance, so no sum wraps or reads as
+/// unreachable.
+inline constexpr uint64_t kMaxTotalWeight = (uint64_t{kInfDistance} - 1) / 3;
+
 /// SPC-Index over a positively weighted undirected graph, with dynamic
 /// maintenance. Owns the graph. Not thread-safe.
 class DynamicWeightedSpcIndex {
  public:
   /// Takes ownership of `graph` and builds the index with Dijkstra-based
-  /// hub pushing.
+  /// hub pushing. Throws std::invalid_argument when the graph's total
+  /// weight exceeds kMaxTotalWeight.
   explicit DynamicWeightedSpcIndex(WeightedGraph graph,
                                    const OrderingOptions& ordering = {});
 
@@ -37,7 +50,9 @@ class DynamicWeightedSpcIndex {
   /// shortest paths); {inf, 0} when disconnected.
   SpcResult Query(Vertex s, Vertex t) const;
 
-  /// Inserts edge (a, b) with weight w > 0; incremental maintenance.
+  /// Inserts edge (a, b) with weight w > 0; incremental maintenance. A
+  /// no-op (stats.applied false) when the total weight would exceed
+  /// kMaxTotalWeight.
   UpdateStats InsertEdge(Vertex a, Vertex b, Weight w);
 
   /// Decreases the weight of existing edge (a, b) to `w` (must be smaller
@@ -48,7 +63,8 @@ class DynamicWeightedSpcIndex {
   UpdateStats RemoveEdge(Vertex a, Vertex b);
 
   /// Increases the weight of existing edge (a, b) to `w` (must be larger
-  /// than the current weight); decremental maintenance.
+  /// than the current weight); decremental maintenance. A no-op when the
+  /// total weight would exceed kMaxTotalWeight.
   UpdateStats IncreaseWeight(Vertex a, Vertex b, Weight w);
 
   /// Appends an isolated vertex (lowest rank; self label only).

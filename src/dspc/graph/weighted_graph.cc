@@ -47,6 +47,7 @@ bool WeightedGraph::AddEdge(Vertex u, Vertex v, Weight w) {
   adj_[u].insert(it, WeightedNeighbor{v, w});
   adj_[v].insert(Find(v, u), WeightedNeighbor{u, w});
   ++num_edges_;
+  total_weight_ += w;
   return true;
 }
 
@@ -54,6 +55,7 @@ bool WeightedGraph::RemoveEdge(Vertex u, Vertex v) {
   if (u >= adj_.size() || v >= adj_.size()) return false;
   auto it = Find(u, v);
   if (it == adj_[u].end() || it->to != v) return false;
+  total_weight_ -= it->w;
   adj_[u].erase(it);
   adj_[v].erase(Find(v, u));
   --num_edges_;
@@ -64,6 +66,7 @@ bool WeightedGraph::SetWeight(Vertex u, Vertex v, Weight w) {
   if (w == 0 || u >= adj_.size() || v >= adj_.size()) return false;
   auto it = Find(u, v);
   if (it == adj_[u].end() || it->to != v) return false;
+  total_weight_ = total_weight_ - it->w + w;
   it->w = w;
   Find(v, u)->w = w;
   return true;

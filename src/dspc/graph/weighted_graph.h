@@ -5,6 +5,7 @@
 #define DSPC_GRAPH_WEIGHTED_GRAPH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dspc/common/types.h"
@@ -43,6 +44,9 @@ class WeightedGraph {
   size_t NumEdges() const { return num_edges_; }
   size_t Degree(Vertex v) const { return adj_[v].size(); }
 
+  /// Sum of all edge weights: a bound on the length of every simple path.
+  uint64_t TotalWeight() const { return total_weight_; }
+
   /// Sorted (by neighbor id) adjacency of `v`.
   const std::vector<WeightedNeighbor>& Neighbors(Vertex v) const {
     return adj_[v];
@@ -76,6 +80,7 @@ class WeightedGraph {
 
   std::vector<std::vector<WeightedNeighbor>> adj_;
   size_t num_edges_ = 0;
+  uint64_t total_weight_ = 0;
 };
 
 }  // namespace dspc

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
@@ -222,6 +223,64 @@ TEST(WeightedDynamic, SizeStatsCountsOverflowSideTable) {
   EXPECT_EQ(stats.overflow_entries, overflow);
   EXPECT_EQ(stats.packed_bytes, entries * sizeof(uint64_t) +
                                     overflow * sizeof(LabelEntry));
+}
+
+// Distances are uint32: a weighted sum past 2^32 used to wrap, and the
+// probe below (path 0-1-2 at 2^31 + 2^31 beside path 0-3-2 at 5 + 5)
+// answered Query(0, 2) with dist 0. Edge sets whose total weight exceeds
+// kMaxTotalWeight are refused, at construction and on every update that
+// adds weight, so the index keeps answering the 5 + 5 path.
+TEST(WeightedDynamic, RefusesTotalWeightThatCouldWrap) {
+  constexpr Weight kHalf = Weight{1} << 31;
+  EXPECT_THROW(DynamicWeightedSpcIndex(WeightedGraph(
+                   4, {{0, 1, kHalf}, {1, 2, kHalf}, {0, 3, 5}, {3, 2, 5}})),
+               std::invalid_argument);
+
+  DynamicWeightedSpcIndex index(WeightedGraph(4, {{0, 3, 5}, {3, 2, 5}}));
+  EXPECT_FALSE(index.InsertEdge(0, 1, kHalf).applied);
+  EXPECT_FALSE(index.InsertEdge(1, 2, kHalf).applied);
+  EXPECT_FALSE(index.IncreaseWeight(0, 3, kHalf).applied);
+  EXPECT_FALSE(index.graph().HasEdge(0, 1));
+  EXPECT_EQ(index.graph().EdgeWeight(0, 3), 5u);
+  EXPECT_EQ(index.Query(0, 2), (SpcResult{10, 1}));
+
+  // Half the budget each side, so both edges fit: the 0-1-2 path is long,
+  // not wrapped.
+  const auto half_budget = static_cast<Weight>((kMaxTotalWeight - 10) / 2);
+  ASSERT_TRUE(index.InsertEdge(0, 1, half_budget).applied);
+  ASSERT_TRUE(index.InsertEdge(1, 2, half_budget).applied);
+  EXPECT_EQ(index.Query(0, 2), (SpcResult{10, 1}));
+  EXPECT_EQ(index.Query(0, 1), (SpcResult{half_budget, 1}));
+  ExpectMatchesDijkstra(index.graph(), index);
+}
+
+// A total below kInfDistance is not enough: a label merge adds two path
+// lengths. Here the total is 2^31 + 12, yet the two shortest paths from
+// the top hub 0 to s = 6 and t = 7 share the heavy edge 0-5, and their
+// wrapped sum (6) undercut the true distance 10 before the bound.
+TEST(WeightedDynamic, TotalWeightBoundCoversSumsOfTwoPaths) {
+  const auto star = [](Weight heavy) {
+    return WeightedGraph(8, {{0, 1, 1},
+                             {0, 2, 1},
+                             {0, 3, 1},
+                             {0, 4, 1},
+                             {0, 5, heavy},
+                             {5, 6, 5},
+                             {5, 7, 5}});
+  };
+  EXPECT_THROW(DynamicWeightedSpcIndex(star((Weight{1} << 31) - 2)),
+               std::invalid_argument);
+
+  // At exactly the bound the index is built and exact.
+  const auto heavy = static_cast<Weight>(kMaxTotalWeight - 14);
+  ASSERT_EQ(star(heavy).TotalWeight(), kMaxTotalWeight);
+  DynamicWeightedSpcIndex index(star(heavy));
+  EXPECT_EQ(index.Query(6, 7), (SpcResult{10, 1}));
+  ExpectMatchesDijkstra(index.graph(), index);
+  EXPECT_FALSE(index.InsertEdge(6, 7, 1).applied);
+  ASSERT_TRUE(index.DecreaseWeight(0, 5, heavy - 1).applied);
+  ASSERT_TRUE(index.InsertEdge(6, 7, 1).applied);
+  ExpectMatchesDijkstra(index.graph(), index);
 }
 
 }  // namespace
