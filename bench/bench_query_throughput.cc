@@ -482,8 +482,8 @@ int main(int argc, char** argv) {
 
   // The SLO counter surface the service accumulated over the runs above
   // (per-mode counts, served-from split, staleness, batch sizes) — the
-  // dump an operator would scrape (DESIGN.md §10).
-  std::printf("\n%s", service.Metrics().ToString().c_str());
+  // exposition an operator would scrape (DESIGN.md §10).
+  std::printf("\n%s", service.Metrics().PrometheusText().c_str());
 
   std::FILE* json = std::fopen(json_path.c_str(), "w");
   if (json == nullptr) {

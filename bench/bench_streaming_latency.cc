@@ -11,12 +11,13 @@
 // and repacks the whole index, with 16 it touches only dirty ranges
 // (DESIGN.md §8). A `one_cpu` row repeats the background sweep with every
 // thread of the row pinned to one CPU, where reader pacing (§8) is what
-// keeps the writer from starving. Readers and the writer go through the
-// typed SpcService API (DESIGN.md §9) — sync readers with kFresh,
-// background readers with kBoundedStaleness — so the numbers price the
-// real serving surface, and a final quiesced row compares
-// facade-vs-service single-query throughput (the service-layer overhead
-// budget is <= 2%).
+// keeps the writer from starving, and a `background_rt1` row repacks
+// serially (rebuild_threads 1) instead of on the default pool. Readers
+// and the writer go through the typed SpcService API (DESIGN.md §9) —
+// sync readers with kFresh, background readers with kBoundedStaleness —
+// so the numbers price the real serving surface, and a final quiesced
+// row compares facade-vs-service single-query throughput over 9
+// interleaved pairs (the service-layer overhead budget is <= 2%).
 //
 // A second sweep prices durability (DESIGN.md §11): per-update latency
 // through a non-durable service vs a WAL-journaled one under each
@@ -95,6 +96,7 @@ struct WindowStats {
 struct PolicyResult {
   std::string name;
   size_t shards = 0;
+  unsigned rebuild_threads = 0;  // SnapshotOptions::rebuild_threads
   size_t updates = 0;
   double update_seconds = 0.0;
   WindowStats burst;  // sampled while the writer was applying updates
@@ -110,11 +112,13 @@ struct PolicyResult {
 PolicyResult ServeUnderBursts(const Graph& graph, const SpcIndex& base,
                               const std::vector<Update>& stream,
                               RefreshPolicy policy, size_t shards,
-                              const std::string& name) {
+                              const std::string& name,
+                              unsigned rebuild_threads = 0) {
   DynamicSpcOptions options;
   options.snapshot.refresh = policy;
   options.snapshot.rebuild_after_queries = 1;  // rebuild eagerly: worst case
   options.snapshot.shards = shards;
+  options.snapshot.rebuild_threads = rebuild_threads;
   SpcService service(graph, base, options);    // adopt a copy of the index
   const DynamicSpcIndex& dyn = service.engine();
   dyn.WaitForFreshSnapshot();                  // warm the serving path
@@ -185,6 +189,7 @@ PolicyResult ServeUnderBursts(const Graph& graph, const SpcIndex& base,
   PolicyResult out;
   out.name = name;
   out.shards = shards;
+  out.rebuild_threads = rebuild_threads;
   out.updates = applied;
   out.update_seconds = update_seconds;
   out.burst = WindowStats::From(burst_all);
@@ -549,9 +554,15 @@ int main(int argc, char** argv) {
   const PolicyResult bg_s4 = ServeUnderBursts(graph, base, stream,
                                               RefreshPolicy::kBackground, 4,
                                               "background_s4");
+  // The default repack pool (rebuild_threads 0: hardware concurrency,
+  // capped at 8) against a serial repack on the rebuild worker, which
+  // leaves the other CPUs to the readers and the writer.
+  const PolicyResult bg_rt1 = ServeUnderBursts(
+      graph, base, stream, RefreshPolicy::kBackground, kDefaultShards,
+      "background_rt1", /*rebuild_threads=*/1);
   // Background serving with the writer, both readers and the rebuild
   // worker sharing one CPU.
-  std::vector<PolicyResult> results = {sync, bg_s1, bg_s4, bg};
+  std::vector<PolicyResult> results = {sync, bg_s1, bg_s4, bg, bg_rt1};
   if (const auto one_cpu = OnOneCpu([&] {
         return ServeUnderBursts(graph, base, stream,
                                 RefreshPolicy::kBackground, kDefaultShards,
@@ -593,7 +604,11 @@ int main(int argc, char** argv) {
   // consistency routing). The serving-path budget is <= 2%.
   double facade_qps = 0.0;
   double service_qps = 0.0;
-  std::string overhead_metrics_dump;  // §10 counter dump of the probe run
+  // Spread of the 9 per-pair overhead percentages.
+  double overhead_p25 = 0.0;
+  double overhead_median = 0.0;
+  double overhead_p75 = 0.0;
+  std::string overhead_metrics_text;  // §10 exposition of the probe run
   {
     DynamicSpcOptions options;
     options.snapshot.refresh = RefreshPolicy::kBackground;
@@ -613,14 +628,17 @@ int main(int argc, char** argv) {
     uint64_t sink = 0;
     SampleStats facade_reps;
     SampleStats service_reps;
+    SampleStats overhead_pairs;  // per rep: (facade - service) / facade
     const ReadOptions fresh_read;  // kFresh defaults, hoisted
     for (int rep = 0; rep < 9; ++rep) {
+      double facade_rep = 0.0;
       {
         Stopwatch w;
         for (const auto& [s, t] : probe_pairs) {
           sink += service.engine().Query(s, t).dist;
         }
-        facade_reps.Add(static_cast<double>(probes) / w.ElapsedSeconds());
+        facade_rep = static_cast<double>(probes) / w.ElapsedSeconds();
+        facade_reps.Add(facade_rep);
       }
       {
         Stopwatch w;
@@ -628,12 +646,18 @@ int main(int argc, char** argv) {
           const auto resp = service.Query(s, t, fresh_read);
           sink += resp.ok() ? resp->result.dist : 0;
         }
-        service_reps.Add(static_cast<double>(probes) / w.ElapsedSeconds());
+        const double service_rep =
+            static_cast<double>(probes) / w.ElapsedSeconds();
+        service_reps.Add(service_rep);
+        overhead_pairs.Add((facade_rep - service_rep) / facade_rep * 100.0);
       }
     }
+    overhead_p25 = overhead_pairs.P25();
+    overhead_median = overhead_pairs.Median();
+    overhead_p75 = overhead_pairs.P75();
     facade_qps = facade_reps.Median();
     service_qps = service_reps.Median();
-    overhead_metrics_dump = service.Metrics().ToString();
+    overhead_metrics_text = service.Metrics().PrometheusText();
     if (sink == 0xDEADBEEF) std::printf("impossible\n");
   }
   const double service_overhead_pct =
@@ -641,9 +665,12 @@ int main(int argc, char** argv) {
                        : 0.0;
   std::printf(
       "service overhead: facade %.0f q/s vs SpcService %.0f q/s "
-      "(%.2f%% overhead)\n",
-      facade_qps, service_qps, service_overhead_pct);
-  std::printf("\n%s", overhead_metrics_dump.c_str());
+      "(%.2f%% overhead)\n"
+      "per-pair overhead over 9 interleaved pairs: median %.2f%%, "
+      "quartiles %.2f%%..%.2f%%\n",
+      facade_qps, service_qps, service_overhead_pct, overhead_median,
+      overhead_p25, overhead_p75);
+  std::printf("\n%s", overhead_metrics_text.c_str());
 
   // Durability sweep: the same single-update drive through a non-durable
   // service and through SpcService::Open under each WAL sync policy. The
@@ -734,7 +761,8 @@ int main(int argc, char** argv) {
   for (const PolicyResult& r : results) {
     std::fprintf(
         json,
-        "    %s{\"policy\": \"%s\", \"shards\": %zu, \"updates\": %zu, "
+        "    %s{\"policy\": \"%s\", \"shards\": %zu, "
+        "\"rebuild_threads\": %u, \"updates\": %zu, "
         "\"update_seconds\": %.4f,\n"
         "     \"burst\": {\"queries\": %zu, \"p50_us\": %.2f, "
         "\"p90_us\": %.2f, \"p99_us\": %.2f, \"max_us\": %.2f, "
@@ -745,7 +773,8 @@ int main(int argc, char** argv) {
         "     \"rebuilds\": %zu, \"background_rebuilds\": %zu, "
         "\"retired_snapshots\": %zu, \"shards_repacked\": %zu, "
         "\"shards_adopted\": %zu, \"pacing_yields\": %llu}\n",
-        first ? "" : ",", r.name.c_str(), r.shards, r.updates,
+        first ? "" : ",", r.name.c_str(), r.shards, r.rebuild_threads,
+        r.updates,
         r.update_seconds, r.burst.queries, r.burst.p50_us, r.burst.p90_us,
         r.burst.p99_us, r.burst.max_us, r.burst.stalls_1ms,
         r.burst.stalls_20ms, r.idle.queries, r.idle.p50_us, r.idle.p90_us,
@@ -798,13 +827,16 @@ int main(int argc, char** argv) {
                "  \"background_s1_over_default_update_seconds\": %.3f,\n"
                "  \"facade_single_qps\": %.0f,\n"
                "  \"service_single_qps\": %.0f,\n"
-               "  \"service_overhead_pct\": %.3f\n"
+               "  \"service_overhead_pct\": %.3f,\n"
+               "  \"service_overhead_pair_pct\": {\"p25\": %.3f, "
+               "\"median\": %.3f, \"p75\": %.3f}\n"
                "}\n",
                worst_ratio, kDefaultShards,
                bg.update_seconds > 0.0
                    ? bg_s1.update_seconds / bg.update_seconds
                    : 0.0,
-               facade_qps, service_qps, service_overhead_pct);
+               facade_qps, service_qps, service_overhead_pct, overhead_p25,
+               overhead_median, overhead_p75);
   std::fclose(json);
   std::printf("wrote %s\n", json_path.c_str());
   return 0;

@@ -95,7 +95,7 @@ int main() {
 
   // The service counted every write outcome above (the duplicate inserts
   // the churn loop retried show up as no-ops, not applied updates).
-  std::printf("\n%s", service.Metrics().ToString().c_str());
+  std::printf("\n%s", service.Metrics().PrometheusText().c_str());
 
   std::printf(
       "\nEvery ranking above was computed from the live index — %zu\n"

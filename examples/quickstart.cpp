@@ -9,7 +9,7 @@
 // observes the write (read-your-writes), and invalid requests come back
 // as Status errors instead of undefined behavior. The tail of the demo
 // shows the operability surface: per-update WriteReports from batch
-// writes, deadline-bounded reads, and the ServiceMetrics dump
+// writes, deadline-bounded reads, and the ServiceMetrics exposition
 // (docs/serving-guide.md walks through every one of these snippets).
 
 #include <chrono>
@@ -158,7 +158,7 @@ int main() {
   PrintQuery(service, 4, 6, deadline_read);
 
   std::printf("\nEverything above was also counted by the service:\n");
-  std::printf("%s", service.Metrics().ToString().c_str());
+  std::printf("%s", service.Metrics().PrometheusText().c_str());
 
   std::printf("\nDone — every answer above was served from the maintained\n");
   std::printf("index; the index was never rebuilt.\n");

@@ -9,14 +9,14 @@
 // without quiescing the stream; the read carries a deadline so it can
 // never stall the monitor behind a slow writer. The tail latency column
 // is the point — p99 stays at snapshot-merge cost even while updates
-// churn the mutable index — and the final ServiceMetrics dump shows
+// churn the mutable index — and the final ServiceMetrics exposition shows
 // where every answer actually came from and how stale it was, fleet-wide
 // instead of per response (DESIGN.md §10).
 
 // A closing stanza replays a short durable stream through a WAL-shipping
 // primary with a hot-standby replica (DESIGN.md §13): the replica tails
 // the shipped log and serves with honest primary-relative staleness, and
-// its metrics dump carries the replication counters.
+// its exposition carries the replication counters.
 
 #include <chrono>
 #include <cstdio>
@@ -139,7 +139,7 @@ int main() {
   // The aggregate SLO surface: the same served-from/staleness story the
   // manual counters above sampled, but counted exactly, per mode, by the
   // service itself.
-  std::printf("\n%s", service.Metrics().ToString().c_str());
+  std::printf("\n%s", service.Metrics().PrometheusText().c_str());
   std::printf(
       "\nReconstruction after every update would have cost ~%.0fs total;\n"
       "the dynamic algorithms served the same stream in %.2fs with the\n"
@@ -212,8 +212,9 @@ int main() {
                   : 0ull);
   (*replica)->Stop();
   (*shipper)->Stop();
-  // The replica's dump: engine counters plus the replication section
-  // (ops applied, reconnects, re-bootstraps) and the lag gauges.
-  std::printf("\n%s", (*replica)->Metrics().ToString().c_str());
+  // The replica's exposition: the same names as the primary's, with its
+  // replication counters (ops applied, reconnects, re-bootstraps) and
+  // the lag gauges.
+  std::printf("\n%s", (*replica)->Metrics().PrometheusText().c_str());
   return 0;
 }

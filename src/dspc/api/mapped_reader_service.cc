@@ -152,7 +152,6 @@ Status MappedReaderService::Admit(const ReadOptions& options,
   ReadView view{.tip = tip,
                 .token_ceiling = kNoTokenCeiling,
                 .live = std::nullopt,
-                .snapshots = true,
                 .snapshot = (*cur)->generation};
   *decision = AdmitRead(options, view);
   if (decision->code == Status::Code::kUnavailable &&

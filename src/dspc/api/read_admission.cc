@@ -26,11 +26,9 @@ Status RefuseRead(const ReadOptions& options, const ReadView& view,
         " — not a token issued by this service");
   }
   if (code == Status::Code::kNotSupported) {
-    return Status::NotSupported(
-        std::string(mode) +
-        (options.consistency == Consistency::kSnapshot
-             ? " needs snapshots enabled (SnapshotOptions::enabled)"
-             : " needs a live index, and a mapped reader has none"));
+    return Status::NotSupported(std::string(mode) +
+                                " needs a live index, and a mapped reader "
+                                "has none");
   }
   return Status::Unavailable(
       std::string(mode) + " read has no admissible source: min_generation " +

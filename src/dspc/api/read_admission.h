@@ -98,8 +98,6 @@ struct ReadView {
   uint64_t token_ceiling = kNoTokenCeiling;
   /// The live index's generation; none without a live index.
   std::optional<uint64_t> live;
-  /// Whether this process can have snapshots at all.
-  bool snapshots = true;
   /// The candidate snapshot's generation; none when nothing is published
   /// or it predates a vertex the request names.
   std::optional<uint64_t> snapshot;
@@ -126,8 +124,7 @@ constexpr Status::Code PrecheckRead(const ReadOptions& options,
   if (options.min_generation > view.token_ceiling) {
     return Status::Code::kInvalidArgument;
   }
-  if ((options.consistency == Consistency::kFresh && !view.live) ||
-      (options.consistency == Consistency::kSnapshot && !view.snapshots)) {
+  if (options.consistency == Consistency::kFresh && !view.live) {
     return Status::Code::kNotSupported;
   }
   return Status::Code::kOk;
@@ -135,8 +132,7 @@ constexpr Status::Code PrecheckRead(const ReadOptions& options,
 
 /// The rule, in order:
 ///   1. min_generation > token_ceiling → kInvalidArgument;
-///   2. the mode's only source is absent (kFresh without a live index,
-///      kSnapshot with snapshots disabled) → kNotSupported;
+///   2. kFresh without a live index (a mapped reader) → kNotSupported;
 ///   3. floor = max(min_generation, m), m = the live generation for
 ///      kFresh, 0 for kSnapshot, tip − max_lag (saturating) for
 ///      kBoundedStaleness;

@@ -11,6 +11,8 @@ namespace dspc {
 
 namespace {
 
+using Counter = ServiceMetrics::Counter;
+
 uint32_t LoadLE32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
          (static_cast<uint32_t>(p[2]) << 16) |
@@ -102,7 +104,7 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
       return Status::DeadlineExceeded("replica bootstrap timed out: " +
                                       st.ToString());
     }
-    replica->metrics_.RecordReplBackoffSleep();
+    replica->metrics_.Add(Counter::kReplBackoffSleeps);
     std::this_thread::sleep_for(backoff.Next());
   }
   if (options.start_tailer) replica->Start();
@@ -169,7 +171,7 @@ Status ReplicaService::Step() {
   } else if (st.ok()) {
     if (last_failed_) {
       last_failed_ = false;
-      metrics_.RecordReplReconnect();
+      metrics_.Add(Counter::kReplReconnects);
     }
   } else {
     last_failed_ = true;
@@ -196,7 +198,7 @@ Status ReplicaService::StepLocked() {
     // The store retired a segment this tail still needed — the replica
     // was down (or slow) past the primary's retention horizon. Jump
     // forward through the newer checkpoint.
-    metrics_.RecordRebootstrap();
+    metrics_.Add(Counter::kReplRebootstraps);
     return BootstrapLocked(*state);
   }
   while (state->max_wal_seq >= tail_seq_ && state->max_wal_seq != 0) {
@@ -206,7 +208,7 @@ Status ReplicaService::StepLocked() {
     if (fetched.IsNotFound()) {
       // Retired between FetchState and the fetch: re-bootstrap off a
       // freshly fetched state (the stale one may name retired artifacts).
-      metrics_.RecordRebootstrap();
+      metrics_.Add(Counter::kReplRebootstraps);
       auto fresh = options_.transport->FetchState();
       if (!fresh.ok()) return fresh.status();
       return BootstrapLocked(*fresh);
@@ -256,7 +258,7 @@ Status ReplicaService::ApplyWindowLocked(std::vector<WalRecord> records) {
     // is satisfiable the instant its write is applied.
     applied_.store(op.end_generation, std::memory_order_release);
   }
-  metrics_.RecordReplApplied(ops.size());
+  metrics_.Add(Counter::kReplOpsApplied, ops.size());
   return Status::OK();
 }
 
@@ -295,7 +297,7 @@ void ReplicaService::TailLoop() {
       return;  // sticky fail-stop; Health() carries the story
     } else {
       delay = backoff.Next();
-      metrics_.RecordReplBackoffSleep();
+      metrics_.Add(Counter::kReplBackoffSleeps);
     }
     lock.lock();
     if (tail_cv_.wait_for(lock, delay, [&] { return stop_tail_; })) break;
@@ -334,12 +336,7 @@ StatusOr<BatchQueryResponse> ReplicaService::QueryBatch(
 
 MetricsSnapshot ReplicaService::Metrics() const {
   MetricsSnapshot snap = Inner()->Metrics();
-  const MetricsSnapshot own = metrics_.Snapshot();
-  snap.repl_ops_applied = own.repl_ops_applied;
-  snap.repl_reconnects = own.repl_reconnects;
-  snap.repl_backoff_sleeps = own.repl_backoff_sleeps;
-  snap.repl_rebootstraps = own.repl_rebootstraps;
-  snap.repl_failovers = own.repl_failovers;
+  metrics_.AddTo(&snap);  // the replica's own replication counters
   const uint64_t applied = applied_.load(std::memory_order_acquire);
   snap.replica_applied_generation = applied;
   snap.replica_lag = PrimaryDurableGeneration() - applied;
@@ -386,7 +383,7 @@ StatusOr<std::unique_ptr<SpcService>> ReplicaService::Promote(
           std::to_string(primary_durable_.load(std::memory_order_acquire)) +
           (st.ok() ? std::string() : "; last error: " + st.ToString()));
     }
-    metrics_.RecordReplBackoffSleep();
+    metrics_.Add(Counter::kReplBackoffSleeps);
     std::this_thread::sleep_for(backoff.Next());
   }
   // Reopen the drained state writable. The tailer is stopped and
@@ -400,7 +397,7 @@ StatusOr<std::unique_ptr<SpcService>> ReplicaService::Promote(
       applied_.load(std::memory_order_acquire), durability, options_.engine);
   if (!next.ok()) return next.status();
   promoted_ = true;
-  metrics_.RecordFailover();
+  metrics_.Add(Counter::kReplFailovers);
   return next;
 }
 

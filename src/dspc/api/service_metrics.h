@@ -21,9 +21,12 @@
 //              overhead budget (three separate increments measurably did
 //              not).
 //   snapshot   Snapshot() sums every shard into a plain MetricsSnapshot
-//              struct — O(kShards * kNumCounters) relaxed loads, so
-//              scraping is cheap enough for a tight monitoring loop.
-//              Counters are monotone; two snapshots subtract to a rate.
+//              struct — O(kShards * kSlots) relaxed loads, so scraping
+//              is cheap enough for a tight monitoring loop. Counters are
+//              monotone; two snapshots subtract to a rate.
+//   table      Each scalar metric is one ServiceMetrics::Counter row of a
+//              descriptor table (service_metrics.cc): Snapshot() copies
+//              shard sums through it and PrometheusText() renders it.
 //
 // Totals are exact: every increment lands in exactly one shard and sums
 // are over all shards. What is *not* guaranteed is cross-counter
@@ -37,6 +40,7 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -52,7 +56,7 @@ enum class ServedFrom : unsigned char;
 
 /// One aggregated, point-in-time view of a service's counters (the value
 /// type ServiceMetrics::Snapshot() returns). Plain data: copy it, diff
-/// two of them for a rate window, or ToString() it for logs.
+/// two of them for a rate window, or render it with PrometheusText().
 struct MetricsSnapshot {
   static constexpr size_t kModes = 3;  ///< kFresh / kSnapshot / kBounded
 
@@ -171,14 +175,12 @@ struct MetricsSnapshot {
   /// log bucket. 0 when no samples were recorded.
   uint64_t ReadLatencyQuantileNs(size_t mode, double q) const;
 
-  /// Human-readable multi-line dump for logs, examples, and benches.
-  std::string ToString() const;
-
-  /// Prometheus text exposition (version 0.0.4) of every counter in this
-  /// snapshot: the read cube aggregates, staleness and latency
-  /// histograms (cumulative `le` buckets), durability and replication
-  /// counters, and the replica gauges. Scrape-ready: serve it verbatim
-  /// from a /metrics endpoint.
+  /// Prometheus text exposition (version 0.0.4) of every value in this
+  /// snapshot: the read-cube aggregates, the staleness, read-latency and
+  /// read/write batch-size histograms (cumulative `le` buckets), then one
+  /// series per ServiceMetrics::Counter row. The one text rendering of
+  /// the metrics: serve it verbatim from a /metrics endpoint, or print
+  /// it from a log, an example or a bench.
   std::string PrometheusText() const;
 
   /// Bucket index helpers (shared by recording and by tests asserting on
@@ -214,118 +216,28 @@ struct MetricsSnapshot {
   }
 };
 
-/// The recording side. All Record* methods are safe to call from any
-/// number of threads concurrently; Snapshot() may race with recorders
-/// (see the file comment for the exact guarantees).
+/// The recording side. Every method is safe to call from any number of
+/// threads concurrently; Snapshot() may race with recorders (see the file
+/// comment for the exact guarantees).
 class ServiceMetrics {
  public:
-  ServiceMetrics() = default;
-  ServiceMetrics(const ServiceMetrics&) = delete;
-  ServiceMetrics& operator=(const ServiceMetrics&) = delete;
-
-  /// One served read call: `queries` answers (1 for Query, pairs.size()
-  /// for QueryBatch) under `mode`, answered by `from` with the source
-  /// trailing the index by `staleness` generations at admission.
-  /// `batch` marks QueryBatch calls (feeds the batch-size histogram).
-  /// Header-inline: this is the serving hot path, and out-of-line the
-  /// call alone measurably dents the service's ~2% overhead budget.
-  void RecordRead(Consistency mode, ServedFrom from, uint64_t staleness,
-                  size_t queries, bool batch);
-
-  /// A read that returned kDeadlineExceeded instead of blocking.
-  void RecordReadDeadlineMiss();
-
-  /// A WaitForSnapshot that timed out before the snapshot caught up.
-  void RecordWaitDeadlineMiss();
-
-  /// A call refused at admission/routing with `code` (kInvalidArgument,
-  /// kUnavailable, or kNotSupported; other codes are not counted).
-  void RecordRejected(Status::Code code);
-
-  /// One admitted write call of `batch_size` input updates with the given
-  /// per-update outcome tallies (from the WriteReports).
-  void RecordWrite(size_t batch_size, size_t applied, size_t noops,
-                   size_t rejected);
-
-  // --- durability (no-ops in spirit on non-durable services: never called) --
-
-  /// One WAL record appended; `bytes` is its framed on-disk size.
-  void RecordWalAppend(uint64_t bytes);
-
-  /// One successful WAL fsync (group-commit flusher or a forced sync).
-  void RecordWalSync();
-
-  /// One write that blocked on WaitDurable (joined a group commit).
-  void RecordWalDurableWait();
-
-  /// The durability path went fail-stop (sticky; recorded once).
-  void RecordWalFailure();
-
-  /// One checkpoint published.
-  void RecordCheckpoint();
-
-  /// One mmap snapshot arena published (SpcService::PublishSnapshot).
-  void RecordSnapshotPublish();
-
-  /// One sampled read-call timing under `mode`. Out-of-line: callers
-  /// sample (1-in-64 single queries; every batch), so this is off the
-  /// per-query hot path by construction.
-  void RecordReadLatency(Consistency mode, uint64_t ns);
-
-  /// Recovery results, folded in once at SpcService::Open.
-  void RecordRecovery(uint64_t replayed, uint64_t truncated_tail_bytes);
-
-  // --- replication (persist/replication.h; never called without a
-  // shipper or replica attached) --------------------------------------------
-
-  /// One checkpoint image shipped through the transport.
-  void RecordCheckpointShipped();
-
-  /// One WAL segment started shipping (first byte reached the store).
-  void RecordSegmentShipped();
-
-  /// `bytes` of segment data shipped through the transport.
-  void RecordShippedBytes(uint64_t bytes);
-
-  /// Shipping or tailing resumed after transport faults.
-  void RecordReplReconnect();
-
-  /// One retry backoff sleep (shipper pump or replica tailer).
-  void RecordReplBackoffSleep();
-
-  /// A replica threw away its state and re-bootstrapped from a shipped
-  /// checkpoint (fell behind retention, or its image was unreadable).
-  void RecordRebootstrap();
-
-  /// `ops` committed replay ops applied by a replica.
-  void RecordReplApplied(uint64_t ops);
-
-  /// One Promote() completed (the replica became a writable primary).
-  void RecordFailover();
-
-  /// Sums all shards into one consistent-enough view (monotone counters;
-  /// see the file comment).
-  MetricsSnapshot Snapshot() const;
-
- private:
-  // Flat counter layout inside one shard; offsets into Shard::counters.
-  // The read cube folds (mode, served_from, staleness bucket) into one
-  // counter so a served single query records with ONE fetch-add:
-  //   index = (mode * 2 + served_from) * kStalenessBuckets + bucket
-  enum CounterIndex : size_t {
-    kReadCube = 0,  // kModes * 2 * kStalenessBuckets entries
-    kDeadlineRead = kReadCube + MetricsSnapshot::kModes * 2 *
-                                    MetricsSnapshot::kStalenessBuckets,
-    kDeadlineWait,
-    kRejInvalidArgument,
-    kRejUnavailable,
-    kRejNotSupported,
+  /// The scalar metrics, each one row of the descriptor table in
+  /// service_metrics.cc (its MetricsSnapshot field, Prometheus name and
+  /// labels, help text, and counter or gauge kind), in exposition order.
+  /// Rows before kFirstOverlay are sharded counters, recorded with Add().
+  /// The rest are overlays with no shard slot: the owning service's
+  /// Metrics() fills them from state kept elsewhere (the replica's applied
+  /// generation, the pair cache's and the engine's own counters).
+  enum class Counter : size_t {
+    kReadDeadlineMisses,
+    kWaitDeadlineMisses,
+    kRejectedInvalidArgument,
+    kRejectedUnavailable,
+    kRejectedNotSupported,
     kReadBatches,
     kReadBatchQueries,
-    kReadBatchHist,                                  // kBatchBuckets
-    kWriteBatches = kReadBatchHist + MetricsSnapshot::kBatchBuckets,
-    kWriteBatchHist,                                 // kBatchBuckets
-    kUpdatesApplied = kWriteBatchHist + MetricsSnapshot::kBatchBuckets,
+    kWriteBatches,
+    kUpdatesApplied,
     kUpdatesNoop,
     kUpdatesRejected,
     kWalAppends,
@@ -345,12 +257,78 @@ class ServiceMetrics {
     kReplBackoffSleeps,
     kReplRebootstraps,
     kReplFailovers,
-    kReadLatencyHist,  // kModes * kLatencyBuckets entries
-    kReadLatencySumNs = kReadLatencyHist + MetricsSnapshot::kModes *
-                                               MetricsSnapshot::kLatencyBuckets,
-    // kModes entries
-    kNumCounters = kReadLatencySumNs + MetricsSnapshot::kModes,
+    kReplicaAppliedGeneration,  // first overlay
+    kReplicaLag,
+    kPairCacheHits,
+    kPairCacheMisses,
+    kPairCacheInsertions,
+    kPairCacheEvictions,
+    kReaderPacingYields,
+    kCount,
   };
+  static constexpr size_t kFirstOverlay =
+      static_cast<size_t>(Counter::kReplicaAppliedGeneration);
+
+  ServiceMetrics() = default;
+  ServiceMetrics(const ServiceMetrics&) = delete;
+  ServiceMetrics& operator=(const ServiceMetrics&) = delete;
+
+  /// Adds `n` to sharded counter `c` (one relaxed fetch-add; `c` must
+  /// precede kFirstOverlay).
+  void Add(Counter c, uint64_t n = 1) {
+    assert(static_cast<size_t>(c) < kFirstOverlay);
+    AddSlot(static_cast<size_t>(c), n);
+  }
+
+  /// One served read call: `queries` answers (1 for Query, pairs.size()
+  /// for QueryBatch) under `mode`, answered by `from` with the source
+  /// trailing the index by `staleness` generations at admission.
+  /// `batch` marks QueryBatch calls (feeds the batch-size histogram).
+  /// Header-inline: this is the serving hot path, and out-of-line the
+  /// call alone measurably dents the service's ~2% overhead budget.
+  void RecordRead(Consistency mode, ServedFrom from, uint64_t staleness,
+                  size_t queries, bool batch);
+
+  /// A call refused at admission/routing with `code` (kInvalidArgument,
+  /// kUnavailable, or kNotSupported; other codes are not counted).
+  void RecordRejected(Status::Code code);
+
+  /// One admitted write call of `batch_size` input updates with the given
+  /// per-update outcome tallies (from the WriteReports).
+  void RecordWrite(size_t batch_size, size_t applied, size_t noops,
+                   size_t rejected);
+
+  /// One sampled read-call timing under `mode`. Out-of-line: callers
+  /// sample (1-in-64 single queries; every batch), so this is off the
+  /// per-query hot path by construction.
+  void RecordReadLatency(Consistency mode, uint64_t ns);
+
+  /// Sums all shards into one consistent-enough view (monotone counters;
+  /// see the file comment). Overlay rows read 0.
+  MetricsSnapshot Snapshot() const;
+
+  /// Adds the shard sums into `snap`: how ReplicaService folds its own
+  /// replication counters into its inner service's snapshot.
+  void AddTo(MetricsSnapshot* snap) const;
+
+ private:
+  // Shard slots: the sharded Counter rows first (slot == enum value), then
+  // the read cube, which folds (mode, served_from, staleness bucket) into
+  // one counter so a served single query records with ONE fetch-add:
+  //   slot = kReadCube + (mode * 2 + served_from) * kStalenessBuckets + bucket
+  // then the batch-size histograms, the latency histogram and its sums.
+  static constexpr size_t kReadCube = kFirstOverlay;
+  static constexpr size_t kReadBatchHist =
+      kReadCube +
+      MetricsSnapshot::kModes * 2 * MetricsSnapshot::kStalenessBuckets;
+  static constexpr size_t kWriteBatchHist =
+      kReadBatchHist + MetricsSnapshot::kBatchBuckets;
+  static constexpr size_t kReadLatencyHist =
+      kWriteBatchHist + MetricsSnapshot::kBatchBuckets;
+  static constexpr size_t kReadLatencySumNs =
+      kReadLatencyHist +
+      MetricsSnapshot::kModes * MetricsSnapshot::kLatencyBuckets;
+  static constexpr size_t kSlots = kReadLatencySumNs + MetricsSnapshot::kModes;
 
   /// Concurrency stripe count. Threads are assigned round-robin by a
   /// thread_local slot; 16 stripes keep even a saturated reader fleet
@@ -358,7 +336,7 @@ class ServiceMetrics {
   static constexpr size_t kShards = 16;
 
   struct alignas(64) Shard {
-    std::array<std::atomic<uint64_t>, kNumCounters> counters{};
+    std::array<std::atomic<uint64_t>, kSlots> counters{};
   };
 
   /// This thread's shard (stable per thread, assigned on first use; the
@@ -370,8 +348,8 @@ class ServiceMetrics {
     return shards_[slot];
   }
 
-  void Add(size_t counter, uint64_t delta) {
-    Local().counters[counter].fetch_add(delta, std::memory_order_relaxed);
+  void AddSlot(size_t slot, uint64_t delta) {
+    Local().counters[slot].fetch_add(delta, std::memory_order_relaxed);
   }
 
   /// Out-of-line tail of RecordRead for batch calls (not hot per query).
@@ -391,7 +369,7 @@ inline void ServiceMetrics::RecordRead(Consistency mode, ServedFrom from,
       (static_cast<size_t>(mode) * 2 + static_cast<size_t>(from)) *
           MetricsSnapshot::kStalenessBuckets +
       MetricsSnapshot::StalenessBucket(staleness);
-  Add(kReadCube + cube, queries);
+  AddSlot(kReadCube + cube, queries);
   if (batch) [[unlikely]] {
     RecordBatchTail(queries);
   }

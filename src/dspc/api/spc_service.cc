@@ -20,6 +20,8 @@ static_assert(static_cast<size_t>(Consistency::kFresh) == 0 &&
 
 namespace {
 
+using Counter = ServiceMetrics::Counter;
+
 // Error construction is kept out of line (and out of the serving hot
 // path): refusals build strings, served requests never do.
 [[gnu::cold, gnu::noinline]] Status LiveReadDeadlineExceeded() {
@@ -132,8 +134,9 @@ StatusOr<std::unique_ptr<SpcService>> SpcService::Open(
   if (!plan.has_checkpoint) {
     service->recovery_report_.recovered_generation = service->Generation();
   }
-  service->metrics_.RecordRecovery(plan.report.replayed,
-                                   plan.report.truncated_tail_bytes);
+  service->metrics_.Add(Counter::kRecoveryReplayed, plan.report.replayed);
+  service->metrics_.Add(Counter::kRecoveryTruncatedBytes,
+                        plan.report.truncated_tail_bytes);
   service->fs_ = fs;
   if (Status st = service->StartDurability(durability, plan); !st.ok()) {
     return st;
@@ -192,22 +195,26 @@ StatusOr<std::unique_ptr<WalShipper>> SpcService::NewShipper(
   options.synced_tip = [this] { return WalSyncedTip(); };
   if (!options.on_checkpoint_shipped) {
     options.on_checkpoint_shipped = [this] {
-      metrics_.RecordCheckpointShipped();
+      metrics_.Add(Counter::kReplCheckpointsShipped);
     };
   }
   if (!options.on_segment_started) {
-    options.on_segment_started = [this] { metrics_.RecordSegmentShipped(); };
+    options.on_segment_started = [this] {
+      metrics_.Add(Counter::kReplSegmentsShipped);
+    };
   }
   if (!options.on_bytes_shipped) {
     options.on_bytes_shipped = [this](uint64_t bytes) {
-      metrics_.RecordShippedBytes(bytes);
+      metrics_.Add(Counter::kReplBytesShipped, bytes);
     };
   }
   if (!options.on_reconnect) {
-    options.on_reconnect = [this] { metrics_.RecordReplReconnect(); };
+    options.on_reconnect = [this] { metrics_.Add(Counter::kReplReconnects); };
   }
   if (!options.on_backoff_sleep) {
-    options.on_backoff_sleep = [this] { metrics_.RecordReplBackoffSleep(); };
+    options.on_backoff_sleep = [this] {
+      metrics_.Add(Counter::kReplBackoffSleeps);
+    };
   }
   return std::make_unique<WalShipper>(fs_, dur_options_.dir, options);
 }
@@ -227,7 +234,7 @@ Status SpcService::StartDurability(const DurabilityOptions& durability,
   WalWriter::Options wal_options;
   wal_options.sync = durability.sync;
   wal_options.flush_interval = durability.flush_interval;
-  wal_options.on_sync = [this] { metrics_.RecordWalSync(); };
+  wal_options.on_sync = [this] { metrics_.Add(Counter::kWalSyncs); };
   auto wal = WalWriter::Create(
       fs_, durability.dir + "/" + WalSegmentFileName(wal_seq), wal_seq,
       engine_.Generation(), wal_options);
@@ -253,7 +260,7 @@ Status SpcService::StartDurability(const DurabilityOptions& durability,
       !st.ok()) {
     return st;
   }
-  metrics_.RecordCheckpoint();
+  metrics_.Add(Counter::kCheckpoints);
   if (dur_options_.checkpoint_wal_bytes != 0 ||
       dur_options_.checkpoint_wal_records != 0) {
     checkpoint_thread_ = std::thread([this] { CheckpointLoop(); });
@@ -278,7 +285,6 @@ Status SpcService::RouteRead(const ReadOptions& options, size_t queries,
   ReadView view{.tip = tip.value_or(gen),
                 .token_ceiling = tip ? kNoTokenCeiling : gen,
                 .live = gen,
-                .snapshots = engine_.options().snapshot.enabled,
                 .snapshot = std::nullopt};
   // Pinning has side effects (it charges the staleness budget, and under
   // kSync may rebuild inline), so a read no snapshot could admit is
@@ -300,7 +306,6 @@ Status SpcService::RouteRead(const ReadOptions& options, size_t queries,
                    ? engine_.AcquireSnapshot(gen, queries)
                    : engine_.PinSnapshot();
   } else if (options.timeout >= std::chrono::nanoseconds::zero() &&
-             view.snapshots &&
              engine_.snapshots()->policy() == RefreshPolicy::kSync)
       [[unlikely]] {
     // Under kSync a budget-crossing Acquire rebuilds inline — an
@@ -402,7 +407,7 @@ StatusOr<QueryResponse> SpcService::ServeQuery(
   if (options.timeout >= std::chrono::nanoseconds::zero()) [[unlikely]] {
     if (!engine_.QueryLiveBefore(s, t, DeadlineFor(options.timeout), &live,
                                  &generation)) {
-      metrics_.RecordReadDeadlineMiss();
+      metrics_.Add(Counter::kReadDeadlineMisses);
       return LiveReadDeadlineExceeded();
     }
   } else {
@@ -464,7 +469,7 @@ StatusOr<BatchQueryResponse> SpcService::QueryBatch(
       if (!engine_.BatchQueryLiveBefore(pairs, options.threads,
                                         DeadlineFor(options.timeout),
                                         &out->results, &out->generation)) {
-        metrics_.RecordReadDeadlineMiss();
+        metrics_.Add(Counter::kReadDeadlineMisses);
         return LiveReadDeadlineExceeded();
       }
     } else {
@@ -663,7 +668,7 @@ StatusOr<UpdateResponse> SpcService::Write(const WriteOp& op,
   // journaled nothing is trivially durable.
   if (write.durable && journaled) {
     if (wal) {
-      metrics_.RecordWalDurableWait();
+      metrics_.Add(Counter::kWalDurableWaits);
       if (Status st = WaitDurableOffset(wal, commit_offset); !st.ok()) {
         return st;
       }
@@ -677,7 +682,9 @@ StatusOr<uint64_t> SpcService::AppendWalLocked(
     const std::vector<uint8_t>& payload) {
   auto off = wal_->AppendRecord(payload);
   if (!off.ok()) return FailDurabilityLocked(off.status());
-  metrics_.RecordWalAppend(payload.size() + kWalRecordOverheadBytes);
+  metrics_.Add(Counter::kWalAppends);
+  metrics_.Add(Counter::kWalAppendedBytes,
+               payload.size() + kWalRecordOverheadBytes);
   return off;
 }
 
@@ -685,7 +692,7 @@ Status SpcService::FailDurabilityLocked(Status st) {
   if (!dur_failed_) {
     dur_failed_ = true;
     dur_error_ = std::move(st);
-    metrics_.RecordWalFailure();
+    metrics_.Add(Counter::kWalFailures);
   }
   return dur_error_;  // the FIRST failure is the story, always
 }
@@ -722,7 +729,7 @@ Status SpcService::PublishSnapshot(SnapshotPublisher* publisher) {
   }
   const uint64_t wal_seq = Durable() ? WalSyncedTip().first : 0;
   Status st = publisher->Publish(*flat, gen, wal_seq);
-  if (st.ok()) metrics_.RecordSnapshotPublish();
+  if (st.ok()) metrics_.Add(Counter::kSnapshotPublishes);
   return st;
 }
 
@@ -757,7 +764,7 @@ Status SpcService::CheckpointLocked() {
   WalWriter::Options wal_options;
   wal_options.sync = dur_options_.sync;
   wal_options.flush_interval = dur_options_.flush_interval;
-  wal_options.on_sync = [this] { metrics_.RecordWalSync(); };
+  wal_options.on_sync = [this] { metrics_.Add(Counter::kWalSyncs); };
   auto next = WalWriter::Create(
       fs_, dur_options_.dir + "/" + WalSegmentFileName(new_seq), new_seq,
       gen, wal_options);
@@ -773,7 +780,7 @@ Status SpcService::CheckpointLocked() {
       !st.ok()) {
     return FailDurabilityLocked(st);
   }
-  metrics_.RecordCheckpoint();
+  metrics_.Add(Counter::kCheckpoints);
   return Status::OK();
 }
 
@@ -810,11 +817,6 @@ void SpcService::CheckpointLoop() {
 Status SpcService::WaitForSnapshotUntil(
     WriteToken token, bool timed,
     std::chrono::steady_clock::time_point deadline) const {
-  if (!engine_.options().snapshot.enabled) {
-    metrics_.RecordRejected(Status::Code::kNotSupported);
-    return Status::NotSupported(
-        "snapshots are disabled on this service (SnapshotOptions::enabled)");
-  }
   if (token.generation > engine_.Generation()) {
     metrics_.RecordRejected(Status::Code::kInvalidArgument);
     return Status::InvalidArgument(
@@ -827,7 +829,7 @@ Status SpcService::WaitForSnapshotUntil(
                        : engine_.AwaitSnapshotAtLeast(token.generation);
   if (!pin || pin.generation < token.generation) {
     if (timed) {
-      metrics_.RecordWaitDeadlineMiss();
+      metrics_.Add(Counter::kWaitDeadlineMisses);
       return Status::DeadlineExceeded(
           "published snapshot did not reach generation " +
           std::to_string(token.generation) + " before the deadline");

@@ -245,8 +245,7 @@ class SpcService {
   /// Thread-safe against every other method. Error codes:
   /// kInvalidArgument (out-of-range vertex id, or a min_generation the
   /// index has not reached), kUnavailable (kSnapshot unservable without
-  /// blocking), kNotSupported (kSnapshot with snapshots disabled),
-  /// kDeadlineExceeded (live read missed options.timeout).
+  /// blocking), kDeadlineExceeded (live read missed options.timeout).
   StatusOr<QueryResponse> Query(Vertex s, Vertex t,
                                 const ReadOptions& options = {}) const;
 
@@ -359,9 +358,9 @@ class SpcService {
   // --- freshness barriers -------------------------------------------------
 
   /// Blocks until the published snapshot reflects the token's generation,
-  /// so subsequent kSnapshot reads observe the write. kNotSupported when
-  /// snapshots are disabled; kInvalidArgument for a token the index has
-  /// not reached (never issued by this service).
+  /// so subsequent kSnapshot reads observe the write. kInvalidArgument
+  /// for a token the index has not reached (never issued by this
+  /// service).
   Status WaitForSnapshot(WriteToken token) const;
 
   /// Deadline-bounded barrier: as above, but gives up after `timeout`
@@ -385,7 +384,7 @@ class SpcService {
   /// counts, served-from distribution, staleness histogram, deadline
   /// misses, rejections, batch sizes, per-update write outcomes — the
   /// freshness-SLO surface (DESIGN.md §10). Monotone; diff two snapshots
-  /// for a rate window, ToString() for a text dump. Thread-safe and
+  /// for a rate window, PrometheusText() to render. Thread-safe and
   /// cheap enough to scrape in a tight monitoring loop. When the hot-pair
   /// cache is enabled (DynamicSpcOptions::pair_cache, DESIGN.md §15) its
   /// hit/miss/insert/evict counters are folded into the snapshot.

@@ -117,8 +117,7 @@ void DynamicSpcIndex::InitSnapshots() {
       ResolveRebuildThreads(options_.snapshot.rebuild_threads));
   // Background serving reads only published snapshots, so publish one
   // before any query can arrive (also warms the serving path).
-  if (options_.snapshot.enabled &&
-      options_.snapshot.refresh == RefreshPolicy::kBackground) {
+  if (options_.snapshot.refresh == RefreshPolicy::kBackground) {
     snapshots_->RefreshNow(Generation());
   }
 }
@@ -355,13 +354,11 @@ void DynamicSpcIndex::PaceReader() const {
 }
 
 SpcResult DynamicSpcIndex::Query(Vertex s, Vertex t) const {
-  if (options_.snapshot.enabled) {
-    const uint64_t generation = Generation();
-    const auto pin = snapshots_->Acquire(generation, 1);
-    if (Covers(pin, s, t)) {
-      YieldForMaintenance(generation, pin.generation);
-      return pin->Query(s, t);
-    }
+  const uint64_t generation = Generation();
+  const auto pin = snapshots_->Acquire(generation, 1);
+  if (Covers(pin, s, t)) {
+    YieldForMaintenance(generation, pin.generation);
+    return pin->Query(s, t);
   }
   return QueryLive(s, t);
 }
@@ -438,18 +435,16 @@ bool DynamicSpcIndex::BatchQueryLiveBefore(
 std::vector<SpcResult> DynamicSpcIndex::BatchQuery(
     const std::vector<std::pair<Vertex, Vertex>>& pairs,
     unsigned threads) const {
-  if (options_.snapshot.enabled) {
-    const uint64_t generation = Generation();
-    const auto pin = snapshots_->Acquire(generation, pairs.size());
-    const bool covers_all =
-        pin && std::all_of(pairs.begin(), pairs.end(), [&](const auto& p) {
-          return Covers(pin, p.first, p.second);
-        });
-    if (covers_all) {
-      YieldForMaintenance(generation, pin.generation);
-      return pin->QueryManyParallel(pairs, threads,
-                                    PoolForBatch(pairs.size(), threads));
-    }
+  const uint64_t generation = Generation();
+  const auto pin = snapshots_->Acquire(generation, pairs.size());
+  const bool covers_all =
+      pin && std::all_of(pairs.begin(), pairs.end(), [&](const auto& p) {
+        return Covers(pin, p.first, p.second);
+      });
+  if (covers_all) {
+    YieldForMaintenance(generation, pin.generation);
+    return pin->QueryManyParallel(pairs, threads,
+                                  PoolForBatch(pairs.size(), threads));
   }
   return BatchQueryLive(pairs, threads);
 }

@@ -58,13 +58,11 @@
 namespace dspc {
 
 /// Snapshot maintenance and serving knobs, grouped so the service layer
-/// (api/spc_service.h) can consume and forward them as one unit.
+/// (api/spc_service.h) can consume and forward them as one unit. Queries
+/// are served from an immutable FlatSpcIndex snapshot (DESIGN.md §5).
+/// Every applied update bumps a generation counter that invalidates the
+/// snapshot; the refresh policy below decides who rebuilds it and when.
 struct SnapshotOptions {
-  /// Serve queries from an immutable FlatSpcIndex snapshot (DESIGN.md §5).
-  /// Every applied update bumps a generation counter that invalidates the
-  /// snapshot; the refresh policy below decides who rebuilds it and when.
-  bool enabled = true;
-
   /// How many queries may observe a stale snapshot before a rebuild is
   /// scheduled. 1 rebuilds on the first query after any update (snappiest
   /// serving, worst for update-heavy interleavings); larger values
@@ -263,8 +261,8 @@ class DynamicSpcIndex {
   UpdateStats ApplyBatch(std::span<const struct Update> updates,
                          std::vector<WriteReport>* reports = nullptr);
 
-  /// Evaluates many queries, using up to `threads` worker threads. With
-  /// the flat snapshot enabled, a batch counts as pairs.size() stale
+  /// Evaluates many queries, using up to `threads` worker threads. A
+  /// batch counts as pairs.size() stale
   /// queries against the rebuild budget and runs
   /// FlatSpcIndex::QueryManyParallel over the acquired snapshot (fanned
   /// out on the shared QueryPool — no per-batch thread spawns); batches
@@ -324,8 +322,8 @@ class DynamicSpcIndex {
   /// The query-path snapshot acquisition: pins the published snapshot and
   /// charges `queries` observations against the staleness budget, which
   /// is what schedules (kBackground) or performs (kSync, after the budget)
-  /// rebuilds. Empty when the caller should ride the mutable index — or
-  /// when snapshots are disabled. The two-argument form takes a
+  /// rebuilds. Empty when the caller should ride the mutable index. The
+  /// two-argument form takes a
   /// generation the caller already loaded (hot-path: skips one atomic
   /// read); both are header-inline because they sit on every service
   /// query.
@@ -334,16 +332,15 @@ class DynamicSpcIndex {
   }
   SnapshotManager::Pinned AcquireSnapshot(uint64_t current_generation,
                                           size_t queries) const {
-    if (!options_.snapshot.enabled) return {};
     return snapshots_->Acquire(current_generation, queries);
   }
 
   /// Charges the staleness budget without any rebuild risk (see
   /// SnapshotManager::ChargeOnly) — the deadline-bounded read path under
   /// kSync, which must not pay for maintenance but must keep rebuilds
-  /// due. No-op with snapshots disabled.
+  /// due.
   void ChargeSnapshotBudget(size_t queries) const {
-    if (options_.snapshot.enabled) snapshots_->ChargeOnly(queries);
+    snapshots_->ChargeOnly(queries);
   }
 
   /// Reader pacing for snapshot-served reads (ShouldPace, NextPacing):
@@ -426,8 +423,7 @@ class DynamicSpcIndex {
   size_t SnapshotRebuilds() const { return snapshots_->Rebuilds(); }
 
   /// The snapshot manager's counters (background rebuilds, retired
-  /// snapshots, published generation). Always present — with
-  /// snapshot.enabled off the query paths simply never consult it.
+  /// snapshots, published generation).
   const SnapshotManager* snapshots() const { return snapshots_.get(); }
 
   /// Rebuilds the index from scratch with HP-SPC under a fresh ordering —

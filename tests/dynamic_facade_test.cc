@@ -128,11 +128,11 @@ TEST(BatchQueryTest, OutOfRangeVertexIdsAnswerDisconnected) {
 }
 
 TEST(BatchQueryTest, LiveFallbackUsesSharedPool) {
-  // With snapshots disabled every batch takes the live path; exercising
-  // it twice ensures the lazily-spawned ThreadPool is reused rather than
-  // respawned, and answers stay exact.
+  // Under kManual with nothing published every batch takes the live
+  // path; exercising it twice ensures the lazily-spawned ThreadPool is
+  // reused rather than respawned, and answers stay exact.
   DynamicSpcOptions options;
-  options.snapshot.enabled = false;
+  options.snapshot.refresh = RefreshPolicy::kManual;
   const Graph g = GenerateBarabasiAlbert(200, 2, 12);
   DynamicSpcIndex dyn(g, options);
   Rng rng(13);
@@ -259,8 +259,9 @@ TEST(FlatSnapshotTest, FlatSnapshotAccessorServesConcurrently) {
 
 TEST(FlatSnapshotTest, DisabledSnapshotStaysOnMutableIndex) {
   Graph g = RandomGraph(20, 40, 18);
+  // kManual publishes only on an explicit refresh, so no query builds one.
   DynamicSpcOptions options;
-  options.snapshot.enabled = false;
+  options.snapshot.refresh = RefreshPolicy::kManual;
   DynamicSpcIndex dyn(g, options);
   const SsspCounts truth = BfsCount(dyn.graph(), 0);
   for (Vertex t = 0; t < 20; ++t) {

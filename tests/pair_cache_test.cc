@@ -198,7 +198,6 @@ TEST(PairCacheService, SnapshotReadsPopulateAndHit) {
   EXPECT_GE(metrics.pair_cache_misses, 1u);
   EXPECT_GE(metrics.pair_cache_hits, 1u);
   EXPECT_GE(metrics.pair_cache_insertions, 1u);
-  EXPECT_NE(metrics.ToString().find("pair_cache:"), std::string::npos);
   EXPECT_NE(metrics.PrometheusText().find("dspc_pair_cache_lookups_total"),
             std::string::npos);
 }

@@ -22,14 +22,12 @@ static_assert(AdmitRead({.consistency = Consistency::kSnapshot},
                         {.tip = 5,
                          .token_ceiling = 5,
                          .live = 5,
-                         .snapshots = true,
                          .snapshot = 3})
                   .staleness == 2);
 static_assert(AdmitRead({.consistency = Consistency::kFresh},
                         {.tip = 5,
                          .token_ceiling = kNoTokenCeiling,
                          .live = std::nullopt,
-                         .snapshots = true,
                          .snapshot = 5})
                   .code == Status::Code::kNotSupported);
 
@@ -42,8 +40,7 @@ std::string Describe(const ReadOptions& o, const ReadView& v) {
          " max_lag=" + std::to_string(o.max_lag) +
          " tip=" + std::to_string(v.tip) +
          " ceiling=" + std::to_string(v.token_ceiling) +
-         " live=" + opt(v.live) + " snapshots=" + std::to_string(v.snapshots) +
-         " snapshot=" + opt(v.snapshot);
+         " live=" + opt(v.live) + " snapshot=" + opt(v.snapshot);
 }
 
 // Whether a source at `generation` satisfies the read's bounds, stated
@@ -71,8 +68,7 @@ std::string Violation(const ReadOptions& o, const ReadView& v,
   Status::Code expected = Status::Code::kOk;
   if (o.min_generation > v.token_ceiling) {
     expected = Status::Code::kInvalidArgument;
-  } else if ((o.consistency == Consistency::kFresh && !v.live) ||
-             (o.consistency == Consistency::kSnapshot && !v.snapshots)) {
+  } else if (o.consistency == Consistency::kFresh && !v.live) {
     expected = Status::Code::kNotSupported;
   } else if (!snapshot_ok && !live_ok) {
     expected = Status::Code::kUnavailable;
@@ -123,24 +119,19 @@ TEST(ReadAdmissionTest, SweepHoldsEveryInvariant) {
         for (uint64_t tip = 0; tip <= 5; ++tip) {
           for (const uint64_t ceiling : ceilings) {
             for (const auto& live : generations) {
-              for (const bool snapshots : {false, true}) {
-                for (const auto& snapshot : generations) {
-                  // A process without snapshots never holds one.
-                  if (!snapshots && snapshot) continue;
-                  const ReadOptions o{.consistency = mode,
-                                      .max_lag = max_lag,
-                                      .min_generation = min_generation};
-                  const ReadView v{.tip = tip,
-                                   .token_ceiling = ceiling,
-                                   .live = live,
-                                   .snapshots = snapshots,
-                                   .snapshot = snapshot};
-                  const ReadDecision d = AdmitRead(o, v);
-                  const std::string why = Violation(o, v, d);
-                  ASSERT_TRUE(why.empty()) << why << " at " << Describe(o, v);
-                  ++cases;
-                  served += d.ok();
-                }
+              for (const auto& snapshot : generations) {
+                const ReadOptions o{.consistency = mode,
+                                    .max_lag = max_lag,
+                                    .min_generation = min_generation};
+                const ReadView v{.tip = tip,
+                                 .token_ceiling = ceiling,
+                                 .live = live,
+                                 .snapshot = snapshot};
+                const ReadDecision d = AdmitRead(o, v);
+                const std::string why = Violation(o, v, d);
+                ASSERT_TRUE(why.empty()) << why << " at " << Describe(o, v);
+                ++cases;
+                served += d.ok();
               }
             }
           }
@@ -154,20 +145,21 @@ TEST(ReadAdmissionTest, SweepHoldsEveryInvariant) {
 }
 
 TEST(ReadAdmissionTest, PrecheckIsTheRulesFirstTwoSteps) {
-  const ReadView own{.tip = 4,
-                     .token_ceiling = 4,
-                     .live = 4,
-                     .snapshots = false,
-                     .snapshot = std::nullopt};
-  EXPECT_EQ(PrecheckRead({.min_generation = 5}, own),
+  // A process without a live index (a mapped reader).
+  const ReadView mapped{
+      .tip = 4, .token_ceiling = 4, .live = std::nullopt, .snapshot = 4};
+  EXPECT_EQ(PrecheckRead({.consistency = Consistency::kSnapshot,
+                          .min_generation = 5},
+                         mapped),
             Status::Code::kInvalidArgument);
-  EXPECT_EQ(PrecheckRead({.consistency = Consistency::kSnapshot}, own),
+  EXPECT_EQ(PrecheckRead({.consistency = Consistency::kFresh}, mapped),
             Status::Code::kNotSupported);
-  EXPECT_EQ(PrecheckRead({.min_generation = 4}, own), Status::Code::kOk);
+  EXPECT_EQ(PrecheckRead({.consistency = Consistency::kSnapshot,
+                          .min_generation = 4},
+                         mapped),
+            Status::Code::kOk);
   // The ceiling check comes first.
-  EXPECT_EQ(PrecheckRead(
-                {.consistency = Consistency::kSnapshot, .min_generation = 9},
-                own),
+  EXPECT_EQ(PrecheckRead({.min_generation = 9}, mapped),
             Status::Code::kInvalidArgument);
 }
 
@@ -179,7 +171,6 @@ TEST(ReadAdmissionTest, Uint64Extremes) {
   ReadDecision d = AdmitRead(bounded_any, {.tip = kMax,
                                            .token_ceiling = kNoTokenCeiling,
                                            .live = std::nullopt,
-                                           .snapshots = true,
                                            .snapshot = 0});
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d.generation, 0u);
@@ -190,7 +181,6 @@ TEST(ReadAdmissionTest, Uint64Extremes) {
   d = AdmitRead(bounded_zero, {.tip = kMax,
                                .token_ceiling = kNoTokenCeiling,
                                .live = kMax - 1,
-                               .snapshots = true,
                                .snapshot = kMax});
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d.served_from, ServedFrom::kSnapshot);
@@ -198,7 +188,6 @@ TEST(ReadAdmissionTest, Uint64Extremes) {
   d = AdmitRead(bounded_zero, {.tip = kMax,
                                .token_ceiling = kNoTokenCeiling,
                                .live = kMax - 1,
-                               .snapshots = true,
                                .snapshot = std::nullopt});
   EXPECT_EQ(d.code, Status::Code::kUnavailable);
 
@@ -208,7 +197,6 @@ TEST(ReadAdmissionTest, Uint64Extremes) {
   d = AdmitRead(token_max, {.tip = kMax,
                             .token_ceiling = kNoTokenCeiling,
                             .live = kMax,
-                            .snapshots = true,
                             .snapshot = kMax - 1});
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d.served_from, ServedFrom::kLiveIndex);
@@ -216,13 +204,11 @@ TEST(ReadAdmissionTest, Uint64Extremes) {
   d = AdmitRead(token_max, {.tip = kMax,
                             .token_ceiling = kNoTokenCeiling,
                             .live = kMax - 1,
-                            .snapshots = true,
                             .snapshot = std::nullopt});
   EXPECT_EQ(d.code, Status::Code::kUnavailable);
   d = AdmitRead(token_max, {.tip = kMax - 1,
                             .token_ceiling = kMax - 1,
                             .live = kMax - 1,
-                            .snapshots = true,
                             .snapshot = std::nullopt});
   EXPECT_EQ(d.code, Status::Code::kInvalidArgument);
 }
@@ -234,7 +220,6 @@ TEST(ReadAdmissionTest, RefusalsNameTheirInputs) {
   const ReadView v{.tip = 9,
                    .token_ceiling = kNoTokenCeiling,
                    .live = std::nullopt,
-                   .snapshots = true,
                    .snapshot = 6};
   const ReadDecision d = AdmitRead(o, v);
   ASSERT_EQ(d.code, Status::Code::kUnavailable);

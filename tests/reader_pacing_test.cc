@@ -163,7 +163,6 @@ TEST(ReaderPacingTest, AllThreeServicesExportTheYieldCounter) {
   EXPECT_EQ(snap.reader_pacing_yields, service.engine().ReaderPacingYields());
   EXPECT_GE(snap.reader_pacing_yields, 1u);
   EXPECT_NE(snap.PrometheusText().find(kYieldsMetric), std::string::npos);
-  EXPECT_NE(snap.ToString().find("reader_pacing: yields="), std::string::npos);
 
   InProcessTransport transport;
   DurabilityOptions durability;

@@ -229,9 +229,11 @@ TEST(RecoveryTest, MetricsExposeDurabilityAndRecoveryCounters) {
     EXPECT_GE(snap.wal_syncs, 2u);    // kEveryWrite: one per append
     EXPECT_EQ(snap.wal_durable_waits, 1u);
     EXPECT_GE(snap.checkpoints, 1u);  // the Open-time publish
-    const std::string text = snap.ToString();
-    EXPECT_NE(text.find("durability:"), std::string::npos);
-    EXPECT_NE(text.find("recovery:"), std::string::npos);
+    const std::string text = snap.PrometheusText();
+    EXPECT_NE(text.find("dspc_wal_durable_waits_total 1\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("dspc_recovery_replayed_total 0\n"),
+              std::string::npos);
   }
   auto reopened = SpcService::Open(bootstrap, EveryWriteOptions(dir));
   ASSERT_TRUE(reopened.ok());

@@ -581,7 +581,10 @@ TEST(ReplicationTest, ReplicaCatchesUpAndServesExactAnswers) {
   EXPECT_EQ(replica_snap.replica_applied_generation,
             log.last_acked_generation);
   EXPECT_EQ(replica_snap.replica_lag, 0u);
-  EXPECT_NE(replica_snap.ToString().find("replication:"), std::string::npos);
+  EXPECT_NE(replica_snap.PrometheusText().find(
+                "dspc_repl_ops_applied_total " +
+                std::to_string(replica_snap.repl_ops_applied) + "\n"),
+            std::string::npos);
 
   // Batch reads ride the same admission path.
   const std::vector<VertexPair> pairs{{0, 5}, {3, 7}};
@@ -781,30 +784,6 @@ TEST(ReplicationTest, StalenessMetricsCountFromThePrimary) {
   // The exported histogram counts the same primary-relative staleness the
   // responses carry — one count per read in the lag's bucket.
   EXPECT_EQ(r.replica->Metrics().staleness_hist[bucket], before + 2);
-}
-
-TEST(ReplicationTest, SnapshotReadsWithSnapshotsDisabledAreNotSupported) {
-  DynamicSpcOptions engine;
-  engine.snapshot.enabled = false;
-  LaggingReplica r;
-  ASSERT_NO_FATAL_FAILURE(MakeLaggingReplica("repl_no_snapshots", engine, &r));
-
-  // A token the replica has not applied yet cannot make a kSnapshot read
-  // servable here — no snapshot will ever exist — so the refusal is the
-  // configuration error, not a retryable kUnavailable.
-  const auto behind = r.replica->Query(
-      0, 5,
-      {.consistency = Consistency::kSnapshot,
-       .min_generation = r.primary_gen});
-  EXPECT_TRUE(behind.status().IsNotSupported()) << behind.status().ToString();
-  const auto caught_up = r.replica->Query(
-      0, 5,
-      {.consistency = Consistency::kSnapshot, .min_generation = r.caught_up});
-  EXPECT_TRUE(caught_up.status().IsNotSupported());
-
-  const MetricsSnapshot snap = r.replica->Metrics();
-  EXPECT_EQ(snap.rejected_not_supported, 2u);
-  EXPECT_EQ(snap.rejected_unavailable, 0u);
 }
 
 // --- retention -----------------------------------------------------------

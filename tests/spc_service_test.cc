@@ -277,32 +277,13 @@ TEST(SpcServiceTest, WaitForSnapshotIsTheTokenBarrier) {
   EXPECT_EQ(resp->served_from, ServedFrom::kSnapshot);
 }
 
-TEST(SpcServiceTest, WaitForSnapshotNotSupportedWhenDisabled) {
-  DynamicSpcOptions options;
-  options.snapshot.enabled = false;
-  SpcService service(GenerateBarabasiAlbert(20, 2, 27), options);
-  EXPECT_TRUE(service.WaitForSnapshot({1}).IsNotSupported());
-  // kSnapshot reads can never be served on this configuration:
-  // kNotSupported (permanent), not kUnavailable (retryable).
-  ReadOptions snap;
-  snap.consistency = Consistency::kSnapshot;
-  EXPECT_TRUE(service.Query(0, 1, snap).status().IsNotSupported());
-  EXPECT_TRUE(service.QueryBatch(std::vector<VertexPair>{{0, 1}}, snap)
-                  .status()
-                  .IsNotSupported());
-  // Other modes still work (all live).
-  const auto resp = service.Query(0, 1);
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp->served_from, ServedFrom::kLiveIndex);
-}
-
 // --- deadlines (DESIGN.md §10) -----------------------------------------------
 
 TEST(SpcServiceTest, FreshReadDeadlineExceededUnderHeldWriterLock) {
-  // Snapshots off: every read must ride the live index, the one path
-  // that can block behind a writer.
+  // kManual with nothing published: every read must ride the live index,
+  // the one path that can block behind a writer.
   DynamicSpcOptions options;
-  options.snapshot.enabled = false;
+  options.snapshot.refresh = RefreshPolicy::kManual;
   SpcService service(GenerateBarabasiAlbert(40, 2, 31), options);
 
   ReadOptions timed;
@@ -561,7 +542,7 @@ TEST(SpcServiceTest, MetricsPrometheusExposition) {
   metrics.RecordRead(Consistency::kSnapshot, ServedFrom::kSnapshot,
                      /*staleness=*/2, /*queries=*/1, /*batch=*/false);
   metrics.RecordReadLatency(Consistency::kSnapshot, 5000);
-  metrics.RecordSnapshotPublish();
+  metrics.Add(ServiceMetrics::Counter::kSnapshotPublishes);
   metrics.RecordRejected(Status::Code::kUnavailable);
   const std::string text = metrics.Snapshot().PrometheusText();
   EXPECT_NE(text.find("# TYPE dspc_queries_total counter"),
@@ -637,11 +618,13 @@ TEST(SpcServiceTest, MetricsCountServingOutcomes) {
   EXPECT_EQ(m.updates_noop, 1u);
   EXPECT_EQ(m.updates_rejected, 0u);
 
-  // The text dump carries the headline numbers.
-  const std::string dump = m.ToString();
-  EXPECT_NE(dump.find("SpcService metrics"), std::string::npos);
-  EXPECT_NE(dump.find("total=11"), std::string::npos);
-  EXPECT_NE(dump.find("invalid_argument=2"), std::string::npos);
+  // The exposition carries the headline numbers.
+  const std::string text = m.PrometheusText();
+  EXPECT_NE(text.find("dspc_queries_total{mode=\"fresh\"} 8\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("dspc_rejected_total{code=\"invalid_argument\"} 2\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("dspc_read_batch_size_count 1\n"), std::string::npos);
 }
 
 TEST(SpcServiceTest, RemoveVertexIsolatesAndTokens) {
