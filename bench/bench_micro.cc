@@ -1,9 +1,10 @@
 // Micro benchmarks (google-benchmark): query latency of SpcQUERY (legacy
 // merge-scan vs the FlatSpcIndex packed arena, single / batched /
 // batched-parallel) vs the online baselines, HP-SPC build throughput,
-// flat-snapshot construction, and single-update latency. Complements the
-// table/figure harnesses with statistically-stable per-operation numbers
-// on one mid-size dataset. Run with
+// flat-snapshot construction, the snapshot pin of a served read, and
+// single-update latency. Complements the table/figure harnesses with
+// statistically-stable per-operation numbers on one mid-size dataset.
+// Run with
 //   --benchmark_out=BENCH_micro.json --benchmark_out_format=json
 // for machine-readable output; bench_query_throughput emits the curated
 // legacy-vs-flat JSON comparison.
@@ -114,6 +115,18 @@ void BM_FlatSnapshotBuild(benchmark::State& state) {
       static_cast<int64_t>(f.index.SizeStats().total_entries));
 }
 BENCHMARK(BM_FlatSnapshotBuild)->Unit(benchmark::kMillisecond);
+
+// The snapshot pin a served read takes before it queries: Acquire on a
+// current snapshot (one atomic load plus the pin's refcount traffic).
+void BM_SnapshotAcquire(benchmark::State& state) {
+  const QueryFixture& f = Fixture();
+  const DynamicSpcIndex dyn(f.graph, f.index);
+  for (auto _ : state) {
+    const SnapshotManager::Pinned pin = dyn.AcquireSnapshot(1);
+    benchmark::DoNotOptimize(pin.snapshot.get());
+  }
+}
+BENCHMARK(BM_SnapshotAcquire);
 
 void BM_BiBfsQuery(benchmark::State& state) {
   const QueryFixture& f = Fixture();

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <span>
 
 #include "dspc/api/spc_service.h"
@@ -153,13 +152,13 @@ void AppendSample(std::string* out, const std::string& name,
 }
 
 /// One histogram series: `name_bucket` lines with cumulative counts under
-/// the `le` bounds, then `name_sum` (when `sum_seconds` is given) and
+/// the `le` bounds, then `name_sum` (the rendered `sum`) and
 /// `name_count`. `labels` join `le` on the bucket lines.
 void AppendHistogram(std::string* out, const std::string& name,
                      const std::string& labels,
                      std::span<const uint64_t> buckets,
                      std::span<const std::string> le,
-                     std::optional<double> sum_seconds = std::nullopt) {
+                     const std::string& sum) {
   const std::string prefix = labels.empty() ? labels : labels + ",";
   uint64_t cum = 0;
   for (size_t b = 0; b < buckets.size(); ++b) {
@@ -167,11 +166,7 @@ void AppendHistogram(std::string* out, const std::string& name,
     AppendSample(out, name + "_bucket", prefix + "le=\"" + le[b] + "\"",
                  std::to_string(cum));
   }
-  if (sum_seconds) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", *sum_seconds);
-    AppendSample(out, name + "_sum", labels, buf);
-  }
+  AppendSample(out, name + "_sum", labels, sum);
   AppendSample(out, name + "_count", labels, std::to_string(cum));
 }
 
@@ -255,22 +250,27 @@ std::string MetricsSnapshot::PrometheusText() const {
                "Serving-source staleness per served query, in generations.",
                "histogram");
   AppendHistogram(&out, "dspc_read_staleness_generations", "",
-                  staleness_hist, kStalenessLe);
+                  staleness_hist, kStalenessLe, std::to_string(staleness_sum));
   AppendFamily(&out, "dspc_read_latency_seconds",
                "Sampled read-call latency by consistency mode.", "histogram");
   for (size_t m = 0; m < kModes; ++m) {
+    char sum_seconds[32];
+    std::snprintf(sum_seconds, sizeof(sum_seconds), "%.9g",
+                  static_cast<double>(read_latency_sum_ns[m]) / 1e9);
     AppendHistogram(&out, "dspc_read_latency_seconds", kModeLabels[m],
-                    read_latency_hist[m], kLatencyLe,
-                    static_cast<double>(read_latency_sum_ns[m]) / 1e9);
+                    read_latency_hist[m], kLatencyLe, sum_seconds);
   }
+  // The batch-size sums are counters kept anyway: queries across batches,
+  // and every update outcome of the admitted write calls.
   AppendFamily(&out, "dspc_read_batch_size",
                "Queries per served QueryBatch call.", "histogram");
   AppendHistogram(&out, "dspc_read_batch_size", "", read_batch_size_hist,
-                  kBatchLe);
+                  kBatchLe, std::to_string(read_batch_queries));
   AppendFamily(&out, "dspc_write_batch_size",
                "Input updates per admitted write call.", "histogram");
-  AppendHistogram(&out, "dspc_write_batch_size", "", write_batch_size_hist,
-                  kBatchLe);
+  AppendHistogram(
+      &out, "dspc_write_batch_size", "", write_batch_size_hist, kBatchLe,
+      std::to_string(updates_applied + updates_noop + updates_rejected));
 
   const char* family = "";
   for (const Row& row : kRows) {
@@ -365,6 +365,7 @@ void ServiceMetrics::AddTo(MetricsSnapshot* snap) const {
     }
     snap->read_latency_sum_ns[m] += sum[kReadLatencySumNs + m];
   }
+  snap->staleness_sum += sum[kStalenessSum];
 }
 
 }  // namespace dspc

@@ -86,6 +86,9 @@ struct MetricsSnapshot {
   /// Per served *query* (a batch adds its size): generation-lag bucket
   /// of the serving source at admission. Sums to TotalQueries().
   std::array<uint64_t, kStalenessBuckets> staleness_hist{};
+  /// Generations of lag summed over served queries (the histogram's
+  /// _sum; a fresh read adds 0).
+  uint64_t staleness_sum = 0;
 
   /// Sampled wall-clock latency of served read calls, bucketed per
   /// consistency mode (see kLatencyBuckets). A batch contributes one
@@ -316,7 +319,8 @@ class ServiceMetrics {
   // the read cube, which folds (mode, served_from, staleness bucket) into
   // one counter so a served single query records with ONE fetch-add:
   //   slot = kReadCube + (mode * 2 + served_from) * kStalenessBuckets + bucket
-  // then the batch-size histograms, the latency histogram and its sums.
+  // then the batch-size histograms, the latency histogram and its sums,
+  // and the staleness sum.
   static constexpr size_t kReadCube = kFirstOverlay;
   static constexpr size_t kReadBatchHist =
       kReadCube +
@@ -328,7 +332,9 @@ class ServiceMetrics {
   static constexpr size_t kReadLatencySumNs =
       kReadLatencyHist +
       MetricsSnapshot::kModes * MetricsSnapshot::kLatencyBuckets;
-  static constexpr size_t kSlots = kReadLatencySumNs + MetricsSnapshot::kModes;
+  static constexpr size_t kStalenessSum =
+      kReadLatencySumNs + MetricsSnapshot::kModes;
+  static constexpr size_t kSlots = kStalenessSum + 1;
 
   /// Concurrency stripe count. Threads are assigned round-robin by a
   /// thread_local slot; 16 stripes keep even a saturated reader fleet
@@ -361,15 +367,17 @@ class ServiceMetrics {
 inline void ServiceMetrics::RecordRead(Consistency mode, ServedFrom from,
                                        uint64_t staleness, size_t queries,
                                        bool batch) {
-  // The whole single-query hot path is this one relaxed increment. The
-  // enums are opaque here, so the cube folds their raw values; the
-  // static_asserts in spc_service.cc pin the coupling
-  // (ServedFrom::kSnapshot == 0, kModes consistency values).
+  // A fresh single query records with this one relaxed increment; only a
+  // stale read also adds its lag to the staleness sum. The enums are
+  // opaque here, so the cube folds their raw values; the static_asserts
+  // in spc_service.cc pin the coupling (ServedFrom::kSnapshot == 0,
+  // kModes consistency values).
   const size_t cube =
       (static_cast<size_t>(mode) * 2 + static_cast<size_t>(from)) *
           MetricsSnapshot::kStalenessBuckets +
       MetricsSnapshot::StalenessBucket(staleness);
   AddSlot(kReadCube + cube, queries);
+  if (staleness != 0) AddSlot(kStalenessSum, staleness * queries);
   if (batch) [[unlikely]] {
     RecordBatchTail(queries);
   }

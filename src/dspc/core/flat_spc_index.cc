@@ -236,6 +236,14 @@ size_t FlatSpcIndex::OverflowEntries() const {
   return total;
 }
 
+size_t FlatSpcIndex::PlaneRows() const {
+  size_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->dist_planes.size() / kPlaneWords;
+  }
+  return total;
+}
+
 size_t FlatSpcIndex::ShardEntries(size_t shard) const {
   return shards_[shard]->NumEntries();
 }
@@ -246,7 +254,9 @@ size_t FlatSpcIndex::Shard::Bytes() const {
          overflow.size() * sizeof(LabelEntry) +
          wide_entries.size() * sizeof(LabelEntry) +
          hub_bits.size() * sizeof(uint64_t) +
-         word_base.size() * sizeof(uint16_t);
+         word_base.size() * sizeof(uint16_t) +
+         dist_planes.size() * sizeof(uint64_t) +
+         plane_row.size() * sizeof(uint32_t);
 }
 
 size_t FlatSpcIndex::ArenaBytes() const {
@@ -256,25 +266,65 @@ size_t FlatSpcIndex::ArenaBytes() const {
 }
 
 void FlatSpcIndex::BuildDenseDirectory(Shard* shard) {
-  // Read through a const ref: offsets/entries may be mmap views, where
-  // only the const ArenaVec accessors see the data (the mutating
+  // Read through a const ref: offsets/entries/overflow may be mmap views,
+  // where only the const ArenaVec accessors see the data (the mutating
   // overloads address the owning vector, empty in view mode).
   const Shard& sh = *shard;
   const size_t width = sh.end - sh.begin;
+  // Rows with at least kPlaneMinDense dense entries (a prefix of the
+  // rank-sorted run) get their own plane row; the rest read kZeroPlaneRow.
+  shard->plane_row.assign(width, 0);
+  size_t planed = 0;
+  for (size_t lv = 0; lv < width; ++lv) {
+    const uint64_t* run = sh.entries.data() + sh.offsets[lv];
+    const uint64_t* end = sh.entries.data() + sh.offsets[lv + 1];
+    if (static_cast<size_t>(PackedLowerBound(run, end, kDenseRanks) - run) >=
+        kPlaneMinDense) {
+      shard->plane_row[lv] = static_cast<uint32_t>(++planed);
+    }
+  }
   shard->hub_bits.assign(width * kDenseWords, 0);
   shard->word_base.assign(width * kDenseWords, 0);
+  shard->dist_planes.assign(planed * kPlaneWords, 0);
+  uint64_t unused_planes[kPlaneWords];
   for (size_t lv = 0; lv < width; ++lv) {
     uint64_t* bits = shard->hub_bits.data() + lv * kDenseWords;
+    const uint32_t row = sh.plane_row[lv];
+    uint64_t* planes = row == 0 ? unused_planes
+                                : shard->dist_planes.data() +
+                                      (row - 1) * kPlaneWords;
+    // Hubs ascend, so each bitmap word is built in registers and stored
+    // once when the run moves past it.
+    size_t w = 0;
+    uint64_t present = 0, low = 0, high = 0;
     for (uint64_t i = sh.offsets[lv]; i < sh.offsets[lv + 1]; ++i) {
-      const Rank h = FlatHub(sh.entries[i]);
+      const uint64_t word = sh.entries[i];
+      const Rank h = FlatHub(word);
       if (h >= kDenseRanks) break;  // sorted ascending: the rest is tail
-      bits[h / 64] |= 1ULL << (h % 64);
+      if (h / 64 != w) {
+        bits[w] = present;
+        planes[w] = low;
+        planes[kDenseWords + w] = high;
+        present = low = high = 0;
+        w = h / 64;
+      }
+      Distance dist;
+      PathCount count;
+      DecodeFlatWord(word, sh.overflow.data(), &dist, &count);
+      // The self entry (dist 0) and dist >= 4 get code 0: decoded exactly.
+      const uint64_t code = dist <= 3 ? dist : 0;
+      present |= 1ULL << (h % 64);
+      low |= (code & 1) << (h % 64);
+      high |= (code >> 1) << (h % 64);
     }
+    bits[w] = present;
+    planes[w] = low;
+    planes[kDenseWords + w] = high;
     uint16_t* base = shard->word_base.data() + lv * kDenseWords;
     uint16_t acc = 0;
-    for (size_t w = 0; w < kDenseWords; ++w) {
-      base[w] = acc;
-      acc = static_cast<uint16_t>(acc + std::popcount(bits[w]));
+    for (size_t k = 0; k < kDenseWords; ++k) {
+      base[k] = acc;
+      acc = static_cast<uint16_t>(acc + std::popcount(bits[k]));
     }
   }
 }
@@ -295,6 +345,9 @@ inline FlatSpcIndex::PackedSide FlatSpcIndex::ResolvePacked(Vertex v) const {
   side.arena = sh.entries.data();
   side.overflow = sh.overflow.data();
   side.bits = sh.hub_bits.data() + lv * kDenseWords;
+  const uint32_t row = sh.plane_row[lv];
+  side.planes = row == 0 ? kZeroPlaneRow
+                         : sh.dist_planes.data() + (row - 1) * kPlaneWords;
   side.base = sh.word_base.data() + lv * kDenseWords;
   side.lo = sh.offsets[lv];
   side.hi = sh.offsets[lv + 1];
@@ -310,42 +363,67 @@ SpcResult FlatSpcIndex::QueryPacked(const PackedSide& A, const PackedSide& B,
   SpcResult result;
 
   // Dense part: the common top-ranked hubs fall out of word-parallel
-  // bitmap ANDs; each surviving bit maps to its arena slot by prefix
+  // bitmap ANDs; each decoded bit maps to its arena slot by prefix
   // popcount, so there is no serially-dependent two-pointer walk over
   // the (large) dense share of both label sets. The two sides may live
-  // in different shards — every lookup below is side-relative.
-  size_t full_words = kDenseWords;
-  uint64_t boundary_mask = 0;
-  if constexpr (kLimited) {
-    if (limit < kDenseRanks) {
-      full_words = limit / 64;
-      boundary_mask =
-          (limit % 64) ? ((1ULL << (limit % 64)) - 1) : 0;  // bits < limit
+  // in different shards — every lookup below is side-relative. A rank
+  // limit (PreQUERY) is one more mask per word.
+  //
+  // Step 1 reads only the directory rows. With code c_x(h) in {1,2,3}
+  // the exact distance, levels[s - 2] collects the common hubs coded on
+  // both sides whose sum c_a + c_b is s. Step 2 decodes the hubs of the
+  // smallest non-empty level plus every common hub coded 0 (self entry,
+  // distance >= 4, or a row on the zero plane row) on either side. A
+  // skipped hub's sum is strictly above the accumulated level's, so it
+  // can neither be the minimum nor add to its count.
+  constexpr size_t kLevels = 5;  // exact sums 2..6
+  // levels[kLevels] stays empty: the pick when no coded level has a hub.
+  uint64_t levels[kLevels + 1][kDenseWords];
+  uint64_t uncoded[kDenseWords];
+  uint64_t nonempty = 1ULL << kLevels;  // bit k: levels[k] has a hub
+  for (size_t w = 0; w < kDenseWords; ++w) {
+    uint64_t lim = ~0ULL;
+    if constexpr (kLimited) {
+      const Rank lo = static_cast<Rank>(w * 64);
+      lim = limit >= lo + 64 ? ~0ULL
+            : limit <= lo    ? 0
+                             : (1ULL << (limit - lo)) - 1;
     }
+    const uint64_t la = A.planes[w] & lim;
+    const uint64_t ha = A.planes[kDenseWords + w] & lim;
+    const uint64_t lb = B.planes[w];
+    const uint64_t hb = B.planes[kDenseWords + w];
+    const uint64_t a1 = la & ~ha, a2 = ha & ~la, a3 = la & ha;
+    const uint64_t b1 = lb & ~hb, b2 = hb & ~lb, b3 = lb & hb;
+    levels[0][w] = a1 & b1;
+    levels[1][w] = (a1 & b2) | (a2 & b1);
+    levels[2][w] = (a1 & b3) | (a2 & b2) | (a3 & b1);
+    levels[3][w] = (a2 & b3) | (a3 & b2);
+    levels[4][w] = a3 & b3;
+    levels[kLevels][w] = 0;
+    for (size_t k = 0; k < kLevels; ++k) {
+      nonempty |= static_cast<uint64_t>(levels[k][w] != 0) << k;
+    }
+    uncoded[w] = A.bits[w] & B.bits[w] & lim & ~((la | ha) & (lb | hb));
   }
-  auto scan_word = [&](size_t w, uint64_t common) {
+  const uint64_t* best = levels[std::countr_zero(nonempty)];
+  for (size_t w = 0; w < kDenseWords; ++w) {
+    uint64_t decode = uncoded[w] | best[w];
     const uint64_t bits_a = A.bits[w];
     const uint64_t bits_b = B.bits[w];
     const uint64_t base_a = A.lo + A.base[w];
     const uint64_t base_b = B.lo + B.base[w];
-    while (common != 0) {
-      const int bit = std::countr_zero(common);
-      common &= common - 1;
+    while (decode != 0) {
+      const int bit = std::countr_zero(decode);
+      decode &= decode - 1;
       const uint64_t below = (1ULL << bit) - 1;
       const uint64_t ia = base_a + std::popcount(bits_a & below);
       const uint64_t ib = base_b + std::popcount(bits_b & below);
       AccumulatePackedMatch(A.arena[ia], A.overflow, B.arena[ib], B.overflow,
                             &result);
     }
-  };
-  for (size_t w = 0; w < full_words; ++w) {
-    scan_word(w, A.bits[w] & B.bits[w]);
   }
   if constexpr (kLimited) {
-    if (boundary_mask != 0) {
-      scan_word(full_words, A.bits[full_words] & B.bits[full_words] &
-                                boundary_mask);
-    }
     if (limit < kDenseRanks) return result;  // tail hubs all >= limit
   }
 

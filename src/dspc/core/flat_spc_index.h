@@ -21,6 +21,13 @@
 // collapses into word-parallel bitmap ANDs; each surviving bit is mapped
 // to its arena slot with a prefix popcount (dense entries are a prefix of
 // the rank-sorted label set). Only the short low-rank tail still merges.
+// Rows with many dense entries also carry two distance bit-planes: a
+// 2-bit code per dense hub (1, 2, 3 for that exact distance; 0 for the
+// self entry and distances >= 4). The query finds the smallest exact sum
+// among the common coded hubs from the planes alone and decodes only
+// those hubs plus the common hubs coded 0 on either side; every skipped
+// hub's sum is strictly above one that was accumulated. Sparse rows share
+// one all-zero plane row, so all their common hubs take the exact path.
 //
 // Sharding (DESIGN.md §8): the snapshot is split into vertex-range
 // shards, each an independently built arena held by shared_ptr and
@@ -205,6 +212,10 @@ class FlatSpcIndex {
   /// + rank array) — the resident cost of the snapshot.
   size_t ArenaBytes() const;
 
+  /// Rows with their own distance planes (packed mode); every other row
+  /// reads the shared zero plane row.
+  size_t PlaneRows() const;
+
   /// Rank of vertex v under the snapshot's frozen ordering.
   Rank RankOf(Vertex v) const { return ordering_->rank_of[v]; }
 
@@ -355,6 +366,14 @@ class FlatSpcIndex {
     /// word_base[lv*kDenseWords + w]: dense entries of lv in bitmap words
     /// [0, w) — the prefix-popcount base for positional lookup.
     ArenaVec<uint16_t> word_base;
+    /// Distance bit-planes (packed mode): kPlaneWords words per planed
+    /// row, the low code bits of the row's dense hubs in words
+    /// [0, kDenseWords) and the high bits in the next kDenseWords. Owned,
+    /// derived state like hub_bits.
+    ArenaVec<uint64_t> dist_planes;
+    /// plane_row[lv]: 0 for a row on the shared zero plane row
+    /// (kZeroPlaneRow), else 1 + its row in dist_planes.
+    ArenaVec<uint32_t> plane_row;
     /// Wide arena (wide mode only), same local CSR layout as entries.
     ArenaVec<LabelEntry> wide_entries;
     /// Keep-alive for view-mode arrays (e.g. a persist::MappedRegion).
@@ -372,6 +391,7 @@ class FlatSpcIndex {
     const uint64_t* arena;
     const LabelEntry* overflow;
     const uint64_t* bits;
+    const uint64_t* planes;  ///< kPlaneWords distance-plane words
     const uint16_t* base;
     uint64_t lo, hi;        ///< arena run [lo, hi) of the vertex
     uint64_t dense_end;     ///< arena index one past the last dense entry
@@ -392,6 +412,14 @@ class FlatSpcIndex {
   /// Hub ranks covered by the dense directory (must be a multiple of 64).
   static constexpr Rank kDenseRanks = 512;
   static constexpr size_t kDenseWords = kDenseRanks / 64;
+  /// Words per distance-plane row: a low and a high plane.
+  static constexpr size_t kPlaneWords = 2 * kDenseWords;
+  /// Dense entries a row needs before it gets its own planes. Below it
+  /// the 128-byte plane row would cost more than half the row's dense
+  /// arena words, and short rows have few common hubs to skip anyway.
+  static constexpr size_t kPlaneMinDense = 32;
+  /// The plane row of every row without its own: all codes 0.
+  alignas(64) static constexpr uint64_t kZeroPlaneRow[kPlaneWords] = {};
   static constexpr unsigned kMaxQueryThreads = 16;
 
   /// Packs the label sets of [begin, begin + labels.size()) into one
@@ -416,7 +444,8 @@ class FlatSpcIndex {
   /// Sets shard_shift_ and sizes shards_ for the current num_vertices_.
   void InitLayout(size_t requested_shards);
 
-  /// Rebuilds hub_bits/word_base of a packed shard from offsets/entries.
+  /// Rebuilds the dense directory of a packed shard (hub_bits, word_base,
+  /// dist_planes, plane_row) from offsets/entries/overflow.
   static void BuildDenseDirectory(Shard* shard);
 
   /// Decodes arena slot `i` of a shard back into a LabelEntry — the one

@@ -26,12 +26,16 @@ SnapshotManager::~SnapshotManager() {
 }
 
 SnapshotManager::Pinned SnapshotManager::PinOf(
-    const std::shared_ptr<const Versioned>& v) {
+    std::shared_ptr<const Versioned> v) {
   if (v == nullptr) return {};
-  // Aliasing ctor: the pin shares v's control block but points at the
-  // index, so callers hold a plain FlatSpcIndex handle while the refcount
-  // keeps the whole versioned snapshot alive.
-  return {std::shared_ptr<const FlatSpcIndex>(v, &v->flat), v->generation};
+  // Aliasing move ctor: the pin takes over v's reference (no refcount
+  // traffic) but points at the index, so callers hold a plain
+  // FlatSpcIndex handle while the refcount keeps the whole versioned
+  // snapshot alive. Read the generation before v is moved from.
+  const uint64_t generation = v->generation;
+  const FlatSpcIndex* flat = &v->flat;
+  return {std::shared_ptr<const FlatSpcIndex>(std::move(v), flat),
+          generation};
 }
 
 SnapshotManager::Pinned SnapshotManager::Pin() const {
@@ -40,7 +44,9 @@ SnapshotManager::Pinned SnapshotManager::Pin() const {
 
 SnapshotManager::Pinned SnapshotManager::Acquire(uint64_t current_generation,
                                                  size_t queries) {
-  const Pinned cur = Pin();
+  // Not const: both returns below move the pin out instead of copying
+  // it (a copy is an atomic increment now and a decrement at scope exit).
+  Pinned cur = Pin();
   if (cur && cur.generation == current_generation) return cur;
 
   switch (policy_) {

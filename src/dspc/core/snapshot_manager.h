@@ -216,7 +216,7 @@ class SnapshotManager {
     FlatSpcIndex flat;
   };
 
-  static Pinned PinOf(const std::shared_ptr<const Versioned>& v);
+  static Pinned PinOf(std::shared_ptr<const Versioned> v);
 
   /// Pulls a delta from source_ (relative to the published snapshot) and
   /// packs the next snapshot, adopting clean shards. Runs under

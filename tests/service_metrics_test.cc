@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "dspc/api/read_admission.h"
+
 namespace dspc {
 namespace {
 
@@ -65,6 +67,7 @@ MetricsSnapshot DistinctSnapshot() {
   s.pair_cache_insertions = next++;
   s.pair_cache_evictions = next++;
   s.reader_pacing_yields = next++;
+  s.staleness_sum = next++;
   return s;
 }
 
@@ -89,6 +92,7 @@ dspc_read_staleness_generations_bucket{le="8"} 90
 dspc_read_staleness_generations_bucket{le="16"} 111
 dspc_read_staleness_generations_bucket{le="64"} 133
 dspc_read_staleness_generations_bucket{le="+Inf"} 156
+dspc_read_staleness_generations_sum 138
 dspc_read_staleness_generations_count 156
 # HELP dspc_read_latency_seconds Sampled read-call latency by consistency mode.
 # TYPE dspc_read_latency_seconds histogram
@@ -267,7 +271,7 @@ bool IsBatchSizeLine(const std::string& line) {
        {"dspc_read_batch_size", "dspc_write_batch_size"}) {
     for (const std::string& prefix :
          {"# HELP " + family + " ", "# TYPE " + family + " ",
-          family + "_bucket{", family + "_count "}) {
+          family + "_bucket{", family + "_sum ", family + "_count "}) {
       if (line.starts_with(prefix)) return true;
     }
   }
@@ -291,8 +295,13 @@ TEST(ServiceMetricsTest, ExpositionKeepsEveryGoldenLineInOrder) {
     }
   }
   EXPECT_EQ(rest, Lines(kGolden));
-  // Per family: HELP, TYPE, one line per bucket, and _count.
-  EXPECT_EQ(batch_lines, 2 * (MetricsSnapshot::kBatchBuckets + 3));
+  // Per family: HELP, TYPE, one line per bucket, _sum and _count.
+  EXPECT_EQ(batch_lines, 2 * (MetricsSnapshot::kBatchBuckets + 4));
+  // The batch sums: queries across read batches (93), and the applied,
+  // noop and rejected updates of the write calls (111 + 112 + 113).
+  const std::string text = DistinctSnapshot().PrometheusText();
+  EXPECT_TRUE(Contains(text, "dspc_read_batch_size_sum 93"));
+  EXPECT_TRUE(Contains(text, "dspc_write_batch_size_sum 336"));
 }
 
 TEST(ServiceMetricsTest, EveryValueAppearsUnderItsName) {
@@ -377,6 +386,13 @@ TEST(ServiceMetricsTest, EveryValueAppearsUnderItsName) {
     }
     EXPECT_TRUE(Contains(text, sample(name + "_count", cum))) << name;
   }
+  EXPECT_TRUE(Contains(text, sample("dspc_read_staleness_generations_sum",
+                                    s.staleness_sum)));
+  EXPECT_TRUE(Contains(text, sample("dspc_read_batch_size_sum",
+                                    s.read_batch_queries)));
+  EXPECT_TRUE(Contains(
+      text, sample("dspc_write_batch_size_sum",
+                   s.updates_applied + s.updates_noop + s.updates_rejected)));
 }
 
 TEST(ServiceMetricsTest, EachCounterReachesItsField) {
@@ -418,6 +434,21 @@ TEST(ServiceMetricsTest, EachCounterReachesItsField) {
   metrics.AddTo(&folded);
   EXPECT_EQ(folded.wal_syncs,
             wal_syncs + 100 + static_cast<size_t>(Counter::kWalSyncs));
+}
+
+TEST(ServiceMetricsTest, StalenessSumAddsOnlyStaleLag) {
+  ServiceMetrics metrics;
+  metrics.RecordRead(Consistency::kSnapshot, ServedFrom::kSnapshot, 0, 1,
+                     false);
+  metrics.RecordRead(Consistency::kSnapshot, ServedFrom::kSnapshot, 3, 1,
+                     false);
+  metrics.RecordRead(Consistency::kBoundedStaleness, ServedFrom::kSnapshot,
+                     5, 4, true);
+  const MetricsSnapshot s = metrics.Snapshot();
+  EXPECT_EQ(s.staleness_sum, 3u + 5u * 4u);
+  EXPECT_EQ(s.StalenessSamples(), 6u);
+  EXPECT_TRUE(Contains(s.PrometheusText(),
+                       "dspc_read_staleness_generations_sum 23"));
 }
 
 }  // namespace
