@@ -509,8 +509,9 @@ AdoptionRow MeasurePublishAdoptionLag(const Graph& graph, const SpcIndex& base,
   row.lag_max_us = lag.Max();
   row.ok = (*reader)->Generation() == service.Generation();
   if (auto state = ReadPubState(FileSystem::Default(), dir); state.ok()) {
-    if (auto arena = MappedArena::Map(FileSystem::Default(),
-                                      dir + "/" + state->file_name);
+    if (auto arena = MappedArena::Map(
+            FileSystem::Default(),
+            dir + "/" + SnapshotArenaFileName(state->generation));
         arena.ok()) {
       row.arena_bytes = arena->file_bytes();
     }

@@ -124,7 +124,7 @@ SpcIndex BuildOrLoadIndex(const Dataset& dataset, double* build_seconds) {
   const double seconds = sw.ElapsedSeconds();
   if (build_seconds != nullptr) *build_seconds = seconds;
   (void)WriteSnapshotArena(FileSystem::Default(), index_path,
-                           FlatSpcIndex(index), /*generation=*/0,
+                           FlatSpcIndex(index), /*edges=*/{}, /*generation=*/0,
                            /*wal_seq=*/0);
   if (std::FILE* f = std::fopen(meta_path.c_str(), "w")) {
     std::fprintf(f, "%.6f\n", seconds);

@@ -72,7 +72,8 @@ int main() {
   const std::string path = "/tmp/dspc_collaboration.index";
   FileSystem* fs = FileSystem::Default();
   const Status s = WriteSnapshotArena(fs, path, FlatSpcIndex(index.index()),
-                                      index.Generation(), /*wal_seq=*/0);
+                                      /*edges=*/{}, index.Generation(),
+                                      /*wal_seq=*/0);
   std::printf("\nsaved index to %s: %s\n", path.c_str(), s.ToString().c_str());
   auto mapped = MappedArena::Map(fs, path);
   std::printf("reloaded: %s\n", mapped.status().ToString().c_str());

@@ -98,13 +98,20 @@ Status MappedReaderService::RefreshLocked() const {
         return st;
       }
     }
-    const std::string path = dir_ + "/" + state->file_name;
+    const std::string name = SnapshotArenaFileName(state->generation);
+    const std::string path = dir_ + "/" + name;
     if (!fs_->FileExists(path)) {
-      last = Status::Unavailable("arena " + state->file_name +
+      last = Status::Unavailable("arena " + name +
                                  " reclaimed before adoption could pin it");
       continue;
     }
     auto arena = MappedArena::Map(fs_, path);
+    if (arena.ok() && arena->generation() != state->generation) {
+      arena = Status::DataLoss("arena " + name + " stamps generation " +
+                               std::to_string(arena->generation()) +
+                               ", PUBSTATE names " +
+                               std::to_string(state->generation));
+    }
     if (!arena.ok()) {
       // Leave the pin naming the generation actually served.
       if (cur && options_.write_pins) {

@@ -87,8 +87,10 @@ class MappedReaderService {
   ~MappedReaderService();
 
   /// Polls PUBSTATE and adopts a newer generation if one is published
-  /// (pin → map → swap). OK and a no-op when already current. Safe to
-  /// call concurrently with queries and with itself.
+  /// (pin → map → swap). OK and a no-op when already current; kDataLoss,
+  /// keeping the adopted generation, when the arena's stamped generation
+  /// is not PUBSTATE's. Safe to call concurrently with queries and with
+  /// itself.
   Status Refresh();
 
   /// SPC query against the mapped snapshot. Never blocks; see the file

@@ -248,14 +248,15 @@ Status SpcService::StartDurability(const DurabilityOptions& durability,
   // NOT the on-disk MANIFEST's current entry, which after a fallback
   // recovery names exactly the corrupt checkpoint (trusting it would
   // make GC delete the proven-good one and retain the unreadable one).
-  const FlatSpcIndex flat(engine_.index());
+  // No writer exists yet: the engine's snapshot is of this generation.
+  const std::shared_ptr<const FlatSpcIndex> flat = engine_.FlatSnapshot();
   CheckpointRef validated_prev;
   if (plan.has_checkpoint) {
     validated_prev.generation = plan.checkpoint.generation;
     validated_prev.wal_seq = plan.checkpoint_wal_seq;
   }
   if (Status st = checkpointer_->Publish(
-          engine_.graph(), flat, engine_.Generation(), wal_seq,
+          engine_.graph(), *flat, engine_.Generation(), wal_seq,
           plan.has_checkpoint ? &validated_prev : nullptr);
       !st.ok()) {
     return st;

@@ -69,7 +69,7 @@ class BinaryReader {
   bool AtEnd() const { return ok_ && pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }
   /// Hands back the whole buffer (read position ignored), for callers
-  /// that keep viewing bytes after the parse (checkpoint payloads).
+  /// that pass a framed file's payload on to its own decoder.
   std::vector<uint8_t> Release() && { return std::move(data_); }
   Status status() const {
     return ok_ ? Status::OK() : Status::Corruption("binary reader overrun");

@@ -73,7 +73,8 @@ using VertexPair = std::pair<Vertex, Vertex>;
 
 /// An arena array that either owns its storage (a std::vector built by
 /// the packers) or is a read-only view over externally owned memory (a
-/// mapped arena file or a checkpoint payload, persist/snapshot_arena.h).
+/// mapped arena or checkpoint file, or a fetched buffer,
+/// persist/snapshot_arena.h).
 /// The hot query path reads through a cached {pointer, size} pair either
 /// way, so view shards and owning shards run the exact same code at the
 /// exact same cost. Mutating methods are only legal in owning mode; whoever

@@ -1,8 +1,8 @@
 #include "dspc/persist/checkpointer.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -17,6 +17,32 @@ namespace {
 
 std::string Join(const std::string& dir, const std::string& name) {
   return dir + "/" + name;
+}
+
+/// Turns a validated image into the checkpoint at `generation`. Bad bytes
+/// (the validator's kCorruption) and a generation the file name does not
+/// promise are kDataLoss: the rename was atomic, so either means damage,
+/// and the caller falls back or re-fetches.
+Status AdoptCheckpoint(StatusOr<MappedArena> arena, uint64_t generation,
+                       LoadedCheckpoint* out) {
+  if (!arena.ok()) {
+    if (!arena.status().IsCorruption()) return arena.status();
+    return Status::DataLoss("checkpoint image invalid: " +
+                            arena.status().message());
+  }
+  if (arena->generation() != generation) {
+    return Status::DataLoss("checkpoint generation mismatch: want " +
+                            std::to_string(generation) + ", image has " +
+                            std::to_string(arena->generation()));
+  }
+  const std::span<const Edge> edges = arena->edges();
+  LoadedCheckpoint ckpt;
+  ckpt.index = *arena->snapshot();
+  ckpt.graph = Graph(ckpt.index.NumVertices(),
+                     std::vector<Edge>(edges.begin(), edges.end()));
+  ckpt.generation = generation;
+  *out = std::move(ckpt);
+  return Status::OK();
 }
 
 }  // namespace
@@ -46,7 +72,6 @@ Status WriteManifest(FileSystem* fs, const std::string& dir,
   w.PutU32(kManifestVersion);
   w.PutU64(manifest.generation);
   w.PutU64(manifest.wal_seq);
-  w.PutU64(manifest.layout_stamp);
   w.PutU8(manifest.has_previous ? 1 : 0);
   w.PutU64(manifest.prev_generation);
   w.PutU64(manifest.prev_wal_seq);
@@ -67,7 +92,6 @@ StatusOr<CheckpointManifest> ReadManifest(FileSystem* fs,
   CheckpointManifest m;
   m.generation = r.GetU64();
   m.wal_seq = r.GetU64();
-  m.layout_stamp = r.GetU64();
   m.has_previous = r.GetU8() != 0;
   m.prev_generation = r.GetU64();
   m.prev_wal_seq = r.GetU64();
@@ -79,80 +103,19 @@ StatusOr<CheckpointManifest> ReadManifest(FileSystem* fs,
 
 Status LoadCheckpoint(FileSystem* fs, const std::string& dir,
                       uint64_t generation, LoadedCheckpoint* out) {
-  const std::string path = Join(dir, CheckpointFileName(generation));
-  std::vector<uint8_t> data;
-  if (Status st = fs->ReadFile(path, &data); !st.ok()) return st;
-  return ParseCheckpointBytes(std::move(data), generation, path, out);
+  return AdoptCheckpoint(
+      MappedArena::Map(fs, Join(dir, CheckpointFileName(generation))),
+      generation, out);
 }
 
 Status ParseCheckpointBytes(std::vector<uint8_t> bytes,
                             uint64_t expected_generation,
                             const std::string& context,
                             LoadedCheckpoint* out) {
-  const uint64_t generation = expected_generation;
-  const std::string& path = context;
-  if (Status st = UnframePayload(&bytes, path); !st.ok()) return st;
-  BinaryReader r(std::move(bytes));
-  if (r.GetU32() != kCheckpointMagic) {
-    return Status::DataLoss("checkpoint bad magic: " + path);
-  }
-  if (r.GetU32() != kCheckpointVersion) {
-    return Status::DataLoss("checkpoint bad version: " + path);
-  }
-  LoadedCheckpoint ckpt;
-  ckpt.generation = r.GetU64();
-  ckpt.layout_stamp = r.GetU64();
-  if (ckpt.generation != generation) {
-    return Status::DataLoss("checkpoint generation mismatch: " + path);
-  }
-  const uint64_t n = r.GetU64();
-  const uint64_t m = r.GetU64();
-  if (!r.status().ok()) {
-    return Status::DataLoss("checkpoint graph header truncated: " + path);
-  }
-  if (n > (uint64_t{1} << 32) ||
-      m > r.remaining() / (2 * sizeof(uint32_t))) {
-    return Status::DataLoss("checkpoint graph counts out of range: " + path);
-  }
-  std::vector<Edge> edges;
-  edges.reserve(m);
-  for (uint64_t i = 0; i < m; ++i) {
-    const Vertex u = r.GetU32();
-    const Vertex v = r.GetU32();
-    if (u >= n || v >= n) {
-      return Status::DataLoss("checkpoint edge endpoint out of range: " + path);
-    }
-    edges.push_back(Edge{u, v});
-  }
-  ckpt.graph = Graph(static_cast<size_t>(n), edges);
-
-  const uint64_t image_len = r.GetU64();
-  if (!r.status().ok() || image_len != r.remaining()) {
-    return Status::DataLoss("checkpoint image length mismatch: " + path);
-  }
-  // The arena image is the payload's tail, 48 + 8m bytes in (FromBytes
-  // checks that this lands 8-byte aligned). The index views it in place:
-  // the payload moves into the snapshot's backing.
-  auto payload =
-      std::make_shared<const std::vector<uint8_t>>(std::move(r).Release());
-  const uint64_t image_at = payload->size() - image_len;
-  auto arena = MappedArena::FromBytes(payload->data() + image_at, image_len,
-                                      payload, path);
-  if (!arena.ok()) {
-    // The image passed the file CRC but fails arena validation: that is
-    // corruption, not a torn write (the rename was atomic).
-    return Status::DataLoss("checkpoint index image invalid: " + path +
-                            ": " + arena.status().message());
-  }
-  if (arena->generation() != generation) {
-    return Status::DataLoss("checkpoint image generation mismatch: " + path);
-  }
-  ckpt.index = *arena->snapshot();
-  if (ckpt.index.NumVertices() != n) {
-    return Status::DataLoss("checkpoint graph/index vertex mismatch: " + path);
-  }
-  *out = std::move(ckpt);
-  return Status::OK();
+  auto image = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+  return AdoptCheckpoint(
+      MappedArena::FromBytes(image->data(), image->size(), image, context),
+      expected_generation, out);
 }
 
 Status Checkpointer::Publish(const Graph& graph, const FlatSpcIndex& index,
@@ -161,7 +124,6 @@ Status Checkpointer::Publish(const Graph& graph, const FlatSpcIndex& index,
   CheckpointManifest manifest;
   manifest.generation = generation;
   manifest.wal_seq = wal_seq;
-  manifest.layout_stamp = index.LayoutStamp();
   if (validated_prev != nullptr) {
     // The caller vouches for this checkpoint (recovery loaded it). The
     // on-disk MANIFEST may still name the corrupt one recovery fell
@@ -180,36 +142,14 @@ Status Checkpointer::Publish(const Graph& graph, const FlatSpcIndex& index,
     }
   }
 
-  BinaryWriter w;
-  w.PutU32(kCheckpointMagic);
-  w.PutU32(kCheckpointVersion);
-  w.PutU64(generation);
-  w.PutU64(index.LayoutStamp());
-  const std::vector<Edge> edges = graph.Edges();
-  w.PutU64(graph.NumVertices());
-  w.PutU64(edges.size());
-  for (const Edge& e : edges) {
-    w.PutU32(e.u);
-    w.PutU32(e.v);
-  }
-  // The arena image fills the payload's tail behind its length.
-  std::vector<uint8_t>* payload = w.mutable_buffer();
-  const size_t image_at = payload->size() + sizeof(uint64_t);
-  w.PutU64(0);  // image length, patched once the image is encoded
-  if (Status st = EncodeSnapshotArena(index, generation, wal_seq, payload);
+  const std::string name = CheckpointFileName(generation);
+  const std::string tmp = Join(dir_, name + ".tmp");
+  if (Status st = WriteSnapshotArena(fs_, tmp, index, graph.Edges(),
+                                     generation, wal_seq);
       !st.ok()) {
     return st;
   }
-  const uint64_t image_len = payload->size() - image_at;
-  std::memcpy(payload->data() + image_at - sizeof(uint64_t), &image_len,
-              sizeof(image_len));
-
-  if (Status st = WriteFramedFileAtomic(fs_, dir_,
-                                        CheckpointFileName(generation),
-                                        w.buffer());
-      !st.ok()) {
-    return st;
-  }
+  if (Status st = fs_->RenameFile(tmp, Join(dir_, name)); !st.ok()) return st;
   if (Status st = WriteManifest(fs_, dir_, manifest); !st.ok()) return st;
   // One directory fsync covers both renames; only now is the new
   // checkpoint the durable truth, so only now may GC delete old state.

@@ -1,7 +1,7 @@
 // Atomic checkpoint publication for the durability subsystem (DESIGN.md
-// §11). A checkpoint is one self-contained file — the graph's edge list
-// plus the index's snapshot arena image (persist/snapshot_arena.h),
-// CRC32C-framed — published with the classic crash-safe dance:
+// §11). A checkpoint is one snapshot arena file (persist/snapshot_arena.h)
+// whose edge section holds the graph, published with the classic
+// crash-safe dance:
 //
 //   write ckpt-<gen>.spc.tmp  →  fsync  →  rename to ckpt-<gen>.spc
 //   write MANIFEST.tmp        →  fsync  →  rename to MANIFEST
@@ -16,7 +16,9 @@
 // deletes orphaned .tmp files from interrupted publishes. A crash at any
 // step leaves either the old MANIFEST (pointing at intact old state) or
 // the new one (pointing at the fully-synced new checkpoint) — never a
-// manifest that names missing or partial files.
+// manifest that names missing or partial files. Checkpoints are only
+// ever renamed in and unlinked by GC, never truncated or rewritten, so
+// loading one maps it in place, SIGBUS-free like a published arena.
 
 #ifndef DSPC_PERSIST_CHECKPOINTER_H_
 #define DSPC_PERSIST_CHECKPOINTER_H_
@@ -34,10 +36,8 @@
 
 namespace dspc {
 
-inline constexpr uint32_t kCheckpointMagic = 0x504B4344;  // "DCKP"
-inline constexpr uint32_t kCheckpointVersion = 2;
 inline constexpr uint32_t kManifestMagic = 0x4E414D44;  // "DMAN"
-inline constexpr uint32_t kManifestVersion = 1;
+inline constexpr uint32_t kManifestVersion = 2;
 
 /// File name of the checkpoint at `generation` within the durability
 /// directory.
@@ -64,8 +64,6 @@ struct CheckpointManifest {
   /// First WAL segment NOT covered by the checkpoint — replay starts
   /// here. Its base_generation equals `generation`.
   uint64_t wal_seq = 0;
-  /// Layout stamp of the checkpointed snapshot (diagnostic).
-  uint64_t layout_stamp = 0;
 
   bool has_previous = false;
   uint64_t prev_generation = 0;
@@ -73,12 +71,11 @@ struct CheckpointManifest {
 };
 
 /// A checkpoint loaded back from disk. `index` views the checkpoint's
-/// bytes in place and keeps them alive itself.
+/// bytes in place (a mapping, or the fetched buffer) and keeps them alive.
 struct LoadedCheckpoint {
   Graph graph;
   FlatSpcIndex index;
   uint64_t generation = 0;
-  uint64_t layout_stamp = 0;
 };
 
 /// Writes/reads the MANIFEST (CRC32C-framed; write is atomic via .tmp +
@@ -88,17 +85,18 @@ Status WriteManifest(FileSystem* fs, const std::string& dir,
 StatusOr<CheckpointManifest> ReadManifest(FileSystem* fs,
                                           const std::string& dir);
 
-/// Reads and verifies the checkpoint at `generation`. kDataLoss on any
-/// checksum or structural failure — the caller's cue to fall back.
+/// Maps and verifies the checkpoint at `generation`. kDataLoss on any
+/// checksum or structural failure, or an image stamped with another
+/// generation — the caller's cue to fall back; the env's error when the
+/// file cannot be mapped at all.
 Status LoadCheckpoint(FileSystem* fs, const std::string& dir,
                       uint64_t generation, LoadedCheckpoint* out);
 
-/// Verifies and parses raw checkpoint-file bytes (CRC32C trailer
-/// included) that arrived from somewhere other than the durability
-/// directory — a replica bootstrapping from a shipped image (DESIGN.md
-/// §13). Same validation as LoadCheckpoint; `context` names the source
-/// in error messages. kDataLoss on any checksum or structural failure —
-/// for a replica that means "re-fetch", since a transport fault and real
+/// Verifies raw checkpoint-file bytes that arrived from somewhere other
+/// than the durability directory — a replica bootstrapping from a shipped
+/// image (DESIGN.md §13) — and adopts them in place. Same validation as
+/// LoadCheckpoint; `context` names the source in error messages. For a
+/// replica kDataLoss means "re-fetch", since a transport fault and real
 /// corruption look identical from the receiving end.
 Status ParseCheckpointBytes(std::vector<uint8_t> bytes,
                             uint64_t expected_generation,

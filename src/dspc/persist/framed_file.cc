@@ -24,28 +24,23 @@ Status WriteFramedFileAtomic(FileSystem* fs, const std::string& dir,
   return fs->RenameFile(tmp, path);
 }
 
-Status UnframePayload(std::vector<uint8_t>* data, const std::string& context) {
-  if (data->size() < 4) {
-    return Status::DataLoss("framed file too small: " + context);
-  }
-  const size_t payload = data->size() - 4;
-  const uint8_t* tail = data->data() + payload;
-  const uint32_t stored = static_cast<uint32_t>(tail[0]) |
-                          (static_cast<uint32_t>(tail[1]) << 8) |
-                          (static_cast<uint32_t>(tail[2]) << 16) |
-                          (static_cast<uint32_t>(tail[3]) << 24);
-  if (Crc32c(data->data(), payload) != stored) {
-    return Status::DataLoss("checksum mismatch: " + context);
-  }
-  data->resize(payload);
-  return Status::OK();
-}
-
 Status ReadFramedFile(FileSystem* fs, const std::string& path,
                       BinaryReader* out) {
   std::vector<uint8_t> data;
   if (Status st = fs->ReadFile(path, &data); !st.ok()) return st;
-  if (Status st = UnframePayload(&data, path); !st.ok()) return st;
+  if (data.size() < 4) {
+    return Status::DataLoss("framed file too small: " + path);
+  }
+  const size_t payload = data.size() - 4;
+  const uint8_t* tail = data.data() + payload;
+  const uint32_t stored = static_cast<uint32_t>(tail[0]) |
+                          (static_cast<uint32_t>(tail[1]) << 8) |
+                          (static_cast<uint32_t>(tail[2]) << 16) |
+                          (static_cast<uint32_t>(tail[3]) << 24);
+  if (Crc32c(data.data(), payload) != stored) {
+    return Status::DataLoss("checksum mismatch: " + path);
+  }
+  data.resize(payload);
   *out = BinaryReader(std::move(data));
   return Status::OK();
 }

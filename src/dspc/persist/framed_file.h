@@ -1,7 +1,9 @@
-// CRC32C-framed small files, persist-internal: MANIFEST, the checkpoint
-// files, SHIPSTATE, PUBSTATE and the publisher's pin files all use this
-// one codec. A framed file is its payload followed by the payload's
-// CRC32C as a 4-byte little-endian trailer.
+// CRC32C-framed small files, persist-internal: MANIFEST, SHIPSTATE,
+// PUBSTATE and the publisher's pin files all use this one codec. A
+// framed file is its payload followed by the payload's CRC32C as a
+// 4-byte little-endian trailer. Checkpoints are not framed: they are
+// snapshot arena files, checked by the arena's own per-section CRCs
+// (persist/snapshot_arena.h).
 
 #ifndef DSPC_PERSIST_FRAMED_FILE_H_
 #define DSPC_PERSIST_FRAMED_FILE_H_
@@ -23,12 +25,8 @@ Status WriteFramedFileAtomic(FileSystem* fs, const std::string& dir,
                              const std::string& name,
                              const std::vector<uint8_t>& payload);
 
-/// Verifies the CRC32C trailer of framed bytes and strips it, leaving
-/// the payload in `*data`. `context` names the source (a path, or a
-/// transport artifact) in error messages.
-Status UnframePayload(std::vector<uint8_t>* data, const std::string& context);
-
-/// Reads the framed file at `path` into a BinaryReader over its payload.
+/// Reads the framed file at `path` into a BinaryReader over its payload;
+/// kDataLoss when the CRC32C trailer does not match.
 Status ReadFramedFile(FileSystem* fs, const std::string& path,
                       BinaryReader* out);
 

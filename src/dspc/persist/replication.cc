@@ -275,8 +275,8 @@ std::string DirectoryTransport::CheckpointPath(uint64_t generation) const {
 
 Status DirectoryTransport::PutCheckpoint(uint64_t generation,
                                          std::span<const uint8_t> bytes) {
-  // The bytes ARE a checkpoint file (internal CRC framing included), so
-  // no extra trailer — just the atomic-rename dance, which also makes a
+  // The bytes ARE a checkpoint file (its arena CRCs included), so no
+  // extra trailer — just the atomic-rename dance, which also makes a
   // re-send after a half-written attempt overwrite cleanly.
   const std::string name = "ship-ckpt-" + std::to_string(generation) + ".spc";
   const std::string tmp = Join(dir_, name + ".tmp");
@@ -392,11 +392,12 @@ StatusOr<ShipState> DirectoryTransport::FetchState() {
   if (!fs_->FileExists(path)) {
     return Status::Unavailable("no ship state published yet");
   }
-  std::vector<uint8_t> data;
-  if (Status st = fs_->ReadFile(path, &data); !st.ok()) return st;
-  if (Status st = UnframePayload(&data, path); !st.ok()) return st;
+  BinaryReader r(std::vector<uint8_t>{});
+  if (Status st = ReadFramedFile(fs_, path, &r); !st.ok()) return st;
   ShipState s;
-  if (Status st = DecodeShipState(data, &s); !st.ok()) return st;
+  if (Status st = DecodeShipState(std::move(r).Release(), &s); !st.ok()) {
+    return st;
+  }
   return s;
 }
 
@@ -793,13 +794,12 @@ Status WalShipper::ShipOnceLocked() {
 
 Status WalShipper::ShipCheckpointLocked(uint64_t generation,
                                         uint64_t wal_seq) {
-  std::vector<uint8_t> bytes;
-  if (Status st =
-          fs_->ReadFile(Join(dir_, CheckpointFileName(generation)), &bytes);
-      !st.ok()) {
-    return st;
-  }
-  if (Status st = options_.transport->PutCheckpoint(generation, bytes);
+  // Checkpoints are never truncated in place, so the mapping stays whole
+  // even if GC unlinks the file mid-transfer.
+  auto image = fs_->MapReadOnly(Join(dir_, CheckpointFileName(generation)));
+  if (!image.ok()) return image.status();
+  if (Status st = options_.transport->PutCheckpoint(
+          generation, {(*image)->data(), (*image)->size()});
       !st.ok()) {
     return st;
   }

@@ -2,10 +2,12 @@
 // checkpoint images and WAL segments to hot-standby replicas.
 //
 // The design reuses the durability formats wholesale — a shipped
-// checkpoint is the raw ckpt-<gen>.spc bytes, a shipped segment is the
-// raw wal-<seq>.log bytes — so the replica replays exactly what recovery
-// would replay after a crash, through the same ReplayCursor, with the
-// same outcome cross-checks. Three pieces:
+// checkpoint is the raw ckpt-<gen>.spc bytes, a snapshot arena image the
+// shipper sends from a read-only mapping and the replica validates and
+// adopts in place (MappedArena::FromBytes over the fetched buffer); a
+// shipped segment is the raw wal-<seq>.log bytes — so the replica
+// replays exactly what recovery would replay after a crash, through the
+// same ReplayCursor, with the same outcome cross-checks. Three pieces:
 //
 //   ReplayCursor   the intent/commit pairing + generation-chaining state
 //                  machine factored out of PlanRecovery so recovery (all

@@ -15,15 +15,18 @@ namespace dspc {
 
 namespace {
 
-// The arena views label words straight out of the image, so the on-disk
-// byte layout must BE the in-memory layout: LabelEntry is a u32 hub /
-// u32 dist / u64 count triple with no padding, and the format is
-// little-endian like every other file this repo writes.
+// The arena views label words and edges straight out of the image, so the
+// on-disk byte layout must BE the in-memory layout: LabelEntry is a u32
+// hub / u32 dist / u64 count triple and Edge a u32 pair, both with no
+// padding, and the format is little-endian like every other file this
+// repo writes.
 static_assert(sizeof(LabelEntry) == 16);
 static_assert(offsetof(LabelEntry, hub) == 0);
 static_assert(offsetof(LabelEntry, dist) == 4);
 static_assert(offsetof(LabelEntry, count) == 8);
 static_assert(std::is_trivially_copyable_v<LabelEntry>);
+static_assert(sizeof(Edge) == 8 && offsetof(Edge, v) == 4);
+static_assert(std::is_trivially_copyable_v<Edge>);
 
 /// One section descriptor in the header: placement plus a CRC32C over
 /// exactly [offset, offset + length) of the file.
@@ -34,15 +37,16 @@ struct ArenaSection {
   uint32_t reserved = 0;
 };
 
-/// Fixed section order. Packed files have all four; wide files stop at
-/// kSecEntries (the entries section then holds 16-byte LabelEntry
-/// records instead of packed words).
+/// Fixed section order; every image has all five. A wide image's entries
+/// section holds 16-byte LabelEntry records instead of packed words, and
+/// its overflow section is empty. Only a checkpoint has edges.
 enum : uint32_t {
   kSecRanks = 0,
   kSecOffsets = 1,
   kSecEntries = 2,
   kSecOverflow = 3,
-  kMaxSections = 4,
+  kSecEdges = 4,
+  kNumSections = 5,
 };
 
 inline constexpr uint32_t kFlagWide = 1u << 0;
@@ -58,13 +62,13 @@ struct ArenaHeader {
   uint64_t num_vertices = 0;
   uint32_t flags = 0;
   uint32_t section_count = 0;
-  ArenaSection sections[kMaxSections];
+  ArenaSection sections[kNumSections];
   uint32_t header_crc = 0;
 };
 static_assert(sizeof(ArenaSection) == 24);
 static_assert(offsetof(ArenaHeader, sections) == 40);
-static_assert(offsetof(ArenaHeader, header_crc) == 136);
-static_assert(sizeof(ArenaHeader) == 144);
+static_assert(offsetof(ArenaHeader, header_crc) == 160);
+static_assert(sizeof(ArenaHeader) == 168);
 static_assert(std::is_trivially_copyable_v<ArenaHeader>);
 
 uint64_t AlignUp(uint64_t v) {
@@ -83,7 +87,8 @@ void Put(uint8_t* at, const T& v) {
 
 }  // namespace
 
-Status EncodeSnapshotArena(const FlatSpcIndex& index, uint64_t generation,
+Status EncodeSnapshotArena(const FlatSpcIndex& index,
+                           std::span<const Edge> edges, uint64_t generation,
                            uint64_t wal_seq, std::vector<uint8_t>* out) {
   if constexpr (std::endian::native != std::endian::little) {
     return Status::NotSupported("snapshot arenas require a little-endian host");
@@ -104,13 +109,13 @@ Status EncodeSnapshotArena(const FlatSpcIndex& index, uint64_t generation,
   h.wal_seq = wal_seq;
   h.num_vertices = n;
   h.flags = wide ? kFlagWide : 0;
-  h.section_count = wide ? 3 : 4;
-  const uint64_t section_lens[kMaxSections] = {
+  h.section_count = kNumSections;
+  const uint64_t section_lens[kNumSections] = {
       n * sizeof(Rank), (n + 1) * sizeof(uint64_t),
       total * (wide ? sizeof(LabelEntry) : sizeof(uint64_t)),
-      overflow * sizeof(LabelEntry)};
+      wide ? 0 : overflow * sizeof(LabelEntry), edges.size_bytes()};
   uint64_t cursor = kSnapshotArenaAlign;  // header owns the first page
-  for (uint32_t i = 0; i < h.section_count; ++i) {
+  for (uint32_t i = 0; i < kNumSections; ++i) {
     cursor = AlignUp(cursor);
     h.sections[i].offset = cursor;
     h.sections[i].length = section_lens[i];
@@ -170,8 +175,12 @@ Status EncodeSnapshotArena(const FlatSpcIndex& index, uint64_t generation,
     off += count;
     overflow_base += sh.overflow_count;
   }
+  if (!edges.empty()) {
+    std::memcpy(base + h.sections[kSecEdges].offset, edges.data(),
+                edges.size_bytes());
+  }
 
-  for (uint32_t i = 0; i < h.section_count; ++i) {
+  for (uint32_t i = 0; i < kNumSections; ++i) {
     h.sections[i].crc = Crc32c(base + h.sections[i].offset, section_lens[i]);
   }
   h.header_crc = Crc32c(&h, offsetof(ArenaHeader, header_crc));
@@ -180,10 +189,12 @@ Status EncodeSnapshotArena(const FlatSpcIndex& index, uint64_t generation,
 }
 
 Status WriteSnapshotArena(FileSystem* fs, const std::string& path,
-                          const FlatSpcIndex& index, uint64_t generation,
+                          const FlatSpcIndex& index,
+                          std::span<const Edge> edges, uint64_t generation,
                           uint64_t wal_seq) {
   std::vector<uint8_t> image;
-  if (Status st = EncodeSnapshotArena(index, generation, wal_seq, &image);
+  if (Status st =
+          EncodeSnapshotArena(index, edges, generation, wal_seq, &image);
       !st.ok()) {
     return st;
   }
@@ -239,8 +250,7 @@ StatusOr<MappedArena> MappedArena::FromBytes(
   if ((h.flags & ~kFlagWide) != 0) {
     return ArenaCorruption("bad flags", context);
   }
-  const uint32_t expect_sections = wide ? 3 : 4;
-  if (h.section_count != expect_sections) {
+  if (h.section_count != kNumSections) {
     return ArenaCorruption("bad section count", context);
   }
   const uint64_t n = h.num_vertices;
@@ -252,7 +262,7 @@ StatusOr<MappedArena> MappedArena::FromBytes(
   // so placement is fully determined by the lengths; verifying it pins
   // every padding byte to a known range (checked zero below).
   uint64_t cursor = kSnapshotArenaAlign;
-  for (uint32_t i = 0; i < h.section_count; ++i) {
+  for (uint32_t i = 0; i < kNumSections; ++i) {
     const ArenaSection& s = h.sections[i];
     cursor = AlignUp(cursor);
     if (s.offset != cursor) {
@@ -270,6 +280,9 @@ StatusOr<MappedArena> MappedArena::FromBytes(
   if (h.sections[kSecOffsets].length != (n + 1) * sizeof(uint64_t)) {
     return ArenaCorruption("bad offsets section length", context);
   }
+  if (h.sections[kSecEdges].length % sizeof(Edge) != 0) {
+    return ArenaCorruption("bad edge section length", context);
+  }
 
   // All padding (header-page tail + inter-section gaps) must be zero:
   // with the CRCs this makes every byte of the image checked, so the
@@ -281,14 +294,14 @@ StatusOr<MappedArena> MappedArena::FromBytes(
     return true;
   };
   uint64_t checked = offsetof(ArenaHeader, header_crc) + sizeof(uint32_t);
-  for (uint32_t i = 0; i < h.section_count; ++i) {
+  for (uint32_t i = 0; i < kNumSections; ++i) {
     if (!zeros(checked, h.sections[i].offset)) {
       return ArenaCorruption("nonzero padding", context);
     }
     checked = h.sections[i].offset + h.sections[i].length;
   }
 
-  for (uint32_t i = 0; i < h.section_count; ++i) {
+  for (uint32_t i = 0; i < kNumSections; ++i) {
     const ArenaSection& s = h.sections[i];
     if (Crc32c(base + s.offset, s.length) != s.crc) {
       return ArenaCorruption("section " + std::to_string(i) +
@@ -315,6 +328,9 @@ StatusOr<MappedArena> MappedArena::FromBytes(
   if (wide) {
     view.wide_entries = reinterpret_cast<const LabelEntry*>(
         base + h.sections[kSecEntries].offset);
+    if (h.sections[kSecOverflow].length != 0) {
+      return ArenaCorruption("wide image with an overflow section", context);
+    }
   } else {
     view.entries = reinterpret_cast<const uint64_t*>(
         base + h.sections[kSecEntries].offset);
@@ -324,6 +340,14 @@ StatusOr<MappedArena> MappedArena::FromBytes(
     view.overflow = reinterpret_cast<const LabelEntry*>(
         base + h.sections[kSecOverflow].offset);
     view.overflow_count = h.sections[kSecOverflow].length / sizeof(LabelEntry);
+  }
+  const std::span<const Edge> edges(
+      reinterpret_cast<const Edge*>(base + h.sections[kSecEdges].offset),
+      h.sections[kSecEdges].length / sizeof(Edge));
+  for (const Edge& e : edges) {
+    if (e.u >= n || e.v >= n) {
+      return ArenaCorruption("edge endpoint out of range", context);
+    }
   }
   view.backing = std::move(backing);
 
@@ -336,6 +360,7 @@ StatusOr<MappedArena> MappedArena::FromBytes(
   out.generation_ = h.generation;
   out.wal_seq_ = h.wal_seq;
   out.file_bytes_ = size;
+  out.edges_ = edges;
   return out;
 }
 

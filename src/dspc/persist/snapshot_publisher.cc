@@ -23,7 +23,8 @@ constexpr char kSnapSuffix[] = ".arena";
 constexpr char kPinPrefix[] = "pin-";
 constexpr uint32_t kPubStateMagic = 0x44535053;  // "DSPS"
 constexpr uint32_t kPinMagic = 0x44535070;       // "DSPp"
-constexpr uint32_t kPubStateVersion = 1;
+constexpr uint32_t kPubStateVersion = 2;  // 2 dropped the arena file name
+constexpr uint32_t kPinVersion = 1;
 
 std::string Join(const std::string& dir, const std::string& name) {
   return dir + "/" + name;
@@ -86,8 +87,9 @@ StatusOr<PubState> ReadPubState(FileSystem* fs, const std::string& dir) {
   PubState state;
   state.generation = r.GetU64();
   state.wal_seq = r.GetU64();
-  state.file_name = r.GetString();
-  if (!r.AtEnd()) return Status::DataLoss("malformed PUBSTATE in " + dir);
+  if (!r.status().ok() || !r.AtEnd()) {
+    return Status::DataLoss("malformed PUBSTATE in " + dir);
+  }
   return state;
 }
 
@@ -99,7 +101,7 @@ Status WriteSnapshotPin(FileSystem* fs, const std::string& dir,
   }
   BinaryWriter w;
   w.PutU32(kPinMagic);
-  w.PutU32(kPubStateVersion);
+  w.PutU32(kPinVersion);
   w.PutU64(generation);
   w.PutU64(pid);
   return WriteFramedFileAtomic(fs, dir, kPinPrefix + owner, w.buffer());
@@ -165,7 +167,8 @@ Status SnapshotPublisher::Publish(const FlatSpcIndex& index,
   }
   const std::string name = SnapshotArenaFileName(generation);
   const std::string tmp = Join(dir_, name + ".tmp");
-  if (Status st = WriteSnapshotArena(fs_, tmp, index, generation, wal_seq);
+  if (Status st = WriteSnapshotArena(fs_, tmp, index, /*edges=*/{},
+                                     generation, wal_seq);
       !st.ok()) {
     return st;
   }
@@ -180,7 +183,6 @@ Status SnapshotPublisher::Publish(const FlatSpcIndex& index,
   w.PutU32(kPubStateVersion);
   w.PutU64(generation);
   w.PutU64(wal_seq);
-  w.PutString(name);
   if (Status st = WriteFramedFileAtomic(fs_, dir_, kPubStateName, w.buffer());
       !st.ok()) {
     return st;
@@ -213,7 +215,7 @@ Status SnapshotPublisher::GarbageCollect() {
     uint64_t pin_gen = 0;
     uint64_t pid = 0;
     bool valid = ReadFramedFile(fs_, Join(dir_, name), &r).ok() &&
-                 r.GetU32() == kPinMagic && r.GetU32() == kPubStateVersion;
+                 r.GetU32() == kPinMagic && r.GetU32() == kPinVersion;
     if (valid) {
       pin_gen = r.GetU64();
       pid = r.GetU64();

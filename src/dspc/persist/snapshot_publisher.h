@@ -11,11 +11,13 @@
 //                             (only unlinked — the property that keeps
 //                             readers' validated mappings SIGBUS-free).
 //   PUBSTATE                  The CRC-framed current-generation manifest:
-//                             generation, arena file name, and the WAL
-//                             sequence the writer had durably synced when
-//                             the snapshot was taken. Replaced atomically
-//                             by rename; readers poll it to discover new
-//                             generations and to compute honest staleness.
+//                             generation and the WAL sequence the writer
+//                             had durably synced when the snapshot was
+//                             taken; the arena file name derives from the
+//                             generation (SnapshotArenaFileName). Replaced
+//                             atomically by rename; readers poll it to
+//                             discover new generations and to compute
+//                             honest staleness.
 //   pin-<owner>               Reader retention pins. A reader serving
 //                             generation G keeps a pin file naming G; GC
 //                             never unlinks a pinned generation, so a
@@ -52,11 +54,11 @@ namespace dspc {
 /// numeric order agree in directory listings.
 std::string SnapshotArenaFileName(uint64_t generation);
 
-/// The parsed PUBSTATE manifest.
+/// The parsed PUBSTATE manifest. The current arena is
+/// SnapshotArenaFileName(generation) within the publish directory.
 struct PubState {
   uint64_t generation = 0;
   uint64_t wal_seq = 0;
-  std::string file_name;  ///< arena file within the publish directory
 };
 
 /// Reads and verifies PUBSTATE from `dir`. kNotFound before the first

@@ -196,7 +196,7 @@ TEST(FlatSpcIndexSerialization, ArenaRoundTripWithOverflow) {
 TEST(FlatSpcIndexSerialization, LoadRejectsCorruption) {
   auto image = std::make_shared<std::vector<uint8_t>>();
   ASSERT_TRUE(EncodeSnapshotArena(FlatSpcIndex(BuildSpcIndex(GeneratePath(9))),
-                                  1, 0, image.get())
+                                  /*edges=*/{}, 1, 0, image.get())
                   .ok());
   const auto load = [&](uint64_t size) {
     return MappedArena::FromBytes(image->data(), size, image, "test")

@@ -70,8 +70,8 @@ TEST(MmapArena, RoundTripMatchesOwningIndexAndBiBfs) {
 
   const std::string path = dir + "/snap.arena";
   FileSystem* fs = FileSystem::Default();
-  ASSERT_TRUE(WriteSnapshotArena(fs, path, owning, /*generation=*/42,
-                                 /*wal_seq=*/9)
+  ASSERT_TRUE(WriteSnapshotArena(fs, path, owning, /*edges=*/{},
+                                 /*generation=*/42, /*wal_seq=*/9)
                   .ok());
 
   auto arena = MappedArena::Map(fs, path);
@@ -106,7 +106,7 @@ TEST(MmapArena, OverflowSideTableRoundTrips) {
 
   const std::string path = dir + "/snap.arena";
   FileSystem* fs = FileSystem::Default();
-  ASSERT_TRUE(WriteSnapshotArena(fs, path, owning, 1, 0).ok());
+  ASSERT_TRUE(WriteSnapshotArena(fs, path, owning, /*edges=*/{}, 1, 0).ok());
   auto arena = MappedArena::Map(fs, path);
   ASSERT_TRUE(arena.ok()) << arena.status().ToString();
   // The full-chain count is 2^31 — well past the packed field.
@@ -140,7 +140,7 @@ TEST(MmapArena, WideImageRoundTrips) {
 
   const std::string path = dir + "/snap.arena";
   FileSystem* fs = FileSystem::Default();
-  ASSERT_TRUE(WriteSnapshotArena(fs, path, *owning, 5, 0).ok());
+  ASSERT_TRUE(WriteSnapshotArena(fs, path, *owning, /*edges=*/{}, 5, 0).ok());
   auto arena = MappedArena::Map(fs, path);
   ASSERT_TRUE(arena.ok()) << arena.status().ToString();
   ASSERT_TRUE(arena->snapshot()->wide_mode());
@@ -155,7 +155,7 @@ TEST(MmapArena, EmptyIndexRoundTrips) {
   const FlatSpcIndex owning(BuildSpcIndex(graph));
   const std::string path = dir + "/snap.arena";
   FileSystem* fs = FileSystem::Default();
-  ASSERT_TRUE(WriteSnapshotArena(fs, path, owning, 1, 0).ok());
+  ASSERT_TRUE(WriteSnapshotArena(fs, path, owning, /*edges=*/{}, 1, 0).ok());
   auto arena = MappedArena::Map(fs, path);
   ASSERT_TRUE(arena.ok()) << arena.status().ToString();
   EXPECT_EQ(arena->snapshot()->NumVertices(), 0u);
@@ -179,7 +179,8 @@ class MmapArenaCorruption : public ::testing::Test {
     owning_ = std::make_unique<FlatSpcIndex>(BuildSpcIndex(graph_));
     path_ = dir_ + "/snap.arena";
     ASSERT_TRUE(
-        WriteSnapshotArena(FileSystem::Default(), path_, *owning_, 7, 0)
+        WriteSnapshotArena(FileSystem::Default(), path_, *owning_,
+                           /*edges=*/{}, 7, 0)
             .ok());
     bytes_ = ReadAll(path_);
     ASSERT_GT(bytes_.size(), 4096u);
@@ -266,10 +267,10 @@ TEST(SnapshotPublisher, PublishWritesArenaAndPubState) {
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(state->generation, 3u);
   EXPECT_EQ(state->wal_seq, 11u);
-  EXPECT_EQ(state->file_name, SnapshotArenaFileName(3));
-  EXPECT_TRUE(fs->FileExists(dir + "/" + state->file_name));
+  const std::string path = dir + "/" + SnapshotArenaFileName(state->generation);
+  EXPECT_TRUE(fs->FileExists(path));
 
-  auto arena = MappedArena::Map(fs, dir + "/" + state->file_name);
+  auto arena = MappedArena::Map(fs, path);
   ASSERT_TRUE(arena.ok());
   EXPECT_EQ(arena->generation(), 3u);
 }

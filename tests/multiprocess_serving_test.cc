@@ -130,6 +130,37 @@ TEST(MappedReader, RefreshAdoptsNewerGenerationOldMapKeepsServing) {
   EXPECT_EQ((*reader)->Generation(), 2u);
 }
 
+TEST(MappedReader, ArenaStampedWithAnotherGenerationIsRefused) {
+  const std::string dir = FreshDir("mr_stamp_mismatch");
+  FileSystem* fs = FileSystem::Default();
+  Graph graph = GeneratePath(8);
+  auto pub = SnapshotPublisher::Open(dir);
+  ASSERT_TRUE(pub.ok());
+  ASSERT_TRUE((*pub)->Publish(SnapshotOf(graph), 1, 0).ok());
+  auto reader = MappedReaderService::Open(dir);
+  ASSERT_TRUE(reader.ok());
+
+  // PUBSTATE names generation 2, but the file under that name carries an
+  // image stamped generation 1 (replaced by rename, as a writer would).
+  ASSERT_TRUE(graph.AddEdge(0, 7));
+  ASSERT_TRUE((*pub)->Publish(SnapshotOf(graph), 2, 0).ok());
+  const std::string path = dir + "/" + SnapshotArenaFileName(2);
+  ASSERT_TRUE(WriteSnapshotArena(fs, path + ".tmp", SnapshotOf(graph),
+                                 /*edges=*/{}, /*generation=*/1, 0)
+                  .ok());
+  ASSERT_TRUE(fs->RenameFile(path + ".tmp", path).ok());
+
+  const Status st = (*reader)->Refresh();
+  EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
+  // The reader keeps serving the generation it had adopted.
+  EXPECT_EQ((*reader)->Generation(), 1u);
+  auto resp = (*reader)->Query(0, 7);
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->generation, 1u);
+  EXPECT_EQ(resp->result.dist, 7u);
+  EXPECT_TRUE(MappedReaderService::Open(dir).status().IsDataLoss());
+}
+
 TEST(MappedReader, ConsistencyLatticeRefusalsAreTyped) {
   const std::string dir = FreshDir("mr_lattice");
   const Graph graph = GeneratePath(6);

@@ -240,7 +240,8 @@ TEST(ParallelBuildDeterminismTest, ByteIdenticalArenaImages) {
   const Graph g = GenerateRmat(8, 1400, 23);
   const auto image = [](const SpcIndex& index) {
     std::vector<uint8_t> bytes;
-    EXPECT_TRUE(EncodeSnapshotArena(FlatSpcIndex(index), /*generation=*/3,
+    EXPECT_TRUE(EncodeSnapshotArena(FlatSpcIndex(index), /*edges=*/{},
+                                    /*generation=*/3,
                                     /*wal_seq=*/2, &bytes)
                     .ok());
     return bytes;

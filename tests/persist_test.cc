@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "dspc/common/binary_io.h"
 #include "dspc/common/rng.h"
 #include "dspc/core/flat_spc_index.h"
 #include "dspc/core/hp_spc.h"
@@ -17,7 +21,6 @@
 #include "dspc/graph/generators.h"
 #include "dspc/persist/checkpointer.h"
 #include "dspc/persist/env.h"
-#include "dspc/persist/framed_file.h"
 #include "dspc/persist/snapshot_arena.h"
 #include "dspc/persist/wal.h"
 #include "test_util.h"
@@ -394,14 +397,23 @@ TEST(CheckpointerTest, PublishRoundTripsGraphIndexAndManifest) {
   ASSERT_TRUE(manifest.ok());
   EXPECT_EQ(manifest->generation, 9u);
   EXPECT_EQ(manifest->wal_seq, 4u);
-  EXPECT_EQ(manifest->layout_stamp, flat.LayoutStamp());
   EXPECT_FALSE(manifest->has_previous);
+
+  // The checkpoint file is a plain snapshot arena: it maps as one, with
+  // the graph in its edge section.
+  auto arena = MappedArena::Map(fs, dir + "/" + CheckpointFileName(9));
+  ASSERT_TRUE(arena.ok()) << arena.status().ToString();
+  EXPECT_EQ(arena->generation(), 9u);
+  EXPECT_EQ(arena->wal_seq(), 4u);
+  const std::vector<Edge> edges = g.Edges();
+  EXPECT_TRUE(std::equal(edges.begin(), edges.end(), arena->edges().begin(),
+                         arena->edges().end()));
 
   LoadedCheckpoint loaded;
   ASSERT_TRUE(LoadCheckpoint(fs, dir, 9, &loaded).ok());
   EXPECT_EQ(loaded.generation, 9u);
   EXPECT_EQ(loaded.graph.NumVertices(), g.NumVertices());
-  EXPECT_EQ(loaded.graph.NumEdges(), g.NumEdges());
+  EXPECT_EQ(loaded.graph.Edges(), edges);
   // The reloaded index answers exactly like the original.
   for (Vertex s = 0; s < 10; ++s) {
     for (Vertex t = 40; t < 50; ++t) {
@@ -411,42 +423,139 @@ TEST(CheckpointerTest, PublishRoundTripsGraphIndexAndManifest) {
   EXPECT_TRUE(loaded.index.Unpack() == index);
 }
 
-TEST(CheckpointerTest, ArenaBitFlipUnderFreshFrameIsDataLoss) {
-  const std::string dir = FreshDir("ckpt_arena_flip");
+// --- checkpoint corruption ---------------------------------------------------
+//
+// A checkpoint is a snapshot arena image: a header page, then five
+// sections (ranks, offsets, entries, overflow, edges), each nonempty one
+// at a page boundary, with zero padding between. The sweeps below read
+// the section table straight from the header (40 bytes in, 24 bytes a
+// section: offset, length, crc) to aim at every region.
+
+constexpr size_t kSectionTableAt = 40;
+constexpr size_t kSectionBytes = 24;
+constexpr size_t kNumImageSections = 5;
+constexpr size_t kEdgeSection = 4;
+constexpr size_t kHeaderCrcAt =
+    kSectionTableAt + kNumImageSections * kSectionBytes;
+
+struct ImageSection {
+  uint64_t offset = 0;
+  uint64_t length = 0;
+};
+
+uint64_t LoadU64(const std::vector<uint8_t>& bytes, size_t at) {
+  uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+std::vector<ImageSection> SectionsOf(const std::vector<uint8_t>& image) {
+  std::vector<ImageSection> out;
+  for (size_t i = 0; i < kNumImageSections; ++i) {
+    const size_t at = kSectionTableAt + i * kSectionBytes;
+    out.push_back({LoadU64(image, at), LoadU64(image, at + 8)});
+  }
+  return out;
+}
+
+void PutU32(std::vector<uint8_t>* bytes, size_t at, uint32_t v) {
+  std::memcpy(bytes->data() + at, &v, sizeof(v));
+}
+
+// Writes `bytes` as checkpoint `generation` the way the checkpointer
+// does (tmp, then rename), so a mapping of the previous file is never
+// truncated under its holder.
+void ReplaceCheckpoint(FileSystem* fs, const std::string& dir,
+                       uint64_t generation, const std::vector<uint8_t>& bytes) {
+  const std::string path = dir + "/" + CheckpointFileName(generation);
+  auto f = fs->NewWritableFile(path + ".tmp");
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE((*f)->Append(bytes.data(), bytes.size()).ok());
+  ASSERT_TRUE((*f)->Close().ok());
+  ASSERT_TRUE(fs->RenameFile(path + ".tmp", path).ok());
+}
+
+// Both load paths — mapping the file and parsing fetched bytes — must
+// refuse `bytes` with kDataLoss.
+void ExpectBothLoadsDataLoss(FileSystem* fs, const std::string& dir,
+                             uint64_t generation,
+                             const std::vector<uint8_t>& bytes,
+                             const std::string& what) {
+  ReplaceCheckpoint(fs, dir, generation, bytes);
+  LoadedCheckpoint loaded;
+  const Status mapped = LoadCheckpoint(fs, dir, generation, &loaded);
+  EXPECT_TRUE(mapped.IsDataLoss()) << what << ": " << mapped.ToString();
+  const Status parsed =
+      ParseCheckpointBytes(bytes, generation, "shipped", &loaded);
+  EXPECT_TRUE(parsed.IsDataLoss()) << what << ": " << parsed.ToString();
+}
+
+// A chain of diamonds doubles the path count at every diamond, so the
+// index overflows the packed count budget and every section of the
+// checkpoint, the overflow side table included, is nonempty.
+Graph DiamondChain(size_t diamonds) {
+  Graph g(1 + 3 * diamonds);
+  Vertex prev = 0;
+  for (size_t i = 0; i < diamonds; ++i) {
+    const auto a = static_cast<Vertex>(3 * i + 1);
+    const auto b = static_cast<Vertex>(3 * i + 2);
+    const auto next = static_cast<Vertex>(3 * i + 3);
+    g.AddEdge(prev, a);
+    g.AddEdge(prev, b);
+    g.AddEdge(a, next);
+    g.AddEdge(b, next);
+    prev = next;
+  }
+  return g;
+}
+
+TEST(CheckpointerTest, FlipInEveryRegionIsDataLoss) {
+  const std::string dir = FreshDir("ckpt_flip");
   FileSystem* fs = FileSystem::Default();
-  const Graph g = GenerateBarabasiAlbert(40, 2, 13);
+  const Graph g = DiamondChain(31);
   const FlatSpcIndex flat(BuildSpcIndex(g));
+  ASSERT_GT(flat.OverflowEntries(), 0u);
   TouchSegment(fs, dir, 1, 6);
   Checkpointer checkpointer(fs, dir);
   ASSERT_TRUE(checkpointer.Publish(g, flat, 6, 1).ok());
 
-  const std::string path = dir + "/" + CheckpointFileName(6);
-  std::vector<uint8_t> payload = ReadAll(fs, path);
-  ASSERT_TRUE(UnframePayload(&payload, path).ok());
-  // Header, graph, image length: the arena image starts 48 + 8m bytes in.
-  const size_t arena_at = 48 + 8 * g.NumEdges();
-  ASSERT_GT(payload.size(), arena_at + kSnapshotArenaAlign);
-  for (const size_t pos :
-       {arena_at, arena_at + 8, arena_at + kSnapshotArenaAlign,
-        (arena_at + payload.size()) / 2, payload.size() - 1}) {
-    std::vector<uint8_t> flipped = payload;
-    flipped[pos] ^= 0x04;
-    // A fresh frame CRC: the framing check passes, so only the arena
-    // validator stands between the flip and the index.
-    ASSERT_TRUE(
-        WriteFramedFileAtomic(fs, dir, CheckpointFileName(6), flipped).ok());
-    LoadedCheckpoint loaded;
-    const Status st = LoadCheckpoint(fs, dir, 6, &loaded);
-    EXPECT_TRUE(st.IsDataLoss()) << "pos=" << pos << " " << st.ToString();
-    EXPECT_NE(st.message().find("index image invalid"), std::string::npos)
-        << st.ToString();
-    const Status parsed = ParseCheckpointBytes(ReadAll(fs, path), 6,
-                                               "shipped", &loaded);
-    EXPECT_TRUE(parsed.IsDataLoss()) << "pos=" << pos << " "
-                                     << parsed.ToString();
+  const std::vector<uint8_t> image =
+      ReadAll(fs, dir + "/" + CheckpointFileName(6));
+  const std::vector<ImageSection> sections = SectionsOf(image);
+  // Header: the magic, the version (a version 1 image is refused, not
+  // migrated), the generation, the vertex count, the section table, the
+  // header CRC.
+  std::vector<std::pair<size_t, std::string>> targets = {
+      {0, "header magic"},
+      {4, "header version"},
+      {8, "header generation"},
+      {24, "header vertex count"},
+      {kSectionTableAt + kEdgeSection * kSectionBytes + 8,
+       "header edge section length"},
+      {kHeaderCrcAt, "header crc"},
+      {kHeaderCrcAt + 4, "header page padding"},
+  };
+  for (size_t i = 0; i < kNumImageSections; ++i) {
+    ASSERT_GT(sections[i].length, 0u) << "section " << i;
+    const std::string name = "section " + std::to_string(i);
+    targets.push_back({sections[i].offset, name + " first byte"});
+    targets.push_back(
+        {sections[i].offset + sections[i].length / 2, name + " middle"});
+    targets.push_back(
+        {sections[i].offset + sections[i].length - 1, name + " last byte"});
+    if (i + 1 < kNumImageSections &&
+        sections[i].offset + sections[i].length < sections[i + 1].offset) {
+      targets.push_back({sections[i].offset + sections[i].length,
+                         "padding after " + name});
+    }
   }
-  ASSERT_TRUE(
-      WriteFramedFileAtomic(fs, dir, CheckpointFileName(6), payload).ok());
+  for (const auto& [pos, what] : targets) {
+    std::vector<uint8_t> flipped = image;
+    flipped[pos] ^= 0x04;
+    ExpectBothLoadsDataLoss(fs, dir, 6, flipped,
+                            what + " (byte " + std::to_string(pos) + ")");
+  }
+  ReplaceCheckpoint(fs, dir, 6, image);
   LoadedCheckpoint loaded;
   EXPECT_TRUE(LoadCheckpoint(fs, dir, 6, &loaded).ok());
 }
@@ -466,53 +575,93 @@ TEST(CheckpointerTest, LoadedIndexOutlivesTheCheckpointBytes) {
   LoadedCheckpoint parsed;
   ASSERT_TRUE(ParseCheckpointBytes(std::move(bytes), 8, "shipped", &parsed)
                   .ok());
-  // The index views the payload it was parsed from, so it must keep those
-  // bytes alive itself. Buffers of the payload's size, scribbled, would
-  // take the payload's place if it had been freed.
+  LoadedCheckpoint mapped;
+  ASSERT_TRUE(LoadCheckpoint(fs, dir, 8, &mapped).ok());
+  // The parsed index views the buffer it was parsed from, so it must keep
+  // those bytes alive itself. Buffers of the buffer's size, scribbled,
+  // would take its place if it had been freed.
   bytes.assign(size, 0xEE);
   const std::vector<uint8_t> scribble(size, 0xEE);
   const LoadedCheckpoint moved = std::move(parsed);
   parsed = LoadedCheckpoint();
-  for (Vertex s = 0; s < g.NumVertices(); ++s) {
-    for (Vertex t = 0; t < g.NumVertices(); ++t) {
-      ASSERT_EQ(moved.index.Query(s, t), flat.Query(s, t)) << s << "," << t;
+  // The mapped index views the file, and GC only ever unlinks
+  // checkpoints: two newer publishes drop generation 8 from the
+  // directory, and the mapping keeps answering.
+  TouchSegment(fs, dir, 3, 9);
+  ASSERT_TRUE(checkpointer.Publish(g, flat, 9, 3).ok());
+  TouchSegment(fs, dir, 4, 10);
+  ASSERT_TRUE(checkpointer.Publish(g, flat, 10, 4).ok());
+  ASSERT_FALSE(fs->FileExists(dir + "/" + CheckpointFileName(8)));
+  const LoadedCheckpoint* const loads[] = {&moved, &mapped};
+  for (const LoadedCheckpoint* ckpt : loads) {
+    for (Vertex s = 0; s < g.NumVertices(); ++s) {
+      for (Vertex t = 0; t < g.NumVertices(); ++t) {
+        ASSERT_EQ(ckpt->index.Query(s, t), flat.Query(s, t)) << s << "," << t;
+      }
     }
+    EXPECT_TRUE(ckpt->index.Unpack() == index);
   }
-  EXPECT_TRUE(moved.index.Unpack() == index);
 }
 
 TEST(CheckpointerTest, CorruptCheckpointAndManifestAreDataLoss) {
   const std::string dir = FreshDir("ckpt_corrupt");
   FileSystem* fs = FileSystem::Default();
-  const Graph g = GenerateBarabasiAlbert(30, 2, 3);
+  const Graph g = DiamondChain(31);
   const FlatSpcIndex flat(BuildSpcIndex(g));
   TouchSegment(fs, dir, 1, 5);
   Checkpointer checkpointer(fs, dir);
   ASSERT_TRUE(checkpointer.Publish(g, flat, 5, 1).ok());
 
-  // Flip one payload byte in each artifact: the file CRC must catch it.
-  for (const std::string& name :
-       {CheckpointFileName(5), std::string(ManifestFileName())}) {
-    const std::string path = dir + "/" + name;
-    std::vector<uint8_t> data = ReadAll(fs, path);
-    std::vector<uint8_t> flipped = data;
-    flipped[data.size() / 2] ^= 0x10;
-    auto f = fs->NewWritableFile(path);
-    ASSERT_TRUE(f.ok());
-    ASSERT_TRUE((*f)->Append(flipped.data(), flipped.size()).ok());
-    ASSERT_TRUE((*f)->Close().ok());
-    if (name == ManifestFileName()) {
-      EXPECT_TRUE(ReadManifest(fs, dir).status().IsDataLoss()) << name;
-    } else {
-      LoadedCheckpoint loaded;
-      EXPECT_TRUE(LoadCheckpoint(fs, dir, 5, &loaded).IsDataLoss()) << name;
+  const std::vector<uint8_t> image =
+      ReadAll(fs, dir + "/" + CheckpointFileName(5));
+  const std::vector<ImageSection> sections = SectionsOf(image);
+
+  // Truncation at every section boundary (and one byte to either side),
+  // down to an empty file and a bare header.
+  std::vector<size_t> cuts = {0, 4, kHeaderCrcAt, kSnapshotArenaAlign};
+  for (const ImageSection& s : sections) {
+    for (const size_t at : {s.offset, s.offset + s.length}) {
+      cuts.push_back(at - 1);
+      cuts.push_back(at);
+      cuts.push_back(at + 1);
     }
-    // Restore for the next artifact's turn.
-    f = fs->NewWritableFile(path);
-    ASSERT_TRUE(f.ok());
-    ASSERT_TRUE((*f)->Append(data.data(), data.size()).ok());
-    ASSERT_TRUE((*f)->Close().ok());
   }
+  for (const size_t cut : cuts) {
+    if (cut >= image.size()) continue;
+    const std::vector<uint8_t> truncated(image.begin(), image.begin() + cut);
+    ExpectBothLoadsDataLoss(fs, dir, 5, truncated,
+                            "truncated to " + std::to_string(cut));
+  }
+
+  // An out-of-range edge endpoint under valid CRCs: only the validator's
+  // range check stands between it and the graph.
+  {
+    std::vector<uint8_t> bad = image;
+    const ImageSection& edges = sections[kEdgeSection];
+    PutU32(&bad, edges.offset + 4, static_cast<uint32_t>(g.NumVertices()));
+    const size_t crc_at = kSectionTableAt + kEdgeSection * kSectionBytes + 16;
+    PutU32(&bad, crc_at, Crc32c(bad.data() + edges.offset, edges.length));
+    PutU32(&bad, kHeaderCrcAt, Crc32c(bad.data(), kHeaderCrcAt));
+    ExpectBothLoadsDataLoss(fs, dir, 5, bad, "edge endpoint out of range");
+  }
+
+  // The image is intact but stamped with another generation than its
+  // file name promises.
+  ExpectBothLoadsDataLoss(fs, dir, 4, image, "generation mismatch");
+
+  ReplaceCheckpoint(fs, dir, 5, image);
+  LoadedCheckpoint loaded;
+  ASSERT_TRUE(LoadCheckpoint(fs, dir, 5, &loaded).ok());
+
+  // The MANIFEST keeps its CRC frame: a flipped byte is kDataLoss.
+  const std::string manifest = dir + "/" + ManifestFileName();
+  std::vector<uint8_t> data = ReadAll(fs, manifest);
+  data[data.size() / 2] ^= 0x10;
+  auto f = fs->NewWritableFile(manifest);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE((*f)->Append(data.data(), data.size()).ok());
+  ASSERT_TRUE((*f)->Close().ok());
+  EXPECT_TRUE(ReadManifest(fs, dir).status().IsDataLoss());
 }
 
 TEST(CheckpointerTest, GcKeepsCurrentAndPreviousDropsOlder) {

@@ -26,7 +26,9 @@
 #include "dspc/api/spc_service.h"
 #include "dspc/baseline/bibfs_counting.h"
 #include "dspc/common/rng.h"
+#include "dspc/core/hp_spc.h"
 #include "dspc/graph/generators.h"
+#include "dspc/persist/checkpointer.h"
 #include "dspc/persist/env.h"
 #include "dspc/persist/recovery.h"
 #include "dspc/persist/wal.h"
@@ -211,6 +213,29 @@ TEST(RecoveryTest, CleanCloseReopensAtExactGenerationWithExactAnswers) {
   // Reopen count two: recovery after recovery (the post-recovery
   // checkpoint must leave a self-contained directory).
   CheckRecovered(dir, bootstrap, log, 200, "second reopen");
+}
+
+// The open-time checkpoint is written from the engine's own (sharded)
+// snapshot; the encoder flattens the shards, so the checkpoint unpacks
+// to exactly the engine's index, and recovery from it reopens there.
+TEST(RecoveryTest, OpenTimeCheckpointUnpacksToTheEngineIndex) {
+  const std::string dir = FreshDir("recovery_open_checkpoint");
+  FileSystem* fs = FileSystem::Default();
+  const Graph graph = GenerateBarabasiAlbert(60, 2, 5);
+  DynamicSpcOptions options;
+  options.snapshot.shards = 4;
+  auto service = SpcService::OpenWithState(
+      graph, BuildSpcIndex(graph), 7, EveryWriteOptions(dir), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_GT((*service)->engine().FlatSnapshot()->NumShards(), 1u);
+
+  auto manifest = ReadManifest(fs, dir);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest->generation, 7u);
+  LoadedCheckpoint loaded;
+  ASSERT_TRUE(LoadCheckpoint(fs, dir, 7, &loaded).ok());
+  EXPECT_TRUE(loaded.index.Unpack() == (*service)->engine().index());
+  EXPECT_EQ(loaded.graph.Edges(), graph.Edges());
 }
 
 TEST(RecoveryTest, MetricsExposeDurabilityAndRecoveryCounters) {

@@ -63,7 +63,8 @@ inline std::shared_ptr<const FlatSpcIndex> ArenaRoundTrip(
     const FlatSpcIndex& flat) {
   auto image = std::make_shared<std::vector<uint8_t>>();
   const Status encoded =
-      EncodeSnapshotArena(flat, /*generation=*/1, /*wal_seq=*/0, image.get());
+      EncodeSnapshotArena(flat, /*edges=*/{}, /*generation=*/1, /*wal_seq=*/0,
+                          image.get());
   EXPECT_TRUE(encoded.ok()) << encoded.ToString();
   auto arena =
       MappedArena::FromBytes(image->data(), image->size(), image, "test");
