@@ -172,10 +172,10 @@ struct DynamicSpcOptions {
   /// construction this engine performs — at creation and in Rebuild()
   /// (SpcService::Open's no-checkpoint bootstrap funnels through the
   /// constructor, so it is covered too) — goes through
-  /// BuildSpcIndexParallel with these options. threads = 1 forces the sequential builder; the default 0
-  /// uses hardware concurrency on graphs large enough to amortize the
-  /// worker pool (kParallelBuildMinVertices) and stays sequential below.
-  /// The result is label-identical to the sequential builder either way.
+  /// BuildSpcIndexParallel with these options. The default threads = 0,
+  /// like 1, builds sequentially; threads > 1 opts into the parallel
+  /// builder. The result is label-identical to the sequential builder
+  /// either way.
   ParallelBuildOptions build;
 
   /// Hot-pair result cache consulted by the service layer on

@@ -47,8 +47,7 @@ void RunPrunedHubBfs(const RankGraph& graph, const Rank h,
                      const RankLabels& labels, BfsScratch& ws,
                      std::vector<PendingLabel>* out) {
   out->clear();
-  // Distances from h through already-processed (higher-ranked) hubs.
-  ws.cache.Load(labels.HubDists(h));
+  ws.prune.Start(graph, labels, h);
   // Raw pointers: the pushes to *out would otherwise make the compiler
   // reload every array base on each access.
   Distance* const dist = ws.dist.data();
@@ -65,7 +64,7 @@ void RunPrunedHubBfs(const RankGraph& graph, const Rank h,
     if (v != h) {
       // Prune only on strictly shorter coverage; equality still labels
       // (non-canonical counts) and keeps expanding.
-      if (ws.cache.Covers(labels.HubDists(v), dv)) continue;
+      if (ws.prune.Prunes(v, dv)) continue;
       out->push_back({v, dv, cv});
     }
     for (const Rank w : graph.Neighbors(v)) {
@@ -83,6 +82,7 @@ void RunPrunedHubBfs(const RankGraph& graph, const Rank h,
     dist[queue[i]] = kInfDistance;
     count[queue[i]] = 0;
   }
+  ws.prune.Finish();
 }
 
 }  // namespace internal

@@ -6,6 +6,7 @@
 #define DSPC_CORE_HP_SPC_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -108,6 +109,65 @@ class RankLabels {
   std::vector<std::vector<PathCount>> count_;
 };
 
+/// The prune test of hub h's BFS: is the vertex v, reached at BFS depth
+/// dv, covered by a hub above h with a distance below dv? It answers as
+/// `HubCache::Covers(L(v), dv)` with L(h) loaded does, but reads no label
+/// at depths up to 3 (DESIGN.md §2, "The shallow prune tests"). Every
+/// entry Covers could read has distance >= 1: the columns hold no self
+/// labels, and h's own labels stay buffered during its BFS. So a depth
+/// <= 2 never prunes, and a depth of 3 prunes iff some hub is at distance
+/// 1 from both, that is a neighbour of both v and h ranked above h.
+class HubPruneTest {
+ public:
+  explicit HubPruneTest(size_t n) : cache_(n), hub_neighbor_(n, 0) {}
+
+  /// Readies the test for hub h against `labels`: loads L(h) and marks
+  /// h's neighbours ranked above it, in O(|L(h)| + deg h).
+  void Start(const RankGraph& graph, const RankLabels& labels, Rank h) {
+    graph_ = &graph;
+    labels_ = &labels;
+    h_ = h;
+    cache_.Load(labels.HubDists(h));
+    SetMark(1);
+  }
+
+  /// Clears the mark Start set, in O(deg h).
+  void Finish() { SetMark(0); }
+
+  /// True iff the vertex of rank v > h, reached at depth dv, is pruned.
+  bool Prunes(Rank v, Distance dv) const {
+    if (dv <= 2) return false;
+    if (dv == 3) return SharesNeighborAboveHub(v);
+    return cache_.Covers(labels_->HubDists(v), dv);
+  }
+
+  /// L(h) as loaded by Start; Covers on it is what Prunes must equal.
+  const HubCache& cache() const { return cache_; }
+
+ private:
+  /// Scans v's neighbours ranked above h: the tail of its descending list.
+  bool SharesNeighborAboveHub(Rank v) const {
+    const std::span<const Rank> nv = graph_->Neighbors(v);
+    for (auto it = nv.rbegin(); it != nv.rend() && *it < h_; ++it) {
+      if (hub_neighbor_[*it] != 0) return true;
+    }
+    return false;
+  }
+
+  void SetMark(uint8_t value) {
+    const std::span<const Rank> nh = graph_->Neighbors(h_);
+    for (auto it = nh.rbegin(); it != nh.rend() && *it < h_; ++it) {
+      hub_neighbor_[*it] = value;
+    }
+  }
+
+  const RankGraph* graph_ = nullptr;
+  const RankLabels* labels_ = nullptr;
+  Rank h_ = 0;
+  HubCache cache_;
+  std::vector<uint8_t> hub_neighbor_;  // by rank: 1 iff in N(h), above h
+};
+
 /// Scratch for one pruned BFS at a time, indexed by rank. The n-sized
 /// arrays are reset via the queue (every visited rank is queued once), so
 /// a run costs O(visited), not O(n).
@@ -115,10 +175,10 @@ struct BfsScratch {
   std::vector<Distance> dist;
   std::vector<PathCount> count;
   std::vector<Rank> queue;
-  HubCache cache;
+  HubPruneTest prune;
 
   explicit BfsScratch(size_t n)
-      : dist(n, kInfDistance), count(n, 0), queue(n), cache(n) {}
+      : dist(n, kInfDistance), count(n, 0), queue(n), prune(n) {}
 };
 
 /// Runs hub h's rank-restricted pruned BFS against `labels`, writing the

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,6 +18,7 @@ namespace dspc {
 namespace {
 
 using internal::BfsScratch;
+using internal::HubPruneTest;
 using internal::PendingLabel;
 using internal::RankGraph;
 using internal::RankLabels;
@@ -38,13 +38,13 @@ struct FrontierScratch {
   std::vector<Rank> frontier;
   std::vector<Rank> next;
   std::vector<Rank> touched;
-  HubCache cache;
+  HubPruneTest prune;
   /// Per-grain output and next-frontier buffers, concatenated serially in
   /// grain order after each level so the result is schedule-independent.
   std::vector<std::vector<PendingLabel>> grain_out;
   std::vector<std::vector<Rank>> grain_next;
 
-  explicit FrontierScratch(size_t n) : dist(n), count(n), cache(n) {
+  explicit FrontierScratch(size_t n) : dist(n), count(n), prune(n) {
     for (auto& d : dist) d.store(kInfDistance, std::memory_order_relaxed);
     for (auto& c : count) c.store(0, std::memory_order_relaxed);
   }
@@ -62,7 +62,9 @@ void RunFrontierHubBfs(const RankGraph& graph, const Rank h,
                        ThreadPool* pool, std::vector<PendingLabel>* out) {
   constexpr auto relaxed = std::memory_order_relaxed;
   out->clear();
-  ws.cache.Load(labels.HubDists(h));
+  // The pool workers read the mark Start sets; ParallelFor's fork orders
+  // the writes before them.
+  ws.prune.Start(graph, labels, h);
   ws.dist[h].store(0, relaxed);
   ws.count[h].store(1, relaxed);
   ws.frontier.assign(1, h);
@@ -86,7 +88,7 @@ void RunFrontierHubBfs(const RankGraph& graph, const Rank h,
         const Rank v = ws.frontier[i];
         const PathCount cv = ws.count[v].load(relaxed);
         if (v != h) {
-          if (ws.cache.Covers(labels.HubDists(v), level)) continue;
+          if (ws.prune.Prunes(v, level)) continue;
           ob.push_back({v, level, cv});
         }
         for (const Rank w : graph.Neighbors(v)) {
@@ -121,6 +123,7 @@ void RunFrontierHubBfs(const RankGraph& graph, const Rank h,
     ws.dist[v].store(kInfDistance, relaxed);
     ws.count[v].store(0, relaxed);
   }
+  ws.prune.Finish();
 }
 
 }  // namespace
@@ -129,16 +132,7 @@ SpcIndex BuildSpcIndexParallel(const Graph& graph, VertexOrdering ordering,
                                const ParallelBuildOptions& options,
                                ThreadPool* pool) {
   const size_t n = graph.NumVertices();
-  unsigned threads = options.threads;
-  if (pool != nullptr) {
-    threads = pool->size();
-  } else if (threads == 0) {
-    if (n < kParallelBuildMinVertices) {
-      return BuildSpcIndex(graph, std::move(ordering));
-    }
-    threads = std::min(std::thread::hardware_concurrency(),
-                       ThreadPool::kMaxThreads);
-  }
+  unsigned threads = pool != nullptr ? pool->size() : options.threads;
   threads = std::clamp(threads, 1u, ThreadPool::kMaxThreads);
   if (threads <= 1) return BuildSpcIndex(graph, std::move(ordering));
 
@@ -208,7 +202,8 @@ SpcIndex BuildSpcIndexParallel(const Graph& graph, VertexOrdering ordering,
     });
     // Phase B: serial rank-ordered merge. A hub whose label set was
     // extended by an earlier batch-mate's merged output is "suspect" —
-    // its Phase A run pruned against a stale L(hub) — and is re-run
+    // its Phase A run pruned against a stale L(hub), or on a neighbour
+    // mark holding that batch-mate (DESIGN.md §2) — and is re-run
     // against the now sequential-exact prefix before merging. Everything
     // else merges as-is (DESIGN.md §12 proves the outputs are equal).
     std::fill(suspect.begin(), suspect.begin() + batch, 0);

@@ -7,9 +7,10 @@
 //     completed by earlier windows. A serial rank-ordered merge then
 //     re-runs exactly the hubs whose batch-mates turned out to influence
 //     them (hub g influences hub h only if g's merged output labels h —
-//     covered queries see only hubs loaded from L(h)), so the result is
-//     label-identical to the sequential builder, not merely
-//     query-equivalent.
+//     covered queries see only hubs loaded from L(h), and the depth-3
+//     neighbour mark only neighbours of h, which label h at distance 1),
+//     so the result is label-identical to the sequential builder, not
+//     merely query-equivalent.
 //
 //  2. Intra-hub frontier parallelism: the few top-rank hubs visit most of
 //     the graph and would serialize any batch; their BFS instead runs
@@ -60,19 +61,17 @@ enum class BuildBatchStrategy {
 
 /// Options for BuildSpcIndexParallel.
 struct ParallelBuildOptions {
-  /// Total build parallelism. 0 = hardware concurrency (capped at
-  /// ThreadPool::kMaxThreads), but graphs below
-  /// kParallelBuildMinVertices fall back to the sequential builder —
-  /// explicit values always take the parallel path; 1 = sequential.
+  /// Total build parallelism, capped at ThreadPool::kMaxThreads. 0 (the
+  /// default) and 1 run the sequential builder; a value above 1, or a
+  /// caller pool, takes the parallel path. Once the shallow prune tests
+  /// stopped reading labels (DESIGN.md §2), the sequential build of the
+  /// 8192-vertex perfbench graph beat the 4-thread one (DESIGN.md §12,
+  /// "Wiring"), so parallelism is opt-in.
   unsigned threads = 0;
   BuildBatchStrategy batch_strategy = BuildBatchStrategy::kAuto;
   /// Hubs per rank-window batch. 0 = auto (max(32, 8 * threads)).
   size_t rank_window = 0;
 };
-
-/// With threads == 0 (auto), graphs smaller than this build sequentially:
-/// the pool + per-worker scratch cost is not amortized below it.
-inline constexpr size_t kParallelBuildMinVertices = 4096;
 
 /// Builds the SPC-Index of `graph` under `ordering` in parallel. The
 /// result is label-identical to BuildSpcIndex(graph, ordering) — same

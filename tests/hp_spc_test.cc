@@ -318,6 +318,116 @@ TEST(HpSpcTest, RankGraphIsThePermutedGraphSortedDescending) {
   EXPECT_EQ(internal::RankGraph(Graph(0), VertexOrdering{}).NumVertices(), 0u);
 }
 
+// --- The prune shortcut ----------------------------------------------------
+
+/// Prune tests seen by the shortcut check, by the depth class the shortcut
+/// answers them in: {<= 2, 3, >= 4}, and of those, how many prune.
+struct PruneTally {
+  std::array<size_t, 3> tests{};
+  std::array<size_t, 3> pruned{};
+};
+
+/// Replays the sequential build hub by hub with a copy of
+/// RunPrunedHubBfs that asks HubPruneTest::Prunes and HubCache::Covers on
+/// the same columns at every prune test and prunes on Covers. The replayed
+/// labels must equal BuildSpcIndex's, so the tests it compares are the
+/// build's own.
+void ExpectPruneShortcutMatchesCovers(const char* name, const Graph& g,
+                                      const VertexOrdering& order,
+                                      PruneTally* tally) {
+  const size_t n = g.NumVertices();
+  const internal::RankGraph rg(g, order);
+  internal::RankLabels labels(n);
+  internal::HubPruneTest prune(n);
+  std::vector<Distance> dist(n, kInfDistance);
+  std::vector<PathCount> count(n, 0);
+  std::vector<Rank> queue;
+  std::vector<internal::PendingLabel> out;
+  size_t mismatches = 0;
+  for (Rank h = 0; h < n; ++h) {
+    if (rg.Degree(h) == 0) continue;
+    out.clear();
+    prune.Start(rg, labels, h);
+    dist[h] = 0;
+    count[h] = 1;
+    queue.assign(1, h);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const Rank v = queue[head];
+      const Distance dv = dist[v];
+      if (v != h) {
+        const bool covers = prune.cache().Covers(labels.HubDists(v), dv);
+        if (prune.Prunes(v, dv) != covers && ++mismatches <= 5) {
+          ADD_FAILURE() << name << ": hub " << h << " vertex " << v
+                        << " depth " << dv << " Covers=" << covers;
+        }
+        const size_t cls = dv <= 2 ? 0 : dv == 3 ? 1 : 2;
+        ++tally->tests[cls];
+        if (covers) {
+          ++tally->pruned[cls];
+          continue;
+        }
+        out.push_back({v, dv, count[v]});
+      }
+      for (const Rank w : rg.Neighbors(v)) {
+        if (w <= h) break;
+        if (dist[w] == kInfDistance) {
+          dist[w] = dv + 1;
+          count[w] = count[v];
+          queue.push_back(w);
+        } else if (dist[w] == dv + 1) {
+          count[w] += count[v];
+        }
+      }
+    }
+    for (const Rank r : queue) {
+      dist[r] = kInfDistance;
+      count[r] = 0;
+    }
+    prune.Finish();
+    labels.Append(h, out);
+  }
+  EXPECT_EQ(mismatches, 0u) << name;
+  EXPECT_TRUE(std::move(labels).ToIndex(order) == BuildSpcIndex(g, order))
+      << name;
+}
+
+TEST(HpSpcTest, PruneShortcutMatchesCovers) {
+  std::vector<std::pair<const char*, Graph>> graphs;
+  graphs.emplace_back("rmat", GenerateRmat(9, 2400, 5));
+  graphs.emplace_back("ba", GenerateBarabasiAlbert(300, 3, 7));
+  graphs.emplace_back("er", GenerateErdosRenyi(200, 700, 9));
+  graphs.emplace_back("ws", GenerateWattsStrogatz(200, 6, 0.1, 11));
+  graphs.emplace_back("grid", GenerateGrid(9, 11));
+  graphs.emplace_back("path", GeneratePath(40));
+  graphs.emplace_back("cycle", GenerateCycle(41));
+  graphs.emplace_back("star", GenerateStar(30));
+  graphs.emplace_back("complete", GenerateComplete(12));
+  graphs.emplace_back("bipartite", GenerateCompleteBipartite(7, 9));
+  PruneTally tally;
+  for (const auto& [name, g] : graphs) {
+    for (const OrderingStrategy strategy :
+         {OrderingStrategy::kDegree, OrderingStrategy::kRandom,
+          OrderingStrategy::kIdentity}) {
+      OrderingOptions options;
+      options.strategy = strategy;
+      options.seed = 3;
+      SCOPED_TRACE(static_cast<int>(strategy));
+      ExpectPruneShortcutMatchesCovers(name, g, BuildOrdering(g, options),
+                                       &tally);
+    }
+  }
+  auto [g, order] = TwoComponentsWithIsolated();
+  ExpectPruneShortcutMatchesCovers("isolated/explicit", g, order, &tally);
+  // Every depth class ran, and the two that read something pruned and
+  // kept vertices both.
+  EXPECT_GT(tally.tests[0], 0u);
+  EXPECT_EQ(tally.pruned[0], 0u);
+  for (const size_t cls : {1, 2}) {
+    EXPECT_GT(tally.pruned[cls], 0u) << "class " << cls;
+    EXPECT_LT(tally.pruned[cls], tally.tests[cls]) << "class " << cls;
+  }
+}
+
 // --- Pinned work counters --------------------------------------------------
 //
 // The prune test decides which vertices every pruned BFS labels and

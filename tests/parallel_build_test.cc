@@ -8,6 +8,7 @@
 // (recovery_test.cc compares checkpoints bit-for-bit), so the determinism
 // tests below check serialized bytes, not just query answers.
 
+#include <algorithm>
 #include <cstddef>
 #include <tuple>
 #include <vector>
@@ -194,6 +195,68 @@ TEST(ParallelBuildTest, WindowSizeSweep) {
   }
 }
 
+// Adjacent hubs g = 0 and h = 1 in one rank window (identity ordering).
+// h's phase-A run prunes at depth 3 on the neighbour mark, which sees
+// window-mate g where the prefix labels do not, and prunes too little at
+// depth 4, where the prefix lacks g's labels. Both are discarded: g labels
+// h at distance 1, so h is suspect and re-runs against the exact prefix
+// (DESIGN.md §2, "The shallow prune tests").
+TEST(ParallelBuildTest, AdjacentWindowHubIsRerun) {
+  // A 5-cycle g-h-a-b-v and a 6-cycle g-h-c-d-e-x through the edge g-h.
+  const Graph g(9, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0},
+                    {1, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 0}});
+  OrderingOptions identity;
+  identity.strategy = OrderingStrategy::kIdentity;
+  const VertexOrdering order = BuildOrdering(g, identity);
+  const internal::RankGraph rg(g, order);
+  const size_t n = g.NumVertices();
+
+  // Sequential: g's labels are in place when h runs, and they label h.
+  internal::RankLabels labels(n);
+  internal::BfsScratch ws(n);
+  std::vector<internal::PendingLabel> g_out;
+  std::vector<internal::PendingLabel> h_out;
+  internal::RunPrunedHubBfs(rg, 0, labels, ws, &g_out);
+  EXPECT_TRUE(std::any_of(g_out.begin(), g_out.end(),
+                          [](const internal::PendingLabel& e) {
+                            return e.r == 1 && e.dist == 1;
+                          }));
+  labels.Append(0, g_out);
+  internal::RunPrunedHubBfs(rg, 1, labels, ws, &h_out);
+
+  // Phase A: h against the window's empty prefix.
+  const internal::RankLabels prefix(n);
+  internal::HubPruneTest prune(n);
+  prune.Start(rg, prefix, 1);
+  EXPECT_TRUE(prune.Prunes(4, 3));  // v: g is a common neighbour
+  EXPECT_FALSE(prune.cache().Covers(prefix.HubDists(4), 3));
+  prune.Finish();
+  std::vector<internal::PendingLabel> phase_a;
+  internal::RunPrunedHubBfs(rg, 1, prefix, ws, &phase_a);
+  const auto ranks = [](const std::vector<internal::PendingLabel>& out) {
+    std::vector<Rank> r;
+    for (const internal::PendingLabel& e : out) r.push_back(e.r);
+    return r;
+  };
+  EXPECT_EQ(ranks(h_out), (std::vector<Rank>{5, 2, 6, 3, 7}));
+  EXPECT_EQ(ranks(phase_a), (std::vector<Rank>{5, 2, 6, 3, 7, 8}));
+
+  const SpcIndex seq = BuildSpcIndex(g, order);
+  testing::ExpectIndexMatchesBfs(g, seq, "adjacent");
+  for (const BuildBatchStrategy strategy :
+       {BuildBatchStrategy::kRankWindow, BuildBatchStrategy::kFrontier}) {
+    for (const size_t window : {size_t{2}, size_t{9}}) {
+      ParallelBuildOptions opts;
+      opts.threads = 2;
+      opts.batch_strategy = strategy;
+      opts.rank_window = window;
+      EXPECT_TRUE(BuildSpcIndexParallel(g, order, opts) == seq)
+          << "strategy=" << static_cast<int>(strategy)
+          << " window=" << window;
+    }
+  }
+}
+
 // An externally owned pool is reusable across builds and honored for the
 // thread count.
 TEST(ParallelBuildTest, ReusesCallerPool) {
@@ -209,7 +272,7 @@ TEST(ParallelBuildTest, ReusesCallerPool) {
 
 // Edge cases the batching loops must not trip over: empty graph, all
 // vertices isolated, a single vertex, and a single edge — under explicit
-// thread counts so the parallel path (not the small-graph fallback) runs.
+// thread counts so the parallel path (not the sequential default) runs.
 TEST(ParallelBuildTest, DegenerateGraphs) {
   const Family degenerate[] = {
       {"empty", Graph()},
