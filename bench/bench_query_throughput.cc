@@ -4,14 +4,13 @@
 // (1/4/16 vertex-range shards) quantifying what the sharded serving
 // layout costs the query path, and facade-vs-SpcService rows pricing the
 // typed serving API (validation + consistency routing, DESIGN.md §9)
-// against direct facade calls. Two performance-layer sweeps ride along
-// (DESIGN.md §15): a merge-kernel tier sweep (scalar / AVX2, each
-// forced explicitly, on full queries and on a synthetic tail-only
-// intersection) and a hot-pair-cache row measured under Zipf-skewed
-// pairs regardless of --query-dist, so the checked-in JSON always
-// carries the cache hit rate skewed traffic would see. Emits a human
-// table on stdout and machine-readable JSON (BENCH_query_throughput.json,
-// override with argv[1]) for the repo's benchmark trajectory.
+// against direct facade calls. A hot-pair-cache row (DESIGN.md §15) is
+// measured under Zipf-skewed pairs regardless of --query-dist, so the
+// checked-in JSON always carries the cache hit rate skewed traffic would
+// see. Every queries/second figure is the median of kReps timed runs,
+// reported with its quartiles. Emits a human table on stdout and
+// machine-readable JSON (BENCH_query_throughput.json, override with
+// argv[1]) for the repo's benchmark trajectory.
 
 #include <algorithm>
 #include <cstdio>
@@ -28,7 +27,6 @@
 #include "dspc/core/dynamic_spc.h"
 #include "dspc/core/flat_spc_index.h"
 #include "dspc/core/hp_spc.h"
-#include "dspc/core/merge_kernel.h"
 #include "dspc/core/parallel_build.h"
 #include "dspc/graph/generators.h"
 #include "dspc/graph/zipf_sampler.h"
@@ -37,58 +35,37 @@ namespace {
 
 using namespace dspc;
 
-/// Best-of-`reps` queries/second for one driver.
+/// Timed runs per driver. Back-to-back runs of one driver differ by up
+/// to 1.5x on a shared host, so each row is a median with its quartiles.
+constexpr size_t kReps = 5;
+
+/// Queries/second of one driver over kReps runs.
+struct Qps {
+  double median;
+  double q1;
+  double q3;
+};
+
 template <typename Fn>
-double MeasureQps(size_t queries, int reps, Fn&& driver) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
+Qps MeasureQps(size_t queries, Fn&& driver) {
+  std::vector<double> runs;
+  for (size_t r = 0; r < kReps; ++r) {
     Stopwatch watch;
     driver();
-    const double qps = static_cast<double>(queries) / watch.ElapsedSeconds();
-    if (qps > best) best = qps;
+    runs.push_back(static_cast<double>(queries) / watch.ElapsedSeconds());
   }
-  return best;
+  std::sort(runs.begin(), runs.end());
+  return {runs[kReps / 2], runs[kReps / 4], runs[3 * kReps / 4]};
 }
 
-// ZipfVertexSampler moved to dspc/graph/zipf_sampler.h (PR 10) so its
-// inverse CDF is unit-tested instead of shipping untested in a bench.
-
-/// Synthetic tail-only intersection workload for the per-tier merge
-/// kernels: two packed word ranges shaped like the low-rank tail the
-/// dense directory does NOT absorb (hubs >= 512), with a controlled
-/// overlap. Isolates the kernel the tier sweep is about — full queries
-/// dilute it behind the bitmap-AND dense part.
-struct TailWorkload {
-  std::vector<uint64_t> a;
-  std::vector<uint64_t> b;
-
-  TailWorkload(size_t per_side, double overlap, Rng& rng) {
-    std::vector<Rank> hubs_a;
-    std::vector<Rank> hubs_b;
-    Rank hub = 512;
-    for (size_t i = 0; i < per_side; ++i) {
-      hub += 1 + static_cast<Rank>(rng.NextBounded(7));
-      hubs_a.push_back(hub);
-      if (rng.NextDouble() < overlap) {
-        hubs_b.push_back(hub);
-      } else {
-        // Non-matching b hubs land either just past the a hub or far
-        // away (bimodal), so the kernel sees both dense interleaving
-        // and window-skip stretches. The +1 keeps them non-matching.
-        hubs_b.push_back(hub + 1u +
-                         (rng.NextBounded(2) != 0 ? 1u : 0u) * 4096u);
-      }
-    }
-    std::sort(hubs_b.begin(), hubs_b.end());
-    hubs_b.erase(std::unique(hubs_b.begin(), hubs_b.end()), hubs_b.end());
-    for (const Rank h : hubs_a) {
-      a.push_back(PackLabel(h, 1 + h % 6, 1 + h % 9));
-    }
-    for (const Rank h : hubs_b) {
-      b.push_back(PackLabel(h, 1 + h % 5, 1 + h % 7));
-    }
-  }
-};
+/// `"name": {"median": m, "q1": a, "q3": b}` for the JSON report.
+std::string QpsJson(const char* name, const Qps& q) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "\"%s\": {\"median\": %.0f, \"q1\": %.0f, \"q3\": %.0f}",
+                name, q.median, q.q1, q.q3);
+  return buf;
+}
 
 }  // namespace
 
@@ -198,89 +175,73 @@ int main(int argc, char** argv) {
 
   // Results accumulate into a sink so the loops cannot be optimized away.
   uint64_t sink = 0;
-  const int reps = 3;
 
-  const double legacy_qps = MeasureQps(queries, reps, [&] {
+  // Sanity: every flat driver must agree with SpcIndex::Query on the
+  // whole query set. Each driver's output is checked right after it is
+  // timed, then overwritten with kUnwritten — a result no query returns —
+  // so a slot the next driver leaves unwritten shows as a mismatch.
+  std::vector<SpcResult> expected(pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    expected[i] = index.Query(pairs[i].first, pairs[i].second);
+  }
+  size_t mismatches = 0;
+  size_t drivers_checked = 0;
+  const SpcResult kUnwritten{0, 0};
+  auto check = [&](std::vector<SpcResult>& out) {
+    ++drivers_checked;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      mismatches += out[i] != expected[i];
+    }
+    std::fill(out.begin(), out.end(), kUnwritten);
+  };
+  auto check_single = [&](const FlatSpcIndex& f) {
+    ++drivers_checked;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      mismatches += f.Query(pairs[i].first, pairs[i].second) != expected[i];
+    }
+  };
+
+  const Qps legacy_qps = MeasureQps(queries, [&] {
     for (const auto& [s, t] : pairs) {
       const SpcResult r = index.Query(s, t);
       sink += r.dist + r.count;
     }
   });
 
-  const double flat_qps = MeasureQps(queries, reps, [&] {
+  const Qps flat_qps = MeasureQps(queries, [&] {
     for (const auto& [s, t] : pairs) {
       const SpcResult r = flat.Query(s, t);
       sink += r.dist + r.count;
     }
   });
+  check_single(flat);
 
-  // Merge-kernel tier sweep (DESIGN.md §15): every tier forced
-  // explicitly — not just whatever the host dispatches — on (a) the full
-  // flat single-query driver and (b) a synthetic tail-only intersection
-  // that isolates the kernel from the dense bitmap part. Unsupported
-  // tiers (AVX2 on older hosts) report supported=false and no numbers.
-  struct KernelRow {
-    MergeKernelTier tier;
-    bool supported;
-    double flat_qps;
-    double tail_merges_per_sec;
-  };
-  std::vector<KernelRow> kernel_sweep;
-  {
-    Rng tail_rng(19);
-    const TailWorkload tail(192, 0.25, tail_rng);
-    const size_t tail_reps = 200000 * f;
-    for (const MergeKernelTier tier :
-         {MergeKernelTier::kScalar, MergeKernelTier::kAvx2}) {
-      KernelRow row{tier, false, 0.0, 0.0};
-      if (MergeKernelTierSupported(tier) && SetMergeKernelTier(tier)) {
-        row.supported = true;
-        row.flat_qps = MeasureQps(queries, reps, [&] {
-          for (const auto& [s, t] : pairs) {
-            const SpcResult r = flat.Query(s, t);
-            sink += r.dist + r.count;
-          }
-        });
-        const PackedMergeFn kernel = PackedMergeForTier(tier);
-        row.tail_merges_per_sec = MeasureQps(tail_reps, reps, [&] {
-          for (size_t i = 0; i < tail_reps; ++i) {
-            SpcResult r;
-            kernel(tail.a.data(), tail.a.data() + tail.a.size(), nullptr,
-                   tail.b.data(), tail.b.data() + tail.b.size(), nullptr,
-                   &r);
-            sink += r.dist + r.count;
-          }
-        });
-      }
-      kernel_sweep.push_back(row);
-    }
-    ResetMergeKernelTier();  // headline rows ran at the auto tier
-  }
-
-  std::vector<SpcResult> batch_out(pairs.size());
-  const double batch_qps = MeasureQps(queries, reps, [&] {
+  std::vector<SpcResult> batch_out(pairs.size(), kUnwritten);
+  const Qps batch_qps = MeasureQps(queries, [&] {
     flat.QueryMany(pairs, batch_out.data());
     sink += batch_out.back().dist;
   });
+  check(batch_out);
 
   // The parallel driver writes into a preallocated buffer: at 1 thread it
   // must match the batched loop instead of paying an allocation per call.
   const unsigned threads =
       std::max(1u, std::thread::hardware_concurrency());
-  std::vector<SpcResult> parallel_out(pairs.size());
-  const double parallel_qps = MeasureQps(queries, reps, [&] {
+  std::vector<SpcResult> parallel_out(pairs.size(), kUnwritten);
+  const Qps parallel_qps = MeasureQps(queries, [&] {
     flat.QueryManyParallel(pairs, parallel_out.data(), threads);
     sink += parallel_out.front().dist;
   });
+  check(parallel_out);
 
   // Shard sweep: the serving layout pays one extra indirection per query
   // endpoint; this row quantifies it per shard count.
   struct ShardRow {
     size_t shards;
     size_t effective;
-    double flat_qps;
-    double batch_qps;
-    double parallel_qps;
+    Qps flat_qps;
+    Qps batch_qps;
+    Qps parallel_qps;
   };
   std::vector<ShardRow> sweep;
   for (const size_t shards : {1u, 4u, 16u}) {
@@ -288,20 +249,23 @@ int main(int argc, char** argv) {
     ShardRow row;
     row.shards = shards;
     row.effective = sharded.NumShards();
-    row.flat_qps = MeasureQps(queries, reps, [&] {
+    row.flat_qps = MeasureQps(queries, [&] {
       for (const auto& [s, t] : pairs) {
         const SpcResult r = sharded.Query(s, t);
         sink += r.dist + r.count;
       }
     });
-    row.batch_qps = MeasureQps(queries, reps, [&] {
+    check_single(sharded);
+    row.batch_qps = MeasureQps(queries, [&] {
       sharded.QueryMany(pairs, batch_out.data());
       sink += batch_out.back().dist;
     });
-    row.parallel_qps = MeasureQps(queries, reps, [&] {
+    check(batch_out);
+    row.parallel_qps = MeasureQps(queries, [&] {
       sharded.QueryManyParallel(pairs, parallel_out.data(), threads);
       sink += parallel_out.front().dist;
     });
+    check(parallel_out);
     sweep.push_back(row);
   }
 
@@ -315,29 +279,28 @@ int main(int argc, char** argv) {
   facade_options.snapshot.refresh = RefreshPolicy::kBackground;
   SpcService service(graph, index, facade_options);
   const DynamicSpcIndex& dyn = service.engine();
-  const double facade_qps = MeasureQps(queries, reps, [&] {
+  const Qps facade_qps = MeasureQps(queries, [&] {
     auto results = dyn.BatchQuery(pairs, threads);
     sink += results.front().dist;
   });
   ReadOptions service_read;  // kFresh: served from the warm snapshot
   service_read.threads = threads;
-  const double service_qps = MeasureQps(queries, reps, [&] {
+  const Qps service_qps = MeasureQps(queries, [&] {
     auto resp = service.QueryBatch(pairs, service_read);
     sink += resp.ok() ? resp->results.front().dist : 0;
   });
   const double service_overhead_pct =
-      facade_qps > 0.0 ? (facade_qps - service_qps) / facade_qps * 100.0
-                       : 0.0;
+      (facade_qps.median - service_qps.median) / facade_qps.median * 100.0;
 
   // Single-query service path (validation + routing per call, no batch
   // amortization) vs the facade's Query.
-  const double facade_single_qps = MeasureQps(queries, reps, [&] {
+  const Qps facade_single_qps = MeasureQps(queries, [&] {
     for (const auto& [s, t] : pairs) {
       const SpcResult r = dyn.Query(s, t);
       sink += r.dist + r.count;
     }
   });
-  const double service_single_qps = MeasureQps(queries, reps, [&] {
+  const Qps service_single_qps = MeasureQps(queries, [&] {
     for (const auto& [s, t] : pairs) {
       const auto resp = service.Query(s, t);
       sink += resp.ok() ? resp->result.dist + resp->result.count : 0;
@@ -376,13 +339,13 @@ int main(int argc, char** argv) {
       ++cache_mismatches;
     }
   }
-  const double uncached_single_qps = MeasureQps(queries, reps, [&] {
+  const Qps uncached_single_qps = MeasureQps(queries, [&] {
     for (const auto& [s, t] : zipf_pairs) {
       const auto resp = service.Query(s, t, snap_read);
       sink += resp.ok() ? resp->result.dist + resp->result.count : 0;
     }
   });
-  const double cached_single_qps = MeasureQps(queries, reps, [&] {
+  const Qps cached_single_qps = MeasureQps(queries, [&] {
     for (const auto& [s, t] : zipf_pairs) {
       const auto resp = cached_service.Query(s, t, snap_read);
       sink += resp.ok() ? resp->result.dist + resp->result.count : 0;
@@ -396,75 +359,53 @@ int main(int argc, char** argv) {
                                static_cast<double>(cache_lookups)
                          : 0.0;
 
-  // Sanity: the drivers must agree on the whole query set.
-  size_t mismatches = 0;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (batch_out[i] != index.Query(pairs[i].first, pairs[i].second)) {
-      ++mismatches;
-    }
-  }
-
-  std::printf("\n%-22s %14s %10s\n", "driver", "queries/s", "speedup");
-  bench::PrintRule(4);
-  std::printf("%-22s %14.0f %9.2fx\n", "legacy SpcIndex", legacy_qps, 1.0);
-  std::printf("%-22s %14.0f %9.2fx\n", "flat arena", flat_qps,
-              flat_qps / legacy_qps);
-  std::printf("%-22s %14.0f %9.2fx\n", "flat batched", batch_qps,
-              batch_qps / legacy_qps);
-  std::printf("%-22s %14.0f %9.2fx  (%u threads)\n", "flat batched parallel",
-              parallel_qps, parallel_qps / legacy_qps, threads);
-  std::printf("%-22s %14.0f %9.2fx  (snapshot pin)\n", "dynamic facade batch",
-              facade_qps, facade_qps / legacy_qps);
-  std::printf("%-22s %14.0f %9.2fx  (overhead %.2f%%)\n", "SpcService batch",
-              service_qps, service_qps / legacy_qps, service_overhead_pct);
-  std::printf("%-22s %14.0f %9.2fx\n", "dynamic facade single",
-              facade_single_qps, facade_single_qps / legacy_qps);
-  std::printf("%-22s %14.0f %9.2fx  (overhead %.2f%%)\n", "SpcService single",
-              service_single_qps, service_single_qps / legacy_qps,
-              facade_single_qps > 0.0
-                  ? (facade_single_qps - service_single_qps) /
-                        facade_single_qps * 100.0
-                  : 0.0);
+  // Each row: median queries/s, its speedup over the legacy median, and
+  // the quartiles of the kReps runs.
+  const double legacy = legacy_qps.median;
+  auto print_row = [&](const char* label, const Qps& q, const char* note) {
+    std::printf("%-22s %14.0f %9.2fx  [%.0f, %.0f]%s\n", label, q.median,
+                q.median / legacy, q.q1, q.q3, note);
+  };
+  std::printf("\n%-22s %14s %10s  %s\n", "driver", "queries/s", "speedup",
+              "[q1, q3]");
+  bench::PrintRule(5);
+  print_row("legacy SpcIndex", legacy_qps, "");
+  print_row("flat arena", flat_qps, "");
+  print_row("flat batched", batch_qps, "");
+  const std::string parallel_note =
+      "  (" + std::to_string(threads) + " threads)";
+  print_row("flat batched parallel", parallel_qps, parallel_note.c_str());
+  print_row("dynamic facade batch", facade_qps, "  (snapshot pin)");
+  char note[64];
+  std::snprintf(note, sizeof(note), "  (overhead %.2f%%)",
+                service_overhead_pct);
+  print_row("SpcService batch", service_qps, note);
+  print_row("dynamic facade single", facade_single_qps, "");
+  std::snprintf(note, sizeof(note), "  (overhead %.2f%%)",
+                (facade_single_qps.median - service_single_qps.median) /
+                    facade_single_qps.median * 100.0);
+  print_row("SpcService single", service_single_qps, note);
   for (const ShardRow& row : sweep) {
     std::printf("%-16s (%2zu) %14.0f %9.2fx  (batch %.0f, parallel %.0f)\n",
-                "sharded arena", row.shards, row.flat_qps,
-                row.flat_qps / legacy_qps, row.batch_qps, row.parallel_qps);
+                "sharded arena", row.shards, row.flat_qps.median,
+                row.flat_qps.median / legacy, row.batch_qps.median,
+                row.parallel_qps.median);
   }
-
-  const double scalar_tail = kernel_sweep[0].tail_merges_per_sec;
-  const double scalar_flat = kernel_sweep[0].flat_qps;
-  std::printf("\n%-22s %14s %10s %14s %10s\n", "merge kernel",
-              "queries/s", "speedup", "tail merges/s", "speedup");
-  bench::PrintRule(5);
-  for (const KernelRow& row : kernel_sweep) {
-    if (!row.supported) {
-      std::printf("%-22s %14s\n", MergeKernelTierName(row.tier),
-                  "(unsupported)");
-      continue;
-    }
-    std::printf("%-22s %14.0f %9.2fx %14.0f %9.2fx\n",
-                MergeKernelTierName(row.tier), row.flat_qps,
-                scalar_flat > 0.0 ? row.flat_qps / scalar_flat : 0.0,
-                row.tail_merges_per_sec,
-                scalar_tail > 0.0 ? row.tail_merges_per_sec / scalar_tail
-                                  : 0.0);
-  }
-  std::printf("(active tier: %s)\n",
-              MergeKernelTierName(ActiveMergeKernelTier()));
 
   std::printf("\n%-22s %14s %10s\n", "pair cache (zipf)", "queries/s",
               "speedup");
   bench::PrintRule(4);
-  std::printf("%-22s %14.0f %9.2fx\n", "service single (off)",
-              uncached_single_qps, 1.0);
-  std::printf("%-22s %14.0f %9.2fx  (hit rate %.1f%%, evictions %llu)\n",
-              "service single (on)", cached_single_qps,
-              uncached_single_qps > 0.0
-                  ? cached_single_qps / uncached_single_qps
-                  : 0.0,
-              100.0 * cache_hit_rate,
-              static_cast<unsigned long long>(
-                  cache_metrics.pair_cache_evictions));
+  const double cache_speedup =
+      cached_single_qps.median / uncached_single_qps.median;
+  std::printf("%-22s %14.0f %9.2fx  [%.0f, %.0f]\n", "service single (off)",
+              uncached_single_qps.median, 1.0, uncached_single_qps.q1,
+              uncached_single_qps.q3);
+  std::printf(
+      "%-22s %14.0f %9.2fx  [%.0f, %.0f]  (hit rate %.1f%%, evictions "
+      "%llu)\n",
+      "service single (on)", cached_single_qps.median, cache_speedup,
+      cached_single_qps.q1, cached_single_qps.q3, 100.0 * cache_hit_rate,
+      static_cast<unsigned long long>(cache_metrics.pair_cache_evictions));
   const unsigned hardware_threads = std::thread::hardware_concurrency();
   std::printf("\n%-22s %14s %10s\n", "build threads", "seconds", "speedup");
   bench::PrintRule(4);
@@ -475,9 +416,9 @@ int main(int argc, char** argv) {
   std::printf("(hardware threads: %u; parallel builds label-identical: %s)\n",
               hardware_threads, build_mismatches == 0 ? "yes" : "NO");
 
-  std::printf("\nequivalence: %zu mismatches on %zu queries, %zu cached-read "
-              "mismatches (sink %llu)\n",
-              mismatches, queries, cache_mismatches,
+  std::printf("\nequivalence: %zu mismatches on %zu queries x %zu drivers, "
+              "%zu cached-read mismatches (sink %llu)\n",
+              mismatches, queries, drivers_checked, cache_mismatches,
               static_cast<unsigned long long>(sink));
 
   // The SLO counter surface the service accumulated over the runs above
@@ -503,15 +444,16 @@ int main(int argc, char** argv) {
                "  \"query_dist\": \"%s\",\n"
                "  \"zipf_s\": %.3f,\n"
                "  \"threads\": %u,\n"
-               "  \"legacy_qps\": %.0f,\n"
-               "  \"flat_qps\": %.0f,\n"
-               "  \"flat_batch_qps\": %.0f,\n"
-               "  \"flat_parallel_qps\": %.0f,\n"
-               "  \"facade_batch_qps\": %.0f,\n"
-               "  \"service_batch_qps\": %.0f,\n"
+               "  \"reps\": %zu,\n"
+               "  %s,\n"
+               "  %s,\n"
+               "  %s,\n"
+               "  %s,\n"
+               "  %s,\n"
+               "  %s,\n"
                "  \"service_batch_overhead_pct\": %.3f,\n"
-               "  \"facade_single_qps\": %.0f,\n"
-               "  \"service_single_qps\": %.0f,\n"
+               "  %s,\n"
+               "  %s,\n"
                "  \"flat_speedup\": %.3f,\n"
                "  \"flat_batch_speedup\": %.3f,\n"
                "  \"flat_parallel_speedup\": %.3f,\n"
@@ -524,13 +466,20 @@ int main(int argc, char** argv) {
                scale, graph.NumVertices(), graph.NumEdges(),
                stats.total_entries, stats.wide_bytes, flat.ArenaBytes(),
                flat.OverflowEntries(), build_s, snapshot_s, queries,
-               query_dist.c_str(), zipf_s, threads,
-               legacy_qps, flat_qps, batch_qps, parallel_qps, facade_qps,
-               service_qps, service_overhead_pct, facade_single_qps,
-               service_single_qps, flat_qps / legacy_qps,
-               batch_qps / legacy_qps, parallel_qps / legacy_qps,
-               facade_qps / legacy_qps, mismatches, build_mismatches,
-               hardware_threads, bench::CpuFlags().c_str());
+               query_dist.c_str(), zipf_s, threads, kReps,
+               QpsJson("legacy_qps", legacy_qps).c_str(),
+               QpsJson("flat_qps", flat_qps).c_str(),
+               QpsJson("flat_batch_qps", batch_qps).c_str(),
+               QpsJson("flat_parallel_qps", parallel_qps).c_str(),
+               QpsJson("facade_batch_qps", facade_qps).c_str(),
+               QpsJson("service_batch_qps", service_qps).c_str(),
+               service_overhead_pct,
+               QpsJson("facade_single_qps", facade_single_qps).c_str(),
+               QpsJson("service_single_qps", service_single_qps).c_str(),
+               flat_qps.median / legacy, batch_qps.median / legacy,
+               parallel_qps.median / legacy, facade_qps.median / legacy,
+               mismatches, build_mismatches, hardware_threads,
+               bench::CpuFlags().c_str());
   for (size_t i = 0; i < build_sweep.size(); ++i) {
     const BuildRow& row = build_sweep[i];
     std::fprintf(json,
@@ -544,35 +493,21 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < sweep.size(); ++i) {
     const ShardRow& row = sweep[i];
     std::fprintf(json,
-                 "    %s{\"shards\": %zu, \"effective_shards\": %zu, "
-                 "\"flat_qps\": %.0f, \"batch_qps\": %.0f, "
-                 "\"parallel_qps\": %.0f}\n",
-                 i == 0 ? "" : ",", row.shards, row.effective, row.flat_qps,
-                 row.batch_qps, row.parallel_qps);
-  }
-  std::fprintf(json,
-               "  ],\n"
-               "  \"kernel_tier_sweep\": [\n");
-  for (size_t i = 0; i < kernel_sweep.size(); ++i) {
-    const KernelRow& row = kernel_sweep[i];
-    std::fprintf(
-        json,
-        "    %s{\"tier\": \"%s\", \"supported\": %s, \"flat_qps\": %.0f, "
-        "\"tail_merges_per_sec\": %.0f, \"tail_speedup_vs_scalar\": %.3f}\n",
-        i == 0 ? "" : ",", MergeKernelTierName(row.tier),
-        row.supported ? "true" : "false", row.flat_qps,
-        row.tail_merges_per_sec,
-        row.supported && scalar_tail > 0.0
-            ? row.tail_merges_per_sec / scalar_tail
-            : 0.0);
+                 "    %s{\"shards\": %zu, \"effective_shards\": %zu,\n"
+                 "      %s,\n      %s,\n      %s}\n",
+                 i == 0 ? "" : ",", row.shards, row.effective,
+                 QpsJson("flat_qps", row.flat_qps).c_str(),
+                 QpsJson("batch_qps", row.batch_qps).c_str(),
+                 QpsJson("parallel_qps", row.parallel_qps).c_str());
   }
   std::fprintf(
       json,
       "  ],\n"
       "  \"pair_cache\": {\"zipf_s\": %.3f, \"capacity\": %zu, "
       "\"hits\": %llu, \"misses\": %llu, \"hit_rate\": %.4f,\n"
-      "                 \"insertions\": %llu, \"evictions\": %llu, "
-      "\"cached_single_qps\": %.0f, \"uncached_single_qps\": %.0f,\n"
+      "                 \"insertions\": %llu, \"evictions\": %llu,\n"
+      "                 %s,\n"
+      "                 %s,\n"
       "                 \"speedup\": %.3f, \"mismatches\": %zu}\n"
       "}\n",
       cache_zipf_s, static_cast<size_t>(cached_options.pair_cache.capacity),
@@ -581,10 +516,9 @@ int main(int argc, char** argv) {
       cache_hit_rate,
       static_cast<unsigned long long>(cache_metrics.pair_cache_insertions),
       static_cast<unsigned long long>(cache_metrics.pair_cache_evictions),
-      cached_single_qps, uncached_single_qps,
-      uncached_single_qps > 0.0 ? cached_single_qps / uncached_single_qps
-                                : 0.0,
-      cache_mismatches);
+      QpsJson("cached_single_qps", cached_single_qps).c_str(),
+      QpsJson("uncached_single_qps", uncached_single_qps).c_str(),
+      cache_speedup, cache_mismatches);
   std::fclose(json);
   std::printf("wrote %s\n", json_path.c_str());
   return mismatches == 0 && build_mismatches == 0 && cache_mismatches == 0

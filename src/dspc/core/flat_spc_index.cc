@@ -427,13 +427,11 @@ SpcResult FlatSpcIndex::QueryPacked(const PackedSide& A, const PackedSide& B,
     if (limit < kDenseRanks) return result;  // tail hubs all >= limit
   }
 
-  // Tail part: intersection over the short low-rank remainder, routed
-  // through the tiered merge kernel (scalar / AVX2 — see
-  // core/merge_kernel.h). A rank limit is applied by truncating both
-  // ranges at the first >=limit word: hubs ascend, so every match below
-  // the limit precedes the truncation point on both sides and the
-  // unlimited kernel finds exactly the match set the historical in-loop
-  // break did.
+  // Tail part: the two-pointer merge (core/merge_kernel.h) over the short
+  // low-rank remainder. A rank limit is applied by truncating both ranges
+  // at the first >=limit word: hubs ascend, so every match below the
+  // limit precedes the truncation point on both sides and the unlimited
+  // merge finds exactly the match set the historical in-loop break did.
   const uint64_t* a = A.arena + A.dense_end;
   const uint64_t* ae = A.arena + A.hi;
   const uint64_t* b = B.arena + B.dense_end;

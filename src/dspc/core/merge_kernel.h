@@ -3,37 +3,23 @@
 // A DSPC query is an intersection of two hub-sorted label sets: the
 // minimum of d(s,h) + d(h,t) over common hubs h, with the count products
 // summed at that minimum. AccumulateMatch below is that step, defined
-// once; every intersection in core/ — the packed and wide kernels, the
+// once; every intersection in core/ — the packed and wide merges, the
 // flat query's dense bitmap part, HubCache::Query — feeds its matches
 // through it. The pruning tests inside HP-SPC, IncSPC and DecSPC need only
 // whether that minimum is below a bound; HubCache::Covers answers that
 // without counts and stops at the first covering hub.
 //
-// Because the accumulation is order-independent (the minimum of sums and
-// a modular uint64 sum of products over the min-achievers), ANY traversal
-// order over the same match set produces bit-identical {dist, count}.
-// That freedom is what the vector tier exploits, and what the
-// differential harness (tests/merge_kernel_test.cc) verifies.
+// Because the accumulate is order-independent (the minimum of sums and a
+// modular uint64 sum of products over the min-achievers), any traversal
+// order over the same match set gives bit-identical {dist, count}; the
+// flat query relies on that when it answers the dense part by bitmap and
+// only the tail by merge.
 //
-// Packed flat-arena words (hub in the top 25 bits, see label_codec.h) are
-// merged by one of two tiers, selected once per process:
-//   kScalar  the classic two-pointer merge, the reference tier
-//   kAvx2    broadcast-window with eight b hubs as 32-bit vector lanes
-//            (vpcmpeqd + movemask per a hub), compiled with a
-//            target("avx2") attribute so the baseline -march=x86-64-v2
-//            build still runs everywhere, and only dispatched when
-//            __builtin_cpu_supports("avx2")
-// The AVX2 tier falls back to per-element galloping (exponential +
-// binary search) when one side is lopsidedly longer, to the scalar loop
-// below a minimum tail length, and to the scalar loop for the sub-window
-// remainder. 16-byte LabelEntry ranges (the mutable indexes and the
-// >2^25-vertex wide flat mode) have one kernel, MergeWideScalar.
-//
-// Pinning the tier:
-//   env  DSPC_FORCE_SCALAR_KERNEL=1   scalar everywhere; the operator's
-//        kill switch, and the CI build-and-test job re-runs the kernel,
-//        flat/sharded index and fuzz suites under it
-//   code SetMergeKernelTier(...) / ResetMergeKernelTier()
+// Both merges are the classic two-pointer loop: MergePackedTail over
+// packed flat-arena words (hub in the top 25 bits, see label_codec.h) and
+// MergeWideScalar over 16-byte LabelEntry ranges (the mutable indexes and
+// the >2^25-vertex wide flat mode). tests/merge_kernel_test.cc checks both
+// against an all-pairs reference.
 
 #ifndef DSPC_CORE_MERGE_KERNEL_H_
 #define DSPC_CORE_MERGE_KERNEL_H_
@@ -74,70 +60,28 @@ inline void AccumulatePackedMatch(uint64_t wa, const LabelEntry* a_overflow,
   AccumulateMatch(da, ca, db, cb, result);
 }
 
-/// Kernel tiers, ordered: a numerically larger tier is never selected
-/// unless the host supports it.
-enum class MergeKernelTier : unsigned char {
-  kScalar = 0,
-  kAvx2 = 1,
-};
+// --- merges -----------------------------------------------------------------
 
-/// Human-readable tier name ("scalar" / "avx2").
-const char* MergeKernelTierName(MergeKernelTier tier);
-
-/// True iff this host can execute `tier`. kScalar is always supported;
-/// kAvx2 requires a runtime CPUID check on x86-64.
-bool MergeKernelTierSupported(MergeKernelTier tier);
-
-/// The highest tier this host supports.
-MergeKernelTier MaxMergeKernelTier();
-
-/// The tier queries currently dispatch to, after the env kill switch and
-/// any programmatic pin.
-MergeKernelTier ActiveMergeKernelTier();
-
-/// Pins the dispatch tier. Returns false (and changes nothing) if the
-/// tier is unsupported on this host or DSPC_FORCE_SCALAR_KERNEL is set
-/// and `tier` is not kScalar — the env pin always wins.
-bool SetMergeKernelTier(MergeKernelTier tier);
-
-/// Drops any programmatic pin; dispatch reverts to env/auto selection.
-void ResetMergeKernelTier();
-
-// --- kernels ----------------------------------------------------------------
-//
-// Packed kernels intersect two hub-ascending half-open ranges of flat
-// arena words [a, ae) and [b, be); overflow-reference words are chased
-// through the per-side overflow tables. Matches accumulate into *result
-// (which the caller seeds — typically with the dense-directory part).
-// Preconditions: hubs strictly ascending within each range (the arena
-// validator enforces this), and any rank limit already applied by
-// truncating the ranges with PackedLowerBound (see below for why that is
-// equivalent to the historical in-loop limit break).
-
-void MergePackedTailScalar(const uint64_t* a, const uint64_t* ae,
-                           const LabelEntry* a_overflow, const uint64_t* b,
-                           const uint64_t* be, const LabelEntry* b_overflow,
-                           SpcResult* result);
-void MergePackedTailAvx2(const uint64_t* a, const uint64_t* ae,
-                         const LabelEntry* a_overflow, const uint64_t* b,
-                         const uint64_t* be, const LabelEntry* b_overflow,
-                         SpcResult* result);
+/// Intersects two hub-ascending half-open ranges of flat arena words
+/// [a, ae) and [b, be) into *result (which the caller seeds — typically
+/// with the dense-directory part); overflow-reference words are chased
+/// through the per-side overflow tables. Preconditions: hubs strictly
+/// ascending within each range (the arena validator enforces this), and
+/// any rank limit already applied by truncating the ranges with
+/// PackedLowerBound.
+void MergePackedTail(const uint64_t* a, const uint64_t* ae,
+                     const LabelEntry* a_overflow, const uint64_t* b,
+                     const uint64_t* be, const LabelEntry* b_overflow,
+                     SpcResult* result);
 
 /// Intersects two hub-ascending LabelEntry ranges into *result.
 void MergeWideScalar(const LabelEntry* a, const LabelEntry* ae,
                      const LabelEntry* b, const LabelEntry* be,
                      SpcResult* result);
 
-/// The packed kernel of `tier`, so the harness and the bench can force a
-/// tier per call without touching the process-wide dispatch state.
-using PackedMergeFn = void (*)(const uint64_t*, const uint64_t*,
-                               const LabelEntry*, const uint64_t*,
-                               const uint64_t*, const LabelEntry*, SpcResult*);
-PackedMergeFn PackedMergeForTier(MergeKernelTier tier);
-
 /// First word in [first, last) whose hub rank is >= limit. Rank-limited
 /// queries (PreQuery) truncate both ranges here and then run the
-/// unlimited kernel: because hubs ascend, every match below the limit
+/// unlimited merge: because hubs ascend, every match below the limit
 /// precedes the first >=limit word on both sides, so truncation finds
 /// exactly the match set the historical in-loop `hub >= limit` break did.
 const uint64_t* PackedLowerBound(const uint64_t* first, const uint64_t* last,
@@ -145,20 +89,18 @@ const uint64_t* PackedLowerBound(const uint64_t* first, const uint64_t* last,
 const LabelEntry* WideLowerBound(const LabelEntry* first,
                                  const LabelEntry* last, Rank limit);
 
-/// Out-of-line dispatcher (tier switch + kernel call).
-void MergePackedTailDispatch(const uint64_t* a, const uint64_t* ae,
-                             const LabelEntry* a_overflow, const uint64_t* b,
-                             const uint64_t* be, const LabelEntry* b_overflow,
-                             SpcResult* result);
+// --- report field -----------------------------------------------------------
 
-/// Hot entry point: empty-range fast path inline, then the dispatcher.
-inline void MergePackedTail(const uint64_t* a, const uint64_t* ae,
-                            const LabelEntry* a_overflow, const uint64_t* b,
-                            const uint64_t* be, const LabelEntry* b_overflow,
-                            SpcResult* result) {
-  if (a == ae || b == be) return;
-  MergePackedTailDispatch(a, ae, a_overflow, b, be, b_overflow, result);
-}
+/// The packed merge has one implementation. This enum and the two
+/// functions below exist only so a benchmark report can keep its
+/// `merge_kernel_tier` field; they select nothing.
+enum class MergeKernelTier : unsigned char { kScalar = 0 };
+
+/// Always kScalar.
+MergeKernelTier ActiveMergeKernelTier();
+
+/// "scalar".
+const char* MergeKernelTierName(MergeKernelTier tier);
 
 }  // namespace dspc
 

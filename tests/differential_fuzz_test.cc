@@ -28,7 +28,6 @@
 #include "dspc/core/dynamic_spc.h"
 #include "dspc/core/flat_spc_index.h"
 #include "dspc/core/hp_spc.h"
-#include "dspc/core/merge_kernel.h"
 #include "dspc/core/parallel_build.h"
 #include "dspc/core/weighted_spc.h"
 #include "dspc/graph/generators.h"
@@ -608,7 +607,7 @@ class ServiceTokenFuzz {
       ASSERT_TRUE(resp.ok()) << resp.status().ToString();
       CheckExact(*resp, s, t, "final barrier");
     }
-    if (cached_) CheckCachedAgainstScalarUncached(snap);
+    if (cached_) CheckCachedAgainstUncached(snap);
   }
 
  private:
@@ -715,10 +714,10 @@ class ServiceTokenFuzz {
   }
 
   /// Cached-mode epilogue: the stream must actually have exercised the
-  /// cache, and the cached (vector-kernel) service must agree bit for
-  /// bit with a cache-off, scalar-pinned index built for exactly the
-  /// generation the responses claim.
-  void CheckCachedAgainstScalarUncached(const ReadOptions& snap) {
+  /// cache, and the cached service must agree bit for bit with a
+  /// cache-off index built for exactly the generation the responses
+  /// claim.
+  void CheckCachedAgainstUncached(const ReadOptions& snap) {
     const MetricsSnapshot metrics = service_->Metrics();
     ASSERT_GT(metrics.pair_cache_hits + metrics.pair_cache_misses, 0u)
         << "cached fuzz stream never reached the pair cache";
@@ -741,23 +740,19 @@ class ServiceTokenFuzz {
     ASSERT_GT(service_->Metrics().pair_cache_hits, metrics.pair_cache_hits)
         << "repeated probes produced no cache hits";
 
-    // Scalar, cache-off reference at the claimed generation.
+    // Cache-off reference at the claimed generation.
     const auto it = history_.find(responses.front().generation);
     ASSERT_NE(it, history_.end());
     DynamicSpcIndex reference(it->second);
     const FlatSpcIndex flat(reference.index());
-    const MergeKernelTier pinned = ActiveMergeKernelTier();
-    ASSERT_TRUE(SetMergeKernelTier(MergeKernelTier::kScalar));
     for (size_t i = 0; i < probes.size(); ++i) {
       const auto [s, t] = probes[i];
       ASSERT_EQ(responses[i].generation, responses.front().generation)
           << "post-barrier snapshot reads changed generation";
       ASSERT_EQ(responses[i].result, flat.Query(s, t))
-          << "cached/vector vs scalar/uncached mismatch s=" << s
-          << " t=" << t << " gen=" << responses[i].generation;
+          << "cached vs uncached mismatch s=" << s << " t=" << t
+          << " gen=" << responses[i].generation;
     }
-    // Restore the tier the fixture pinned (its TearDown resets fully).
-    SetMergeKernelTier(pinned);
   }
 
   /// The exactness check: response.generation names the graph the answer
@@ -867,31 +862,21 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// The same token fuzz with the hot-pair cache enabled and the host's
-// best vector kernel pinned: every generation-exact BiBFS check above
-// now runs against cache-served answers, and the epilogue cross-checks
-// the stream's final snapshot bit for bit against a cache-off,
-// scalar-kernel index. Suite name keeps the ServiceTokenFuzz prefix so
-// the TSan CI filter runs it too.
-class ServiceTokenFuzzCachedTest : public ::testing::TestWithParam<uint64_t> {
- protected:
-  void SetUp() override {
-    if (!SetMergeKernelTier(MaxMergeKernelTier())) {
-      GTEST_SKIP() << "env pins the scalar kernel; vector+cache fuzz "
-                      "covered on other CI configs";
-    }
-  }
-  void TearDown() override { ResetMergeKernelTier(); }
-};
+// The same token fuzz with the hot-pair cache enabled: every
+// generation-exact BiBFS check above now runs against cache-served
+// answers, and the epilogue cross-checks the stream's final snapshot bit
+// for bit against a cache-off index. Suite name keeps the
+// ServiceTokenFuzz prefix so the TSan CI filter runs it too.
+class ServiceTokenFuzzCachedTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ServiceTokenFuzzCachedTest, VectorKernelBaStream) {
+TEST_P(ServiceTokenFuzzCachedTest, CachedBaStream) {
   const uint64_t seed = GetParam();
   ServiceTokenFuzz fuzz(GenerateBarabasiAlbert(48, 2, seed), seed,
                         /*shards=*/3, /*cached=*/true);
   fuzz.Run(80);
 }
 
-TEST_P(ServiceTokenFuzzCachedTest, VectorKernelRmatStream) {
+TEST_P(ServiceTokenFuzzCachedTest, CachedRmatStream) {
   const uint64_t seed = GetParam();
   ServiceTokenFuzz fuzz(GenerateRmat(6, 150, seed), seed,
                         /*shards=*/1, /*cached=*/true);

@@ -2,7 +2,7 @@
 // distance bit-planes let FlatSpcIndex decode only the common dense hubs
 // at the smallest exact sum plus the hubs coded "other", so every Query
 // and PreQuery answer must still equal SpcIndex::Query / PreQuery on the
-// source index. Covered under every kernel tier the host runs: grid and
+// source index. Covered on grid and
 // path graphs (distances >= 4 are coded "other"), the 20x20 grid whose
 // corner counts overflow into the side table, rows on the shared zero
 // plane row, RMAT under updates, PreQuery rank limits around the 64-bit
@@ -20,7 +20,6 @@
 #include "dspc/core/dynamic_spc.h"
 #include "dspc/core/flat_spc_index.h"
 #include "dspc/core/hp_spc.h"
-#include "dspc/core/merge_kernel.h"
 #include "dspc/graph/generators.h"
 #include "dspc/graph/update_stream.h"
 #include "test_util.h"
@@ -44,37 +43,30 @@ std::vector<Vertex> LimitSources(const SpcIndex& index) {
 
 /// Asserts Query and PreQuery of `flat` equal the source index's on the
 /// limit sources against every vertex, and on `random_pairs` random
-/// pairs, under every kernel tier this host supports.
+/// pairs.
 void ExpectMatchesIndex(const SpcIndex& index, const FlatSpcIndex& flat,
                         const std::string& context,
                         size_t random_pairs = 4000) {
   const size_t n = index.NumVertices();
   ASSERT_EQ(flat.NumVertices(), n) << context;
-  for (const MergeKernelTier tier :
-       {MergeKernelTier::kScalar, MergeKernelTier::kAvx2}) {
-    if (!SetMergeKernelTier(tier)) continue;  // unsupported or env-pinned
-    const std::string where =
-        context + " tier=" + MergeKernelTierName(tier);
-    auto check = [&](Vertex s, Vertex t) {
-      ASSERT_EQ(flat.Query(s, t), index.Query(s, t))
-          << where << " Query s=" << s << " t=" << t;
-      ASSERT_EQ(flat.PreQuery(s, t), index.PreQuery(s, t))
-          << where << " PreQuery s=" << s << " rank=" << index.RankOf(s)
-          << " t=" << t;
-    };
-    for (const Vertex s : LimitSources(index)) {
-      for (Vertex t = 0; t < n; ++t) {
-        check(s, t);
-        check(t, s);
-      }
-    }
-    Rng rng(n * 31 + 7);
-    for (size_t i = 0; i < random_pairs; ++i) {
-      check(static_cast<Vertex>(rng.NextBounded(n)),
-            static_cast<Vertex>(rng.NextBounded(n)));
+  auto check = [&](Vertex s, Vertex t) {
+    ASSERT_EQ(flat.Query(s, t), index.Query(s, t))
+        << context << " Query s=" << s << " t=" << t;
+    ASSERT_EQ(flat.PreQuery(s, t), index.PreQuery(s, t))
+        << context << " PreQuery s=" << s << " rank=" << index.RankOf(s)
+        << " t=" << t;
+  };
+  for (const Vertex s : LimitSources(index)) {
+    for (Vertex t = 0; t < n; ++t) {
+      check(s, t);
+      check(t, s);
     }
   }
-  ResetMergeKernelTier();
+  Rng rng(n * 31 + 7);
+  for (size_t i = 0; i < random_pairs; ++i) {
+    check(static_cast<Vertex>(rng.NextBounded(n)),
+          static_cast<Vertex>(rng.NextBounded(n)));
+  }
 }
 
 /// Checks one index as a single-shard snapshot, a sharded snapshot whose

@@ -1,18 +1,14 @@
-// Differential harness for the merge-kernel tiers (DESIGN.md §15): every
-// tier must produce bit-identical {dist, count} to an independent naive
-// reference on exhaustive small shapes (empty / disjoint / identical /
-// single-overlap ranges, overflow-reference words on one or both sides,
-// rank limits landing exactly on a hub) and on a randomized fuzz sweep
-// covering the scalar cutoff, the window remainder, and the lopsided
-// gallop. Tiers are forced per call through PackedMergeForTier, so the
-// sweep proves both of them even when the process-wide dispatch is pinned
-// by env (CI re-runs this suite under DSPC_FORCE_SCALAR_KERNEL=1).
+// Differential harness for the label merges (DESIGN.md §15): the packed
+// and wide two-pointer loops must produce bit-identical {dist, count} to
+// an independent naive reference on exhaustive small shapes (empty /
+// disjoint / identical / single-overlap ranges, overflow-reference words
+// on one or both sides, rank limits landing exactly on a hub) and on a
+// randomized fuzz sweep over short, long and lopsided ranges.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <initializer_list>
 #include <iterator>
 #include <string>
@@ -21,18 +17,10 @@
 #include "dspc/baseline/bfs_counting.h"
 #include "dspc/common/label_codec.h"
 #include "dspc/common/rng.h"
-#include "dspc/core/dynamic_spc.h"
-#include "dspc/core/flat_spc_index.h"
 #include "dspc/core/merge_kernel.h"
-#include "test_util.h"
 
 namespace dspc {
 namespace {
-
-using dspc::testing::RandomGraph;
-
-constexpr MergeKernelTier kAllTiers[] = {MergeKernelTier::kScalar,
-                                         MergeKernelTier::kAvx2};
 
 /// One side of a packed intersection: arena words + overflow side table.
 struct PackedSide {
@@ -120,21 +108,16 @@ SpcResult NaiveMergeWide(const std::vector<LabelEntry>& a,
   return seed;
 }
 
-/// Runs every tier's packed kernel on (a, b) from `seed` and asserts each
-/// one reproduces the naive reference bit for bit.
-void ExpectAllTiersMatch(const PackedSide& a, const PackedSide& b,
-                         SpcResult seed, const std::string& context) {
+/// Runs the packed merge on (a, b) from `seed` and asserts it reproduces
+/// the naive reference bit for bit.
+void ExpectPackedMatch(const PackedSide& a, const PackedSide& b,
+                       SpcResult seed, const std::string& context) {
   const SpcResult want = NaiveMerge(a, b, seed);
-  for (const MergeKernelTier tier : kAllTiers) {
-    if (!MergeKernelTierSupported(tier)) continue;
-    SpcResult got = seed;
-    PackedMergeForTier(tier)(a.begin(), a.end(), a.overflow.data(), b.begin(),
-                             b.end(), b.overflow.data(), &got);
-    ASSERT_EQ(got.dist, want.dist)
-        << context << " tier=" << MergeKernelTierName(tier);
-    ASSERT_EQ(got.count, want.count)
-        << context << " tier=" << MergeKernelTierName(tier);
-  }
+  SpcResult got = seed;
+  MergePackedTail(a.begin(), a.end(), a.overflow.data(), b.begin(), b.end(),
+                  b.overflow.data(), &got);
+  ASSERT_EQ(got.dist, want.dist) << context;
+  ASSERT_EQ(got.count, want.count) << context;
 }
 
 std::vector<Rank> Hubs(std::initializer_list<Rank> hubs) { return hubs; }
@@ -143,25 +126,21 @@ TEST(MergeKernel, EmptySides) {
   Rng rng(1);
   const PackedSide some = MakeSide(Hubs({3, 9, 40}), 0.0, rng);
   const PackedSide empty;
-  ExpectAllTiersMatch(empty, some, SpcResult{}, "empty a");
-  ExpectAllTiersMatch(some, empty, SpcResult{}, "empty b");
-  ExpectAllTiersMatch(empty, empty, SpcResult{}, "both empty");
-  // The inline wrapper's empty fast path leaves the seed untouched.
-  SpcResult seeded{4, 7};
-  MergePackedTail(empty.begin(), empty.end(), nullptr, some.begin(),
-                  some.end(), some.overflow.data(), &seeded);
-  EXPECT_EQ(seeded.dist, 4u);
-  EXPECT_EQ(seeded.count, 7u);
+  ExpectPackedMatch(empty, some, SpcResult{}, "empty a");
+  ExpectPackedMatch(some, empty, SpcResult{}, "empty b");
+  ExpectPackedMatch(empty, empty, SpcResult{}, "both empty");
+  // An empty side leaves the seed untouched.
+  ExpectPackedMatch(empty, some, SpcResult{4, 7}, "empty a, seeded");
 }
 
 TEST(MergeKernel, DisjointIdenticalAndSingleOverlap) {
   Rng rng(2);
   const PackedSide a = MakeSide(Hubs({1, 5, 9, 13, 700}), 0.0, rng);
   const PackedSide disjoint = MakeSide(Hubs({2, 6, 10, 14, 900}), 0.0, rng);
-  ExpectAllTiersMatch(a, disjoint, SpcResult{}, "disjoint");
+  ExpectPackedMatch(a, disjoint, SpcResult{}, "disjoint");
 
   const PackedSide same = MakeSide(Hubs({1, 5, 9, 13, 700}), 0.0, rng);
-  ExpectAllTiersMatch(a, same, SpcResult{}, "identical hub sets");
+  ExpectPackedMatch(a, same, SpcResult{}, "identical hub sets");
 
   // One-element overlap at the front, middle, and back of the range.
   for (const Rank shared : {Rank{1}, Rank{9}, Rank{700}}) {
@@ -171,21 +150,21 @@ TEST(MergeKernel, DisjointIdenticalAndSingleOverlap) {
     }
     std::sort(hubs.begin(), hubs.end());
     const PackedSide b = MakeSide(hubs, 0.0, rng);
-    ExpectAllTiersMatch(a, b, SpcResult{},
+    ExpectPackedMatch(a, b, SpcResult{},
                         "single overlap hub=" + std::to_string(shared));
   }
 }
 
 TEST(MergeKernel, SeedInteraction) {
-  // The kernels accumulate into a caller-seeded result (the dense part of
+  // The merge accumulates into a caller-seeded result (the dense part of
   // a flat query); a seed below, at, and above the best tail distance
-  // must behave identically across tiers.
+  // must give the reference answer.
   Rng rng(3);
   const PackedSide a = MakeSide(Hubs({10, 20, 30, 40}), 0.0, rng);
   const PackedSide b = MakeSide(Hubs({20, 40, 50}), 0.0, rng);
   for (const Distance seed_dist : {Distance{1}, Distance{300}, Distance{900},
                                    kInfDistance}) {
-    ExpectAllTiersMatch(a, b, SpcResult{seed_dist, 17},
+    ExpectPackedMatch(a, b, SpcResult{seed_dist, 17},
                         "seed dist=" + std::to_string(seed_dist));
   }
 }
@@ -198,9 +177,9 @@ TEST(MergeKernel, OverflowRefWords) {
   const PackedSide inline_side = MakeSide(hubs, 0.0, rng);
   const PackedSide ovf_a = MakeSide(hubs, 1.0, rng);
   const PackedSide ovf_b = MakeSide(hubs, 1.0, rng);
-  ExpectAllTiersMatch(ovf_a, inline_side, SpcResult{}, "overflow a only");
-  ExpectAllTiersMatch(inline_side, ovf_b, SpcResult{}, "overflow b only");
-  ExpectAllTiersMatch(ovf_a, ovf_b, SpcResult{}, "overflow both");
+  ExpectPackedMatch(ovf_a, inline_side, SpcResult{}, "overflow a only");
+  ExpectPackedMatch(inline_side, ovf_b, SpcResult{}, "overflow b only");
+  ExpectPackedMatch(ovf_a, ovf_b, SpcResult{}, "overflow both");
 }
 
 TEST(MergeKernel, LimitTruncationOnExactHub) {
@@ -219,16 +198,11 @@ TEST(MergeKernel, LimitTruncationOnExactHub) {
     PackedSide fa{{a.begin(), ae}, a.overflow};
     PackedSide fb{{b.begin(), be}, b.overflow};
     const SpcResult want = NaiveMerge(fa, fb, SpcResult{});
-    for (const MergeKernelTier tier : kAllTiers) {
-      if (!MergeKernelTierSupported(tier)) continue;
-      SpcResult got;
-      PackedMergeForTier(tier)(a.begin(), ae, a.overflow.data(), b.begin(),
-                               be, b.overflow.data(), &got);
-      EXPECT_EQ(got.dist, want.dist)
-          << "limit=" << limit << " tier=" << MergeKernelTierName(tier);
-      EXPECT_EQ(got.count, want.count)
-          << "limit=" << limit << " tier=" << MergeKernelTierName(tier);
-    }
+    SpcResult got;
+    MergePackedTail(a.begin(), ae, a.overflow.data(), b.begin(), be,
+                    b.overflow.data(), &got);
+    EXPECT_EQ(got.dist, want.dist) << "limit=" << limit;
+    EXPECT_EQ(got.count, want.count) << "limit=" << limit;
   }
 }
 
@@ -251,9 +225,8 @@ std::vector<Rank> FuzzHubs(size_t n, double overlap, Rng& rng,
 
 TEST(MergeKernel, FuzzSweepPacked) {
   Rng rng(0xC0FFEE);
-  // Side lengths straddle every regime: the scalar cutoff (<16), the
-  // window remainder (non-multiples of 8), and the 32x lopsided
-  // gallop threshold.
+  // Side lengths from empty through 192 words, including non-multiples of
+  // 8 around 16 and 32, paired at random so many pairs are lopsided.
   const size_t sizes[] = {0, 1, 2, 3, 5, 8, 15, 16, 17, 31, 33, 64, 192};
   for (int iter = 0; iter < 60; ++iter) {
     std::vector<Rank> pool;
@@ -266,18 +239,18 @@ TEST(MergeKernel, FuzzSweepPacked) {
     const double ovf = rng.NextBool(0.5) ? 0.0 : rng.NextDouble() * 0.3;
     const PackedSide a = MakeSide(FuzzHubs(na, overlap, rng, pool), ovf, rng);
     const PackedSide b = MakeSide(FuzzHubs(nb, overlap, rng, pool), ovf, rng);
-    ExpectAllTiersMatch(a, b, SpcResult{}, "fuzz iter " + std::to_string(iter));
+    ExpectPackedMatch(a, b, SpcResult{}, "fuzz iter " + std::to_string(iter));
     if (::testing::Test::HasFatalFailure()) return;
   }
-  // Lopsided shapes: force the gallop path on both orientations.
+  // Lopsided shapes, 3 against 400 words, in both orientations.
   for (int iter = 0; iter < 10; ++iter) {
     const PackedSide small =
         MakeSide(FuzzHubs(3, 0.8, rng, FuzzHubs(500, 0.0, rng, {})), 0.2, rng);
     const PackedSide big =
         MakeSide(FuzzHubs(400, 0.0, rng, {}), 0.2, rng);
-    ExpectAllTiersMatch(small, big, SpcResult{},
+    ExpectPackedMatch(small, big, SpcResult{},
                         "lopsided a iter " + std::to_string(iter));
-    ExpectAllTiersMatch(big, small, SpcResult{},
+    ExpectPackedMatch(big, small, SpcResult{},
                         "lopsided b iter " + std::to_string(iter));
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -323,101 +296,6 @@ TEST(MergeKernel, FuzzSweepWide) {
       SpcResult got;
       MergeWideScalar(a.data(), ae, b.data(), be, &got);
       ASSERT_EQ(got, limited) << "wide limit fuzz iter " << iter;
-    }
-  }
-}
-
-// --- dispatch state ---------------------------------------------------------
-
-/// Pins a tier for the current scope; restores env/auto dispatch on exit.
-class TierGuard {
- public:
-  explicit TierGuard(MergeKernelTier tier) : ok_(SetMergeKernelTier(tier)) {}
-  ~TierGuard() { ResetMergeKernelTier(); }
-  bool ok() const { return ok_; }
-
- private:
-  bool ok_;
-};
-
-bool EnvPinsScalar() {
-  const char* v = std::getenv("DSPC_FORCE_SCALAR_KERNEL");
-  return v != nullptr && *v != '\0' && std::string(v) != "0";
-}
-
-TEST(MergeKernelDispatch, BaselineTiersAlwaysSupported) {
-  EXPECT_TRUE(MergeKernelTierSupported(MergeKernelTier::kScalar));
-  const MergeKernelTier max = MaxMergeKernelTier();
-  EXPECT_TRUE(MergeKernelTierSupported(max));
-  EXPECT_EQ(MergeKernelTierSupported(MergeKernelTier::kAvx2),
-            max == MergeKernelTier::kAvx2);
-}
-
-TEST(MergeKernelDispatch, PinAndReset) {
-  {
-    TierGuard pin(MergeKernelTier::kScalar);
-    ASSERT_TRUE(pin.ok());
-    EXPECT_EQ(ActiveMergeKernelTier(), MergeKernelTier::kScalar);
-  }
-  if (EnvPinsScalar()) {
-    // The env pin is the override of last resort: programmatic requests
-    // for the vector tier must be refused.
-    EXPECT_FALSE(SetMergeKernelTier(MergeKernelTier::kAvx2));
-    EXPECT_EQ(ActiveMergeKernelTier(), MergeKernelTier::kScalar);
-  } else if (MergeKernelTierSupported(MergeKernelTier::kAvx2)) {
-    TierGuard pin(MergeKernelTier::kAvx2);
-    ASSERT_TRUE(pin.ok());
-    EXPECT_EQ(ActiveMergeKernelTier(), MergeKernelTier::kAvx2);
-  } else {
-    EXPECT_FALSE(SetMergeKernelTier(MergeKernelTier::kAvx2));
-  }
-  // Unpinned, dispatch runs the best tier the env allows.
-  EXPECT_EQ(ActiveMergeKernelTier(), EnvPinsScalar() ? MergeKernelTier::kScalar
-                                                     : MaxMergeKernelTier());
-  EXPECT_FALSE(
-      SetMergeKernelTier(static_cast<MergeKernelTier>(250)));  // nonsense
-}
-
-TEST(MergeKernelDispatch, TierNames) {
-  EXPECT_STREQ(MergeKernelTierName(MergeKernelTier::kScalar), "scalar");
-  EXPECT_STREQ(MergeKernelTierName(MergeKernelTier::kAvx2), "avx2");
-}
-
-// --- whole-index differential -----------------------------------------------
-
-TEST(MergeKernelIndex, AllTiersMatchOnFlatQueries) {
-  // End-to-end: pin each tier and run every (s, t) query plus rank-limited
-  // PreQuery through a real FlatSpcIndex; AVX2 must agree with the scalar
-  // tier bit for bit. Skipped when the env pin forbids AVX2 — the
-  // per-function fuzz above still covers its kernel.
-  const Graph graph = RandomGraph(42, 110, 1234);
-  DynamicSpcIndex dyn(graph);
-  const FlatSpcIndex flat(dyn.index());
-  const Vertex n = static_cast<Vertex>(graph.NumVertices());
-
-  std::vector<SpcResult> scalar_full;
-  std::vector<SpcResult> scalar_limited;
-  {
-    TierGuard pin(MergeKernelTier::kScalar);
-    ASSERT_TRUE(pin.ok());
-    for (Vertex s = 0; s < n; ++s) {
-      for (Vertex t = 0; t < n; ++t) {
-        scalar_full.push_back(flat.Query(s, t));
-        scalar_limited.push_back(flat.PreQuery(s, t));
-      }
-    }
-  }
-
-  const MergeKernelTier tier = MergeKernelTier::kAvx2;
-  if (!MergeKernelTierSupported(tier)) return;
-  TierGuard pin(tier);
-  if (!pin.ok()) return;  // env pins scalar
-  size_t i = 0;
-  for (Vertex s = 0; s < n; ++s) {
-    for (Vertex t = 0; t < n; ++t, ++i) {
-      ASSERT_EQ(flat.Query(s, t), scalar_full[i]) << "s=" << s << " t=" << t;
-      ASSERT_EQ(flat.PreQuery(s, t), scalar_limited[i])
-          << "PreQuery s=" << s << " t=" << t;
     }
   }
 }
