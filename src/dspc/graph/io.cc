@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
 #include "dspc/common/binary_io.h"
+#include "dspc/common/types.h"
 
 namespace dspc {
 
@@ -33,7 +36,8 @@ Status ReadFileToString(const std::string& path, std::string* out) {
 }
 
 /// Pulls whitespace-separated unsigned integers off a text line; returns
-/// how many were parsed (up to `max_fields`).
+/// how many were parsed (up to `max_fields`), or -1 for a field that is
+/// not a digit run or does not fit 64 bits.
 int ParseFields(const char* line, const char* end, uint64_t* fields,
                 int max_fields) {
   int count = 0;
@@ -44,12 +48,24 @@ int ParseFields(const char* line, const char* end, uint64_t* fields,
     if (std::isdigit(static_cast<unsigned char>(*p)) == 0) return -1;
     uint64_t value = 0;
     while (p < end && std::isdigit(static_cast<unsigned char>(*p)) != 0) {
-      value = value * 10 + static_cast<uint64_t>(*p - '0');
+      const uint64_t digit = static_cast<uint64_t>(*p - '0');
+      if (value > (UINT64_MAX - digit) / 10) return -1;
+      value = value * 10 + digit;
       ++p;
     }
     fields[count++] = value;
   }
   return count;
+}
+
+/// Refuses an edge whose endpoint ids do not fit a Vertex: a wider id
+/// would alias a smaller one when cast, and kInvalidVertex is reserved.
+Status CheckEndpoints(const uint64_t* fields, size_t lineno) {
+  if (fields[0] >= kInvalidVertex || fields[1] >= kInvalidVertex) {
+    return Status::Corruption("vertex id out of range at line " +
+                              std::to_string(lineno));
+  }
+  return Status::OK();
 }
 
 bool IsCommentOrBlank(const char* line, const char* end) {
@@ -90,6 +106,8 @@ Status ParseEdgeList(const std::string& text, Graph* out,
           return Status::Corruption("bad edge at line " +
                                     std::to_string(lineno));
         }
+        Status ids = CheckEndpoints(fields, lineno);
+        if (!ids.ok()) return ids;
         max_id = std::max({max_id, fields[0], fields[1]});
         raw.push_back(Edge{static_cast<Vertex>(fields[0]),
                            static_cast<Vertex>(fields[1])});
@@ -197,6 +215,12 @@ Status ParseWeightedEdgeList(const std::string& text, WeightedGraph* out) {
         const int k = ParseFields(line, end, fields, 3);
         if (k < 3) {
           return Status::Corruption("bad weighted edge at line " +
+                                    std::to_string(lineno));
+        }
+        Status ids = CheckEndpoints(fields, lineno);
+        if (!ids.ok()) return ids;
+        if (fields[2] > std::numeric_limits<Weight>::max()) {
+          return Status::Corruption("weight out of range at line " +
                                     std::to_string(lineno));
         }
         max_id = std::max({max_id, fields[0], fields[1]});

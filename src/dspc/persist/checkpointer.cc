@@ -52,17 +52,7 @@ std::string CheckpointFileName(uint64_t generation) {
 }
 
 bool ParseCheckpointFileName(const std::string& name, uint64_t* generation) {
-  if (name.size() < 10 || name.compare(0, 5, "ckpt-") != 0 ||
-      name.compare(name.size() - 4, 4, ".spc") != 0) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = 5; i < name.size() - 4; ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  *generation = value;
-  return true;
+  return ParseNumberedFileName(name, "ckpt-", ".spc", generation);
 }
 
 Status WriteManifest(FileSystem* fs, const std::string& dir,

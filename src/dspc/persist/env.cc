@@ -220,6 +220,25 @@ class PosixFileSystem : public FileSystem {
 
 }  // namespace
 
+bool ParseNumberedFileName(const std::string& name, const std::string& prefix,
+                           const std::string& suffix, uint64_t* value) {
+  if (name.size() <= prefix.size() + suffix.size()) return false;
+  if (name.compare(0, prefix.size(), prefix) != 0) return false;
+  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
+    return false;
+  }
+  uint64_t v = 0;
+  for (size_t i = prefix.size(); i < name.size() - suffix.size(); ++i) {
+    const char c = name[i];
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (v > (UINT64_MAX - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  *value = v;
+  return true;
+}
+
 StatusOr<std::shared_ptr<const MappedRegion>> FileSystem::MapReadOnly(
     const std::string& path) {
   // Generic fallback: a private copy of the bytes behaves exactly like a

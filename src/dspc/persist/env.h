@@ -117,6 +117,13 @@ class FileSystem {
   static FileSystem* Default();
 };
 
+/// Parses a numbered file name "<prefix><digits><suffix>" (a checkpoint,
+/// WAL segment, snapshot arena or shipped file) into `*value`. False for
+/// any other name: a missing affix, an empty or non-digit run, or a
+/// number past UINT64_MAX, which would otherwise wrap to a smaller one.
+bool ParseNumberedFileName(const std::string& name, const std::string& prefix,
+                           const std::string& suffix, uint64_t* value);
+
 /// Crash-simulation test double (the deterministic hook behind the
 /// crash-matrix suite). Wraps a base filesystem with two behaviors:
 ///

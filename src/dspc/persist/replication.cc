@@ -241,23 +241,6 @@ namespace {
 
 const char* ShipStateFileName() { return "SHIPSTATE"; }
 
-bool ParsePrefixed(const std::string& name, const std::string& prefix,
-                   const std::string& suffix, uint64_t* value) {
-  if (name.size() <= prefix.size() + suffix.size()) return false;
-  if (name.compare(0, prefix.size(), prefix) != 0) return false;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (size_t i = prefix.size(); i < name.size() - suffix.size(); ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *value = v;
-  return true;
-}
-
 }  // namespace
 
 DirectoryTransport::DirectoryTransport(FileSystem* fs, std::string dir)
@@ -371,10 +354,10 @@ Status DirectoryTransport::Retire(uint64_t min_checkpoint_generation,
   std::lock_guard<std::mutex> lock(mu_);
   for (const std::string& name : *names) {
     uint64_t v = 0;
-    if (ParsePrefixed(name, "ship-ckpt-", ".spc", &v) &&
+    if (ParseNumberedFileName(name, "ship-ckpt-", ".spc", &v) &&
         v < min_checkpoint_generation) {
       if (Status st = fs_->RemoveFile(Join(dir_, name)); !st.ok()) return st;
-    } else if (ParsePrefixed(name, "ship-wal-", ".log", &v) &&
+    } else if (ParseNumberedFileName(name, "ship-wal-", ".log", &v) &&
                v < min_wal_seq) {
       auto it = open_segments_.find(v);
       if (it != open_segments_.end()) {

@@ -40,24 +40,6 @@ bool ValidPinOwner(const std::string& owner) {
   return true;
 }
 
-/// Parses "snap-<generation>.arena"; false for any other name.
-bool ParseSnapName(const std::string& name, uint64_t* generation) {
-  const size_t prefix = sizeof(kSnapPrefix) - 1;
-  const size_t suffix = sizeof(kSnapSuffix) - 1;
-  if (name.size() <= prefix + suffix) return false;
-  if (name.compare(0, prefix, kSnapPrefix) != 0) return false;
-  if (name.compare(name.size() - suffix, suffix, kSnapSuffix) != 0) {
-    return false;
-  }
-  uint64_t gen = 0;
-  for (size_t i = prefix; i < name.size() - suffix; ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    gen = gen * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  *generation = gen;
-  return true;
-}
-
 bool DefaultPidAlive(uint64_t pid) {
   if (pid == 0 || pid > static_cast<uint64_t>(INT32_MAX)) return false;
   // EPERM means "exists but not ours" — still alive.
@@ -206,7 +188,7 @@ Status SnapshotPublisher::GarbageCollect() {
   const size_t pin_prefix = sizeof(kPinPrefix) - 1;
   for (const std::string& name : *names) {
     uint64_t gen = 0;
-    if (ParseSnapName(name, &gen)) {
+    if (ParseNumberedFileName(name, kSnapPrefix, kSnapSuffix, &gen)) {
       generations.push_back(gen);
       continue;
     }

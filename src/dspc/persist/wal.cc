@@ -24,18 +24,7 @@ std::string WalSegmentFileName(uint64_t seq) {
 }
 
 bool ParseWalSegmentFileName(const std::string& name, uint64_t* seq) {
-  // Shortest valid name: "wal-0.log" (9 chars — one seq digit).
-  if (name.size() < 9 || name.compare(0, 4, "wal-") != 0 ||
-      name.compare(name.size() - 4, 4, ".log") != 0) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = 4; i < name.size() - 4; ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  *seq = value;
-  return true;
+  return ParseNumberedFileName(name, "wal-", ".log", seq);
 }
 
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& rec) {

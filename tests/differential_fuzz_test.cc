@@ -32,6 +32,7 @@
 #include "dspc/core/weighted_spc.h"
 #include "dspc/graph/generators.h"
 #include "dspc/graph/update_stream.h"
+#include "test_util.h"
 
 namespace dspc {
 namespace {
@@ -44,10 +45,11 @@ class DifferentialStream {
   DifferentialStream(const Graph& start, RefreshPolicy policy, uint64_t seed,
                      size_t snapshot_shards = 0,
                      ParallelBuildOptions build = {},
-                     size_t rebuild_every = 0)
+                     size_t rebuild_every = 0, OrderingOptions ordering = {})
       : policy_(policy), build_(build), rebuild_every_(rebuild_every),
-        rng_(seed) {
+        ordering_(ordering), rng_(seed) {
     DynamicSpcOptions options;
+    options.ordering = ordering;
     options.snapshot.refresh = policy;
     options.snapshot.rebuild_after_queries = kStaleBudget;
     options.snapshot.shards = snapshot_shards;
@@ -197,11 +199,11 @@ class DifferentialStream {
     const auto pin = dyn_->WaitForFreshSnapshot();
     ASSERT_TRUE(static_cast<bool>(pin));
     ASSERT_EQ(pin.generation, dyn_->Generation());
-    const SpcIndex rebuilt = BuildSpcIndex(dyn_->graph());
+    const SpcIndex rebuilt = BuildSpcIndex(dyn_->graph(), ordering_);
     // The parallel builder must reproduce the sequential rebuild label
     // for label on the evolved graph, whatever this stream's options.
     const SpcIndex parallel =
-        BuildSpcIndexParallel(dyn_->graph(), OrderingOptions{}, build_);
+        BuildSpcIndexParallel(dyn_->graph(), ordering_, build_);
     ASSERT_TRUE(parallel == rebuilt)
         << "parallel rebuild diverged from sequential at step " << step;
     const FlatSpcIndex unsharded(rebuilt);
@@ -230,6 +232,7 @@ class DifferentialStream {
   const RefreshPolicy policy_;
   const ParallelBuildOptions build_;
   const size_t rebuild_every_;
+  const OrderingOptions ordering_;
   size_t applied_updates_ = 0;
   Rng rng_;
   std::unique_ptr<DynamicSpcIndex> dyn_;
@@ -279,57 +282,55 @@ INSTANTIATE_TEST_SUITE_P(
 // Parallel-build fuzz sweep: the same randomized update streams, but
 // every 6 applied updates the stream calls Rebuild(), and every full
 // rebuild — construction included — runs through the parallel builder at the
-// sweep's thread count and batch strategy. Every answer is still checked
-// bit-for-bit against BiBFS, and every periodic cross-check asserts the
-// parallel rebuild is label-identical to a sequential one on the evolved
-// graph (which by then has grown vertices and drifted far from the
+// sweep's thread count, under the sweep's ordering. Every answer is still
+// checked bit-for-bit against BiBFS, and every periodic cross-check asserts
+// the parallel rebuild is label-identical to a sequential one on the
+// evolved graph (which by then has grown vertices and drifted far from the
 // seed graph).
-using ParallelFuzzParam = std::tuple<unsigned, BuildBatchStrategy, uint64_t>;
+using ParallelFuzzParam =
+    std::tuple<unsigned, testing::SweepOrdering, uint64_t>;
 
 class ParallelBuildFuzzTest
     : public ::testing::TestWithParam<ParallelFuzzParam> {};
 
 std::string ParallelFuzzParamName(
     const ::testing::TestParamInfo<ParallelFuzzParam>& info) {
-  const char* strategy = std::get<1>(info.param) == BuildBatchStrategy::kAuto
-                             ? "Auto"
-                         : std::get<1>(info.param) ==
-                                 BuildBatchStrategy::kRankWindow
-                             ? "RankWindow"
-                             : "Frontier";
-  return std::string(strategy) + "T" + std::to_string(std::get<0>(info.param)) +
-         "Seed" + std::to_string(std::get<2>(info.param));
+  return std::string(testing::SweepOrderingName(std::get<1>(info.param)))
+      .append("T")
+      .append(std::to_string(std::get<0>(info.param)))
+      .append("Seed")
+      .append(std::to_string(std::get<2>(info.param)));
 }
 
 TEST_P(ParallelBuildFuzzTest, SyncRmatStream) {
-  const auto [threads, strategy, seed] = GetParam();
+  const auto [threads, ordering, seed] = GetParam();
   ParallelBuildOptions build;
   build.threads = threads;
-  build.batch_strategy = strategy;
   DifferentialStream stream(GenerateRmat(6, 150, seed), RefreshPolicy::kSync,
                             seed, /*snapshot_shards=*/2, build,
-                            /*rebuild_every=*/6);
+                            /*rebuild_every=*/6,
+                            testing::SweepOrderingOptions(ordering));
   stream.Run(70);
 }
 
 TEST_P(ParallelBuildFuzzTest, BackgroundBaStream) {
-  const auto [threads, strategy, seed] = GetParam();
+  const auto [threads, ordering, seed] = GetParam();
   ParallelBuildOptions build;
   build.threads = threads;
-  build.batch_strategy = strategy;
   DifferentialStream stream(GenerateBarabasiAlbert(48, 2, seed),
                             RefreshPolicy::kBackground, seed,
                             /*snapshot_shards=*/7, build,
-                            /*rebuild_every=*/6);
+                            /*rebuild_every=*/6,
+                            testing::SweepOrderingOptions(ordering));
   stream.Run(70);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ParallelBuildFuzzTest,
-    ::testing::Combine(::testing::Values(3u, 8u),
-                       ::testing::Values(BuildBatchStrategy::kAuto,
-                                         BuildBatchStrategy::kRankWindow,
-                                         BuildBatchStrategy::kFrontier),
+    ::testing::Combine(::testing::Values(2u, 3u, 8u),
+                       ::testing::Values(testing::SweepOrdering::kDegreeJitter,
+                                         testing::SweepOrdering::kDegree,
+                                         testing::SweepOrdering::kRandom),
                        ::testing::Values(11u)),
     ParallelFuzzParamName);
 

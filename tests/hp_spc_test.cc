@@ -278,17 +278,11 @@ TEST(HpSpcTest, LabelsMatchParentDigest) {
     EXPECT_EQ(LabelDigest(seq), c.digest)
         << c.name << ": 0x" << std::hex << LabelDigest(seq);
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      for (const BuildBatchStrategy strategy :
-           {BuildBatchStrategy::kAuto, BuildBatchStrategy::kRankWindow,
-            BuildBatchStrategy::kFrontier}) {
-        ParallelBuildOptions opts;
-        opts.threads = threads;
-        opts.batch_strategy = strategy;
-        EXPECT_EQ(LabelDigest(BuildSpcIndexParallel(c.graph, c.order, opts)),
-                  c.digest)
-            << c.name << " threads=" << threads
-            << " strategy=" << static_cast<int>(strategy);
-      }
+      ParallelBuildOptions opts;
+      opts.threads = threads;
+      EXPECT_EQ(LabelDigest(BuildSpcIndexParallel(c.graph, c.order, opts)),
+                c.digest)
+          << c.name << " threads=" << threads;
     }
   }
 }

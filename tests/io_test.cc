@@ -67,6 +67,28 @@ TEST(EdgeListTest, MalformedLineRejected) {
   EXPECT_TRUE(ParseEdgeList("42\n", &g).IsCorruption());
 }
 
+// An id that does not fit a 32-bit Vertex, or a digit run past 64 bits,
+// is refused with its line number instead of aliasing a smaller id.
+TEST(EdgeListTest, OutOfRangeIdsRejected) {
+  for (const EdgeListOptions& options :
+       {EdgeListOptions{}, EdgeListOptions{.keep_ids = true}}) {
+    for (const char* text :
+         {"0 2\n4294967296 1\n", "0 2\n18446744073709551617 3\n",
+          "0 2\n1 4294967295\n", "0 2\n1 99999999999999999999999\n"}) {
+      Graph g;
+      const Status s = ParseEdgeList(text, &g, options);
+      EXPECT_TRUE(s.IsCorruption()) << text;
+      EXPECT_NE(s.message().find("line 2"), std::string::npos)
+          << text << ": " << s.message();
+    }
+  }
+  // The largest id a Vertex can hold below kInvalidVertex still parses.
+  Graph g;
+  ASSERT_TRUE(ParseEdgeList("4294967294 7\n", &g).ok());
+  EXPECT_EQ(g.NumVertices(), 2u);
+  EXPECT_EQ(g.NumEdges(), 1u);
+}
+
 TEST(EdgeListTest, SaveLoadRoundTrip) {
   const Graph g = GenerateErdosRenyi(30, 60, 11);
   const std::string path = ::testing::TempDir() + "/dspc_edges.txt";
@@ -180,6 +202,18 @@ TEST(WeightedEdgeListTest, ParseAndRoundTrip) {
 TEST(WeightedEdgeListTest, MissingWeightRejected) {
   WeightedGraph g;
   EXPECT_TRUE(ParseWeightedEdgeList("0 1\n", &g).IsCorruption());
+}
+
+TEST(WeightedEdgeListTest, OutOfRangeIdsAndWeightsRejected) {
+  for (const char* text :
+       {"0 1 5\n4294967296 1 5\n", "0 1 5\n18446744073709551617 1 5\n",
+        "0 1 5\n1 2 4294967296\n"}) {
+    WeightedGraph g;
+    const Status s = ParseWeightedEdgeList(text, &g);
+    EXPECT_TRUE(s.IsCorruption()) << text;
+    EXPECT_NE(s.message().find("line 2"), std::string::npos)
+        << text << ": " << s.message();
+  }
 }
 
 }  // namespace

@@ -3,20 +3,20 @@
 //
 // The contract under test is strong: BuildSpcIndexParallel is
 // label-identical to BuildSpcIndex under the same ordering — not merely
-// query-equivalent — for every graph family, thread count, and batch
-// strategy. Label identity is what keeps v2 serializations byte-identical
+// query-equivalent — for every graph family, ordering and thread count.
+// Label identity is what keeps v2 serializations byte-identical
 // (recovery_test.cc compares checkpoints bit-for-bit), so the determinism
 // tests below check serialized bytes, not just query answers.
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dspc/common/binary_io.h"
-#include "dspc/common/thread_pool.h"
 #include "dspc/core/dynamic_spc.h"
 #include "dspc/core/flat_spc_index.h"
 #include "dspc/core/hp_spc.h"
@@ -118,39 +118,28 @@ void ExpectSamePairAnswers(const SpcIndex& parallel, const SpcIndex& seq,
   }
 }
 
-using BuildParam = std::tuple<unsigned, BuildBatchStrategy>;
+using BuildParam = std::tuple<unsigned, testing::SweepOrdering>;
 
 std::string BuildParamName(const ::testing::TestParamInfo<BuildParam>& info) {
-  const char* strategy = "Auto";
-  switch (std::get<1>(info.param)) {
-    case BuildBatchStrategy::kAuto:
-      strategy = "Auto";
-      break;
-    case BuildBatchStrategy::kRankWindow:
-      strategy = "RankWindow";
-      break;
-    case BuildBatchStrategy::kFrontier:
-      strategy = "Frontier";
-      break;
-  }
-  return std::string(strategy) + "T" + std::to_string(std::get<0>(info.param));
+  return std::string(testing::SweepOrderingName(std::get<1>(info.param)))
+      .append("T")
+      .append(std::to_string(std::get<0>(info.param)));
 }
 
 class ParallelBuildEquivalenceTest
     : public ::testing::TestWithParam<BuildParam> {};
 
 // The headline contract: for every family, the parallel build is
-// label-identical to the sequential build and answers every (s, t) pair
-// identically.
+// label-identical to the sequential build under the same ordering and
+// answers every (s, t) pair identically.
 TEST_P(ParallelBuildEquivalenceTest, MatchesSequentialOnEveryFamily) {
-  const auto [threads, strategy] = GetParam();
+  const auto [threads, sweep_ordering] = GetParam();
+  const OrderingOptions ordering = testing::SweepOrderingOptions(sweep_ordering);
   ParallelBuildOptions opts;
   opts.threads = threads;
-  opts.batch_strategy = strategy;
   for (const Family& fam : Families()) {
-    const SpcIndex seq = BuildSpcIndex(fam.graph);
-    const SpcIndex parallel =
-        BuildSpcIndexParallel(fam.graph, OrderingOptions{}, opts);
+    const SpcIndex seq = BuildSpcIndex(fam.graph, ordering);
+    const SpcIndex parallel = BuildSpcIndexParallel(fam.graph, ordering, opts);
     CheckInvariants(parallel, fam.name);
     EXPECT_TRUE(parallel == seq) << fam.name << ": label sets differ";
     ExpectSamePairAnswers(parallel, seq, fam.name);
@@ -160,9 +149,9 @@ TEST_P(ParallelBuildEquivalenceTest, MatchesSequentialOnEveryFamily) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ParallelBuildEquivalenceTest,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 8u),
-                       ::testing::Values(BuildBatchStrategy::kAuto,
-                                         BuildBatchStrategy::kRankWindow,
-                                         BuildBatchStrategy::kFrontier)),
+                       ::testing::Values(testing::SweepOrdering::kDegreeJitter,
+                                         testing::SweepOrdering::kDegree,
+                                         testing::SweepOrdering::kRandom)),
     BuildParamName);
 
 // Ground truth, not just cross-implementation agreement: the parallel
@@ -177,21 +166,33 @@ TEST(ParallelBuildTest, MatchesBfsGroundTruth) {
   }
 }
 
-// Degenerate window sizes force every batching edge case: window = 1 is
-// pure hub-at-a-time batching (no mates, no suspects), tiny windows
-// maximize suspect re-runs, and a window larger than the graph is a
-// single batch.
+// Graphs sized around the window, max(32, 8 * threads) hubs: 32 at 2-4
+// threads and 64 at 8. Fewer vertices than a window and exactly one
+// window are a single batch, one vertex more leaves a one-hub last
+// window, and a graph many windows long carries labels across window
+// boundaries. The top ranks of a degree-ordered BA graph are adjacent,
+// so the first window has suspects to re-run.
 TEST(ParallelBuildTest, WindowSizeSweep) {
-  const Graph g = GenerateRmat(7, 600, 31);
-  const SpcIndex seq = BuildSpcIndex(g);
-  for (const size_t window : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
-                              size_t{64}, size_t{100000}}) {
+  struct Sweep {
+    unsigned threads;
+    size_t n;
+  };
+  std::vector<Sweep> sweeps;
+  for (const unsigned threads : {2u, 3u, 4u}) {
+    for (const size_t n : {size_t{20}, size_t{32}, size_t{33}, size_t{300}}) {
+      sweeps.push_back({threads, n});
+    }
+  }
+  sweeps.push_back({8, 64});
+  sweeps.push_back({8, 65});
+  for (const Sweep& sw : sweeps) {
+    const Graph g = GenerateBarabasiAlbert(sw.n, 2, 31 + sw.n);
+    ASSERT_EQ(g.NumVertices(), sw.n);
     ParallelBuildOptions opts;
-    opts.threads = 4;
-    opts.batch_strategy = BuildBatchStrategy::kRankWindow;
-    opts.rank_window = window;
-    const SpcIndex parallel = BuildSpcIndexParallel(g, OrderingOptions{}, opts);
-    EXPECT_TRUE(parallel == seq) << "window=" << window;
+    opts.threads = sw.threads;
+    EXPECT_TRUE(BuildSpcIndexParallel(g, OrderingOptions{}, opts) ==
+                BuildSpcIndex(g))
+        << "threads=" << sw.threads << " n=" << sw.n;
   }
 }
 
@@ -243,30 +244,12 @@ TEST(ParallelBuildTest, AdjacentWindowHubIsRerun) {
 
   const SpcIndex seq = BuildSpcIndex(g, order);
   testing::ExpectIndexMatchesBfs(g, seq, "adjacent");
-  for (const BuildBatchStrategy strategy :
-       {BuildBatchStrategy::kRankWindow, BuildBatchStrategy::kFrontier}) {
-    for (const size_t window : {size_t{2}, size_t{9}}) {
-      ParallelBuildOptions opts;
-      opts.threads = 2;
-      opts.batch_strategy = strategy;
-      opts.rank_window = window;
-      EXPECT_TRUE(BuildSpcIndexParallel(g, order, opts) == seq)
-          << "strategy=" << static_cast<int>(strategy)
-          << " window=" << window;
-    }
-  }
-}
-
-// An externally owned pool is reusable across builds and honored for the
-// thread count.
-TEST(ParallelBuildTest, ReusesCallerPool) {
-  ThreadPool pool(3);
-  const Graph g = GenerateRmat(7, 600, 47);
-  const SpcIndex seq = BuildSpcIndex(g);
-  for (int rep = 0; rep < 2; ++rep) {
-    const SpcIndex parallel =
-        BuildSpcIndexParallel(g, OrderingOptions{}, {}, &pool);
-    EXPECT_TRUE(parallel == seq) << "rep=" << rep;
+  // All 9 hubs share one window (32 hubs at 2 threads, 64 at 8).
+  for (const unsigned threads : {2u, 8u}) {
+    ParallelBuildOptions opts;
+    opts.threads = threads;
+    EXPECT_TRUE(BuildSpcIndexParallel(g, order, opts) == seq)
+        << "threads=" << threads;
   }
 }
 
@@ -281,22 +264,19 @@ TEST(ParallelBuildTest, DegenerateGraphs) {
       {"one_edge", Graph(2, {{0, 1}})},
   };
   for (const Family& fam : degenerate) {
-    for (const BuildBatchStrategy strategy :
-         {BuildBatchStrategy::kAuto, BuildBatchStrategy::kRankWindow,
-          BuildBatchStrategy::kFrontier}) {
+    for (const unsigned threads : {2u, 8u}) {
       ParallelBuildOptions opts;
-      opts.threads = 8;
-      opts.batch_strategy = strategy;
+      opts.threads = threads;
       const SpcIndex seq = BuildSpcIndex(fam.graph);
       const SpcIndex parallel =
           BuildSpcIndexParallel(fam.graph, OrderingOptions{}, opts);
-      EXPECT_TRUE(parallel == seq) << fam.name;
+      EXPECT_TRUE(parallel == seq) << fam.name << " threads=" << threads;
     }
   }
 }
 
-// Determinism: repeated parallel builds — across repetitions, thread
-// counts, and strategies — produce snapshot arena images byte-identical
+// Determinism: repeated parallel builds — across repetitions and thread
+// counts — produce snapshot arena images byte-identical
 // to the sequential build's (at a fixed generation and wal_seq), so
 // checkpoint digests never depend on scheduling.
 TEST(ParallelBuildDeterminismTest, ByteIdenticalArenaImages) {
@@ -313,18 +293,13 @@ TEST(ParallelBuildDeterminismTest, ByteIdenticalArenaImages) {
   const uint32_t want_crc = Crc32(want.data(), want.size());
   for (int rep = 0; rep < 3; ++rep) {
     for (const unsigned threads : {2u, 3u, 8u}) {
-      for (const BuildBatchStrategy strategy :
-           {BuildBatchStrategy::kAuto, BuildBatchStrategy::kRankWindow,
-            BuildBatchStrategy::kFrontier}) {
-        ParallelBuildOptions opts;
-        opts.threads = threads;
-        opts.batch_strategy = strategy;
-        const std::vector<uint8_t> got =
-            image(BuildSpcIndexParallel(g, OrderingOptions{}, opts));
-        ASSERT_EQ(Crc32(got.data(), got.size()), want_crc)
-            << "rep=" << rep << " threads=" << threads;
-        ASSERT_EQ(got, want) << "rep=" << rep << " threads=" << threads;
-      }
+      ParallelBuildOptions opts;
+      opts.threads = threads;
+      const std::vector<uint8_t> got =
+          image(BuildSpcIndexParallel(g, OrderingOptions{}, opts));
+      ASSERT_EQ(Crc32(got.data(), got.size()), want_crc)
+          << "rep=" << rep << " threads=" << threads;
+      ASSERT_EQ(got, want) << "rep=" << rep << " threads=" << threads;
     }
   }
 }

@@ -36,6 +36,29 @@ std::vector<uint8_t> ReadAll(FileSystem* fs, const std::string& path) {
   return data;
 }
 
+// --- Numbered file names ---------------------------------------------------
+
+// Checkpoint, WAL segment, snapshot arena and shipped-file names share
+// one parser. One past UINT64_MAX must not wrap to generation 1, and
+// UINT64_MAX itself is a valid number.
+TEST(NumberedFileNameTest, RefusesOverflowAndMalformedNames) {
+  uint64_t v = 7;
+  for (const char* bad :
+       {"ckpt-18446744073709551616.spc", "ckpt-18446744073709551617.spc",
+        "ckpt-99999999999999999999999.spc", "ckpt-.spc", "ckpt-1a.spc",
+        "ckpt-+1.spc", "ckpt-1.spc.tmp", "ckpt-1.log"}) {
+    EXPECT_FALSE(ParseCheckpointFileName(bad, &v)) << bad;
+  }
+  EXPECT_FALSE(ParseWalSegmentFileName("wal-18446744073709551617.log", &v));
+  EXPECT_EQ(v, 7u);  // a refused name leaves the output alone
+  ASSERT_TRUE(ParseCheckpointFileName("ckpt-18446744073709551615.spc", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  ASSERT_TRUE(ParseWalSegmentFileName("wal-18446744073709551615.log", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  ASSERT_TRUE(ParseWalSegmentFileName("wal-0042.log", &v));
+  EXPECT_EQ(v, 42u);
+}
+
 // --- FaultInjectingEnv -------------------------------------------------------
 
 TEST(FaultEnvTest, UnsyncedAppendsAreVolatile) {

@@ -16,6 +16,7 @@
 #include "dspc/core/flat_spc_index.h"
 #include "dspc/core/spc_index.h"
 #include "dspc/graph/graph.h"
+#include "dspc/graph/ordering.h"
 #include "dspc/persist/snapshot_arena.h"
 
 namespace dspc {
@@ -35,6 +36,43 @@ inline void ExpectIndexMatchesBfs(const Graph& graph, const SpcIndex& index,
           << context << " count mismatch s=" << s << " t=" << t;
     }
   }
+}
+
+/// The ordering dimension of the parallel-build sweeps
+/// (parallel_build_test.cc, differential_fuzz_test.cc). Their instances
+/// keep the names of the builder's former batch strategies — Auto,
+/// RankWindow, Frontier — now that it batches by rank window alone
+/// (DESIGN.md §12): the RankWindow instances run the default degree
+/// ordering, as they always did, and the other two run the same builder
+/// under orderings that put other hubs side by side in a window.
+enum class SweepOrdering { kDegreeJitter, kDegree, kRandom };
+
+inline const char* SweepOrderingName(SweepOrdering ordering) {
+  switch (ordering) {
+    case SweepOrdering::kDegreeJitter:
+      return "Auto";
+    case SweepOrdering::kDegree:
+      return "RankWindow";
+    case SweepOrdering::kRandom:
+      return "Frontier";
+  }
+  return "";
+}
+
+inline OrderingOptions SweepOrderingOptions(SweepOrdering ordering) {
+  OrderingOptions options;
+  switch (ordering) {
+    case SweepOrdering::kDegreeJitter:
+      options.strategy = OrderingStrategy::kDegreeJitter;
+      break;
+    case SweepOrdering::kDegree:
+      options.strategy = OrderingStrategy::kDegree;
+      break;
+    case SweepOrdering::kRandom:
+      options.strategy = OrderingStrategy::kRandom;
+      break;
+  }
+  return options;
 }
 
 /// An empty directory private to the running test. ctest runs each test
