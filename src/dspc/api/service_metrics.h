@@ -150,8 +150,8 @@ struct MetricsSnapshot {
   // SpcService::Metrics() from the cache's own counters — the same
   // overlay pattern as the replica gauges above. ---------------------------
   uint64_t pair_cache_hits = 0;        ///< exact-generation lookup hits
-  uint64_t pair_cache_misses = 0;      ///< lookups that computed + cached
-  uint64_t pair_cache_insertions = 0;  ///< entries written (incl. upserts)
+  uint64_t pair_cache_misses = 0;      ///< lookups that computed the answer
+  uint64_t pair_cache_insertions = 0;  ///< misses admitted (incl. upserts)
   uint64_t pair_cache_evictions = 0;   ///< live same-generation displacements
 
   /// Yields taken by paced snapshot reads (DynamicSpcIndex::

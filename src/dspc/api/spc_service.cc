@@ -381,7 +381,7 @@ StatusOr<QueryResponse> SpcService::ServeQuery(
     // snapshot that is ABOUT to serve this read, so a hit is by
     // construction the exact answer that snapshot would compute —
     // min_generation / token semantics were already enforced when
-    // admission picked the pin. A miss computes and caches.
+    // admission picked the pin. A miss computes and offers the answer.
     if (pair_cache_ != nullptr) {
       SpcResult cached;
       if (!pair_cache_->Lookup(s, t, pin.generation, &cached)) {

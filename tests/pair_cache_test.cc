@@ -1,14 +1,16 @@
 // PairCache (DESIGN.md §15): the generation-keyed hot-pair result cache.
 // Unit coverage of the set-associative structure (hit/miss, unordered
-// keys, supersede-vs-evict victim preference, stats), the coherence
-// contract at the service layer (a stale generation is never served
-// after an update; read-your-writes tokens flow through the cached
-// path), and a concurrent hit/miss stress where every hit's payload is
-// validated against a value derived from its key — suite names all
-// match 'PairCache' so the TSan CI filter picks them up.
+// keys, second-sighting admission, supersede-vs-evict victim preference,
+// stats), the coherence contract at the service layer (a stale
+// generation is never served after an update; read-your-writes tokens
+// flow through the cached path), and hit/miss runs where every hit's
+// payload is validated against a value derived from its key — one over
+// a tiny table full of way-tag collisions, one concurrent. Suite names
+// all match 'PairCache' so the TSan CI filter picks them up.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -27,8 +29,25 @@ PairCacheOptions Tiny() {
   PairCacheOptions o;
   o.enabled = true;
   o.capacity = PairCache::kWays;  // one set, one shard: fully observable
-  o.shards = 1;
   return o;
+}
+
+// Fills the single set of a Tiny() cache with four live generation-1
+// pairs (i, 100 + i). Vacant ways admit a pair on its first sighting.
+void FillSet(PairCache& cache) {
+  for (Vertex i = 0; i < 4; ++i) {
+    cache.Insert(i, 100 + i, 1, SpcResult{1, i + 1u});
+  }
+  ASSERT_EQ(cache.StatsSnapshot().insertions, 4u);
+  ASSERT_EQ(cache.StatsSnapshot().rejected, 0u);
+}
+
+// Offers a pair twice: when its set is full, the first sighting only
+// writes the set's ghost and the second is admitted.
+void InsertTwice(PairCache& cache, Vertex u, Vertex v, uint64_t generation,
+                 const SpcResult& result) {
+  cache.Insert(u, v, generation, result);
+  cache.Insert(u, v, generation, result);
 }
 
 TEST(PairCache, MissInsertHit) {
@@ -37,7 +56,7 @@ TEST(PairCache, MissInsertHit) {
   EXPECT_FALSE(cache.Lookup(3, 9, 7, &out));
 
   const SpcResult stored{4, 12345};
-  cache.Insert(3, 9, 7, stored);
+  cache.Insert(3, 9, 7, stored);  // a vacant way admits the first sighting
   ASSERT_TRUE(cache.Lookup(3, 9, 7, &out));
   EXPECT_EQ(out, stored);
 
@@ -45,6 +64,7 @@ TEST(PairCache, MissInsertHit) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.rejected, 0u);
   EXPECT_EQ(stats.evictions, 0u);
 }
 
@@ -58,6 +78,18 @@ TEST(PairCache, UnorderedPairKey) {
   cache.Insert(6, 6, 1, SpcResult{0, 1});
   ASSERT_TRUE(cache.Lookup(6, 6, 1, &out));
   EXPECT_EQ(out, (SpcResult{0, 1}));
+
+  // The ghost is keyed by the unordered pair as well: in a full set, a
+  // sighting of (40, 30) after one of (30, 40) is the second sighting.
+  cache.Insert(1, 2, 1, SpcResult{1, 1});
+  cache.Insert(3, 4, 1, SpcResult{1, 1});
+  cache.Insert(30, 40, 1, SpcResult{3, 3});
+  EXPECT_FALSE(cache.Lookup(30, 40, 1, &out));
+  cache.Insert(40, 30, 1, SpcResult{3, 3});
+  ASSERT_TRUE(cache.Lookup(30, 40, 1, &out));
+  EXPECT_EQ(out, (SpcResult{3, 3}));
+  EXPECT_EQ(cache.StatsSnapshot().insertions, 5u);
+  EXPECT_EQ(cache.StatsSnapshot().rejected, 1u);
 }
 
 TEST(PairCache, GenerationMismatchIsMiss) {
@@ -80,43 +112,108 @@ TEST(PairCache, GenerationMismatchIsMiss) {
 
 TEST(PairCache, VictimPreferenceAndEvictionCount) {
   // One 4-way set. Four live same-generation entries fill it; a fifth
-  // distinct pair must displace a live entry (a real eviction).
+  // distinct pair must displace a live entry (a real eviction), which
+  // takes its second sighting.
   PairCache cache(Tiny());
   ASSERT_EQ(cache.capacity(), PairCache::kWays);
-  for (Vertex i = 0; i < 4; ++i) {
-    cache.Insert(i, 100 + i, 1, SpcResult{1, i + 1u});
-  }
+  FillSet(cache);
   EXPECT_EQ(cache.StatsSnapshot().evictions, 0u);
-  cache.Insert(50, 60, 1, SpcResult{9, 9});
+  InsertTwice(cache, 50, 60, 1, SpcResult{9, 9});
   EXPECT_EQ(cache.StatsSnapshot().evictions, 1u);
 
   // Stale-generation entries are preferred victims: refilling the set at
-  // generation 2 displaces the generation-1 leftovers silently.
+  // generation 2 displaces the generation-1 leftovers silently. They are
+  // still residents, so each new pair needs two sightings.
   const uint64_t evictions_before = cache.StatsSnapshot().evictions;
+  SpcResult out;
   for (Vertex i = 0; i < 4; ++i) {
+    cache.Insert(200 + i, 300 + i, 2, SpcResult{2, i + 1u});
+    EXPECT_FALSE(cache.Lookup(200 + i, 300 + i, 2, &out)) << i;
     cache.Insert(200 + i, 300 + i, 2, SpcResult{2, i + 1u});
   }
   EXPECT_EQ(cache.StatsSnapshot().evictions, evictions_before);
-  SpcResult out;
   for (Vertex i = 0; i < 4; ++i) {
     ASSERT_TRUE(cache.Lookup(200 + i, 300 + i, 2, &out)) << i;
     EXPECT_EQ(out.count, i + 1u);
   }
+  EXPECT_EQ(cache.StatsSnapshot().insertions, 9u);
+  EXPECT_EQ(cache.StatsSnapshot().rejected, 5u);
+}
+
+TEST(PairCache, FirstSightingRejectedSecondAdmitted) {
+  PairCache cache(Tiny());
+  FillSet(cache);
+  SpcResult out;
+  cache.Insert(7, 8, 1, SpcResult{1, 1});
+  EXPECT_EQ(cache.StatsSnapshot().rejected, 1u);
+  EXPECT_EQ(cache.StatsSnapshot().insertions, 4u);
+  EXPECT_EQ(cache.StatsSnapshot().evictions, 0u);
+  EXPECT_FALSE(cache.Lookup(7, 8, 1, &out));
+
+  cache.Insert(7, 8, 1, SpcResult{1, 1});
+  EXPECT_EQ(cache.StatsSnapshot().rejected, 1u);
+  EXPECT_EQ(cache.StatsSnapshot().insertions, 5u);
+  EXPECT_EQ(cache.StatsSnapshot().evictions, 1u);
+  ASSERT_TRUE(cache.Lookup(7, 8, 1, &out));
+  EXPECT_EQ(out, (SpcResult{1, 1}));
+}
+
+TEST(PairCache, OverwrittenGhostIsNotAdmitted) {
+  // One full set, so both pairs share its single ghost: the sighting of
+  // (11, 12) replaces the ghost of (7, 8), whose next offer is again a
+  // first sighting.
+  PairCache cache(Tiny());
+  FillSet(cache);
+  SpcResult out;
+  cache.Insert(7, 8, 1, SpcResult{1, 1});
+  cache.Insert(11, 12, 1, SpcResult{2, 2});
+  cache.Insert(7, 8, 1, SpcResult{1, 1});
+  EXPECT_FALSE(cache.Lookup(7, 8, 1, &out));
+  EXPECT_FALSE(cache.Lookup(11, 12, 1, &out));
+  EXPECT_EQ(cache.StatsSnapshot().rejected, 3u);
+  EXPECT_EQ(cache.StatsSnapshot().insertions, 4u);
+
+  cache.Insert(7, 8, 1, SpcResult{1, 1});  // the ghost now holds (7, 8)
+  ASSERT_TRUE(cache.Lookup(7, 8, 1, &out));
+  EXPECT_EQ(cache.StatsSnapshot().insertions, 5u);
+}
+
+TEST(PairCache, StaleGenerationSupersededAtOnce) {
+  // A resident pair offered at a new generation is stored on that first
+  // offer, even though the set is full and its ghost holds another pair.
+  PairCache cache(Tiny());
+  FillSet(cache);  // holds (1, 101) at generation 1
+  SpcResult out;
+  cache.Insert(50, 51, 1, SpcResult{1, 1});  // ghost := (50, 51)
+  cache.Insert(1, 101, 2, SpcResult{2, 20});
+  ASSERT_TRUE(cache.Lookup(1, 101, 2, &out));
+  EXPECT_EQ(out, (SpcResult{2, 20}));
+  EXPECT_FALSE(cache.Lookup(1, 101, 1, &out));
+
+  const PairCache::Stats stats = cache.StatsSnapshot();
+  EXPECT_EQ(stats.insertions, 5u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 TEST(PairCache, CapacityAndShardRounding) {
   PairCacheOptions o;
   o.enabled = true;
   o.capacity = 100;  // not a power of two
-  o.shards = 3;      // neither is this
-  PairCache cache(o);
-  EXPECT_GE(cache.capacity(), 100u);
-  EXPECT_EQ(cache.shards() & (cache.shards() - 1), 0u) << cache.shards();
-  EXPECT_EQ(cache.capacity() % PairCache::kWays, 0u);
+  PairCache small(o);
+  EXPECT_GE(small.capacity(), 100u);
+  EXPECT_EQ(small.shards(), 1u);
+  EXPECT_EQ(small.capacity() % PairCache::kWays, 0u);
+
+  o.capacity = 3 * 4096;  // derives three shards, rounded up to four
+  PairCache striped(o);
+  EXPECT_GE(striped.capacity(), o.capacity);
+  EXPECT_EQ(striped.shards(), 4u);
+  EXPECT_EQ(striped.capacity() % (PairCache::kWays * striped.shards()), 0u);
 }
 
-// Payload derivable from (u, v, generation) alone, so concurrent hits
-// can validate content without any shared state.
+// Payload derivable from (u, v, generation) alone, so hits can validate
+// content without any shared state.
 SpcResult DerivedResult(Vertex u, Vertex v, uint64_t generation) {
   const uint64_t key = (static_cast<uint64_t>(std::max(u, v)) << 32) |
                        std::min(u, v);
@@ -124,11 +221,44 @@ SpcResult DerivedResult(Vertex u, Vertex v, uint64_t generation) {
                    key * 0x9E3779B97F4A7C15ULL + generation};
 }
 
+TEST(PairCache, TagCollisionsNeverServeWrongAnswer) {
+  // Sixteen entries in four sets, thousands of pairs: with 8-bit way
+  // tags, many lookups find a tag that belongs to another pair. Each must
+  // fall through to the full key compare — every hit carries exactly its
+  // own pair's value.
+  PairCacheOptions o;
+  o.enabled = true;
+  o.capacity = 16;
+  PairCache cache(o);
+  ASSERT_EQ(cache.capacity(), 16u);
+
+  Rng rng(77);
+  uint64_t lookups = 0;
+  for (int i = 0; i < 6000; ++i) {
+    const Vertex u = static_cast<Vertex>(rng.NextBounded(4096));
+    const Vertex v = static_cast<Vertex>(rng.NextBounded(4096));
+    const uint64_t generation = 1 + rng.NextBounded(2);
+    for (int sighting = 0; sighting < 3; ++sighting) {
+      SpcResult out;
+      ++lookups;
+      if (cache.Lookup(u, v, generation, &out)) {
+        ASSERT_EQ(out, DerivedResult(u, v, generation)) << i;
+      } else {
+        cache.Insert(u, v, generation, DerivedResult(u, v, generation));
+      }
+    }
+  }
+  const PairCache::Stats stats = cache.StatsSnapshot();
+  EXPECT_EQ(stats.hits + stats.misses, lookups);
+  EXPECT_EQ(stats.insertions + stats.rejected, stats.misses);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+}
+
 TEST(PairCacheConcurrency, HitMissStress) {
   PairCacheOptions o;
   o.enabled = true;
   o.capacity = 1 << 10;
-  o.shards = 4;
   PairCache cache(o);
 
   constexpr int kThreads = 4;
@@ -159,7 +289,7 @@ TEST(PairCacheConcurrency, HitMissStress) {
   const PairCache::Stats stats = cache.StatsSnapshot();
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(stats.insertions, stats.misses);
+  EXPECT_EQ(stats.insertions + stats.rejected, stats.misses);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.misses, 0u);
 }
